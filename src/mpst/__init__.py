@@ -77,7 +77,6 @@ from .chanvec import (
     dump_channel_vectors,
     eval_global,
     fixv,
-    merge_cv,
     nth,
     proj_field,
     typecheck_cv,

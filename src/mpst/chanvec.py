@@ -1,19 +1,21 @@
-"""Compilation of typed global protocols into channel vectors.
+"""Compilation of global protocols into channel vectors: the one compile route.
 
 Each role receives a nested record/variant value whose leaves are fresh
 binary channel names: outputs are records mapping labels to (name, cont)
 pairs, inputs are wrapped-name lists multiplexing several channels into one
-labelled receive.  Choice branches are merged per role, unifying the channel
-names of shared output labels through a union-find kept in the
-:class:`ChannelTable`.
+labelled receive.  Vectors are built from the node set of ``types``: only
+:class:`OutRec` and :class:`WrappedInp` are vector-specific, and a local type
+is a vector with its channels erased (:func:`typecheck_cv`).  Choice branches
+are merged per role by ``types.merge``, which unifies the channel names of
+shared labels through a union-find kept in the :class:`ChannelTable`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import ErrorKind, EvalError, CvTypeError, Path
+from .errors import ErrorKind, EvalError, CvTypeError, Path, ProtocolTypeError
 from .protocol import (
     ClosedAt,
     Choice,
@@ -27,99 +29,73 @@ from .protocol import (
     Var,
     roles_of,
 )
-from .types import Branch, LocalType, RecT, Select, VarT, END_T
+from .types import (
+    END_T,
+    Branch,
+    DirectedChoice,
+    EndT,
+    LocalType,
+    RecT,
+    Select,
+    VarT,
+    _decider_output,
+    _fix_unused,
+    _Namer,
+    merge,
+    unfold_type,
+)
+
+# The node set is shared with local types; the vector calculus' names stay
+# as aliases.
+ChannelVector = LocalType
+RecVal = RecT
+VarRef = VarT
+UnitVal = EndT
+UNIT_VAL = END_T
+unfold_cv = unfold_type
 
 
 class IoMode:
+    """The side of a channel a vector reference uses."""
+
     IN = "in"
     OUT = "out"
-    BOTH = "both"
 
 
 # Identity of a binary channel: session id, sender, receiver, label, index.
-NameKey = tuple[object, str, str, str, object, int]
+# The index counts per (sender, receiver, label name), so it alone keeps
+# same-name labels with different payloads apart.
+NameKey = tuple[object, str, str, str, int]
 
 
 @dataclass(frozen=True)
 class ChannelName:
-    """A fresh binary channel, shared by exactly one sender/receiver pair.
-
-    Equality ignores ``io_mode``: the sender-side and receiver-side
-    references of one channel compare equal and share a key.
-    """
+    """A fresh binary channel, shared by exactly one sender/receiver pair."""
 
     session: object
     from_role: Role
     to_role: Role
     label: Label
     index: int
-    io_mode: str = field(default=IoMode.BOTH, compare=False)
 
     @property
     def key(self) -> NameKey:
-        return (
-            self.session,
-            self.from_role.name,
-            self.to_role.name,
-            self.label.name,
-            self.label.payload,
-            self.index,
-        )
-
-    def narrowed(self, mode: str) -> "ChannelName":
-        return ChannelName(self.session, self.from_role, self.to_role, self.label, self.index, mode)
+        return (self.session, self.from_role.name, self.to_role.name, self.label.name, self.index)
 
     def __str__(self) -> str:
         return f"<{self.from_role},{self.to_role},{self.label.name},{self.index}>"
 
 
-class ChannelVector:
-    __slots__ = ()
+@dataclass(frozen=True)
+class OutRec(DirectedChoice):
+    """Output record toward ``peer``: branches of (label, channel, continuation)."""
+
+    output = True
 
 
 @dataclass(frozen=True)
-class OutRec(ChannelVector):
-    """Output record toward ``peer``: label -> (channel, continuation)."""
-
-    peer: Role
-    branches: tuple[tuple[Label, ChannelName, "ChannelVector"], ...]
-
-    def labels(self) -> list[str]:
-        return [l.name for l, _, _ in self.branches]
-
-
-@dataclass(frozen=True)
-class WrappedInp(ChannelVector):
-    """Multiplexed input from ``peer``: arms of (label, channel, continuation)."""
-
-    peer: Role
-    arms: tuple[tuple[Label, ChannelName, "ChannelVector"], ...]
-
-    def labels(self) -> list[str]:
-        return [l.name for l, _, _ in self.arms]
-
-
-@dataclass(frozen=True)
-class RecVal(ChannelVector):
-    var: str
-    body: ChannelVector
-
-
-@dataclass(frozen=True)
-class VarRef(ChannelVector):
-    var: str
-
-
-@dataclass(frozen=True)
-class UnitVal(ChannelVector):
-    pass
-
-
-UNIT_VAL = UnitVal()
-
-# Merge bookkeeping: maps an in-progress pair of vectors to the recursion
-# variable that closes their loop.
-MergeMemo = dict[tuple[ChannelVector, ChannelVector], str]
+class WrappedInp(DirectedChoice):
+    """Multiplexed input from ``peer``: branches of (label, channel, continuation)."""
 
 
 class ChannelTable:
@@ -137,8 +113,6 @@ class ChannelTable:
         self._names: dict[NameKey, ChannelName] = {}
 
     def alloc(self, from_role: Role, to_role: Role, label: Label) -> ChannelName:
-        # the index also separates same-name labels with different payloads,
-        # so the printed (from, to, label, index) tuple is unique
         ckey = (from_role.name, to_role.name, label.name)
         i = self._counters.get(ckey, 0)
         self._counters[ckey] = i + 1
@@ -165,74 +139,10 @@ class ChannelTable:
 
     def classes(self) -> list[ChannelName]:
         roots = {self.find(k) for k in self._parent}
-        return [
-            self._names[r]
-            for r in sorted(roots, key=lambda k: (k[1], k[2], k[3], repr(k[4]), k[5]))
-        ]
+        return [self._names[r] for r in sorted(roots, key=lambda k: k[1:])]
 
     def payload_env(self) -> dict[NameKey, PayloadSort]:
         return {self.find(k): self._names[self.find(k)].label.payload for k in self._parent}
-
-
-def _free_vars_cv(c: ChannelVector, bound: frozenset[str] = frozenset()) -> frozenset[str]:
-    if isinstance(c, VarRef):
-        return frozenset() if c.var in bound else frozenset({c.var})
-    if isinstance(c, RecVal):
-        return _free_vars_cv(c.body, bound | {c.var})
-    if isinstance(c, OutRec):
-        out: frozenset[str] = frozenset()
-        for _, _, k in c.branches:
-            out |= _free_vars_cv(k, bound)
-        return out
-    if isinstance(c, WrappedInp):
-        out = frozenset()
-        for _, _, k in c.arms:
-            out |= _free_vars_cv(k, bound)
-        return out
-    return frozenset()
-
-
-def _subst_cv(c: ChannelVector, var: str, repl: ChannelVector) -> ChannelVector:
-    """Capture-avoiding substitution; mirrors the local-type version."""
-    repl_free = _free_vars_cv(repl)
-
-    def go(c: ChannelVector) -> ChannelVector:
-        if isinstance(c, VarRef):
-            return repl if c.var == var else c
-        if isinstance(c, RecVal):
-            if c.var == var:
-                return c
-            if c.var in repl_free and var in _free_vars_cv(c.body):
-                fresh = c.var + "'"
-                taken = repl_free | _free_vars_cv(c.body)
-                while fresh in taken:
-                    fresh += "'"
-                body = _subst_cv(c.body, c.var, VarRef(fresh))
-                return RecVal(fresh, go(body))
-            return RecVal(c.var, go(c.body))
-        if isinstance(c, OutRec):
-            return OutRec(c.peer, tuple((l, s, go(k)) for l, s, k in c.branches))
-        if isinstance(c, WrappedInp):
-            return WrappedInp(c.peer, tuple((l, s, go(k)) for l, s, k in c.arms))
-        return c
-
-    return go(c)
-
-
-def unfold_cv(c: ChannelVector) -> ChannelVector:
-    """Unroll recursion until the head is not a RecVal (the least fixpoint
-    of one-step unfolding).  Results are cached on the RecVal node, since the
-    runtime unfolds the same loop value once per iteration."""
-    while isinstance(c, RecVal):
-        try:
-            c = object.__getattribute__(c, "_unfolded")
-            continue
-        except AttributeError:
-            pass
-        u = _subst_cv(c.body, c.var, c)
-        object.__setattr__(c, "_unfolded", u)
-        c = u
-    return c
 
 
 def proj_field(c: ChannelVector, key: Union[Role, Label, str]):
@@ -247,12 +157,8 @@ def proj_field(c: ChannelVector, key: Union[Role, Label, str]):
             return c
         raise EvalError(ErrorKind.MISSING_FIELD, f"no field for peer {key}")
     name = key.name if isinstance(key, Label) else key
-    if isinstance(c, OutRec):
+    if isinstance(c, (OutRec, WrappedInp)):
         for l, s, cont in c.branches:
-            if l.name == name:
-                return (s, unfold_cv(cont))
-    elif isinstance(c, WrappedInp):
-        for l, s, cont in c.arms:
             if l.name == name:
                 return (s, unfold_cv(cont))
     raise EvalError(ErrorKind.MISSING_FIELD, f"no field {name}")
@@ -264,103 +170,11 @@ def nth(t: Sequence[ChannelVector], i: int) -> ChannelVector:
 
 def fixv(var: str, c: ChannelVector) -> ChannelVector:
     """Close a recursion: a body that is exactly the bound variable means the
-    role does not take part in the loop, so its vector is the finished one."""
-    if isinstance(c, VarRef) and c.var == var:
-        return UNIT_VAL
-    return RecVal(var, c)
-
-
-def merge_cv(c1: ChannelVector, c2: ChannelVector, memo: MergeMemo, table: ChannelTable,
-             path: Path = ()) -> ChannelVector:
-    """Merge two channel vectors arising from branches of one choice.
-
-    Outputs intersect their label sets and unify the channel names of shared
-    labels in ``table``; inputs union their arms; recursion is closed through
-    ``memo`` so that revisiting an in-progress pair yields its loop variable.
-    """
-
-    def fail(kind: ErrorKind, detail: str):
-        raise EvalError(kind, detail, path)
-
-    if isinstance(c1, RecVal):
-        key = (c1, c2)
-        if key in memo:
-            return VarRef(memo[key])
-        z = f"%{len(memo) + 1}"
-        memo[key] = z
-        inner = merge_cv(_subst_cv(c1.body, c1.var, c1), c2, memo, table, path)
-        del memo[key]
-        return RecVal(z, inner) if _uses_var(inner, z) else inner
-    if isinstance(c2, RecVal):
-        key = (c1, c2)
-        if key in memo:
-            return VarRef(memo[key])
-        z = f"%{len(memo) + 1}"
-        memo[key] = z
-        inner = merge_cv(c1, _subst_cv(c2.body, c2.var, c2), memo, table, path)
-        del memo[key]
-        return RecVal(z, inner) if _uses_var(inner, z) else inner
-    if isinstance(c1, UnitVal) and isinstance(c2, UnitVal):
-        return c1
-    if isinstance(c1, VarRef) and isinstance(c2, VarRef) and c1.var == c2.var:
-        return c1
-    if isinstance(c1, OutRec) and isinstance(c2, OutRec) and c1.peer == c2.peer:
-        right = {l.name: (l, s, k) for l, s, k in c2.branches}
-        out = []
-        for l, s, k in c1.branches:
-            if l.name not in right:
-                continue
-            l2, s2, k2 = right[l.name]
-            if l.payload != l2.payload:
-                fail(ErrorKind.PAYLOAD_MISMATCH,
-                     f"output label {l.name} carries different payload sorts across branches")
-            table.unify(s, s2)
-            out.append((l, s, merge_cv(k, k2, memo, table, path)))
-        if not out:
-            fail(ErrorKind.EMPTY_OUTPUT_INTERSECTION,
-                 f"branches toward {c1.peer} share no output label")
-        return OutRec(c1.peer, tuple(out))
-    if isinstance(c1, WrappedInp) and isinstance(c2, WrappedInp) and c1.peer == c2.peer:
-        right = {l.name: (l, s, k) for l, s, k in c2.arms}
-        out = []
-        for l, s, k in c1.arms:
-            if l.name in right:
-                l2, s2, k2 = right.pop(l.name)
-                if l.payload != l2.payload:
-                    fail(ErrorKind.PAYLOAD_MISMATCH,
-                         f"input label {l.name} carries different payload sorts across branches")
-                table.unify(s, s2)
-                out.append((l, s, merge_cv(k, k2, memo, table, path)))
-            else:
-                out.append((l, s, k))
-        out.extend(right.values())
-        return WrappedInp(c1.peer, tuple(out))
-    fail(ErrorKind.MERGE_SHAPE_MISMATCH,
-         f"cannot merge {_shape(c1)} with {_shape(c2)}")
-
-
-def _shape(c: ChannelVector) -> str:
-    if isinstance(c, OutRec):
-        return f"output toward {c.peer}"
-    if isinstance(c, WrappedInp):
-        return f"input from {c.peer}"
-    if isinstance(c, UnitVal):
-        return "finished"
-    if isinstance(c, VarRef):
-        return f"loop variable {c.var}"
-    return f"recursion {c.var}"
-
-
-def _uses_var(c: ChannelVector, var: str) -> bool:
-    if isinstance(c, VarRef):
-        return c.var == var
-    if isinstance(c, RecVal):
-        return c.var != var and _uses_var(c.body, var)
-    if isinstance(c, OutRec):
-        return any(_uses_var(k, var) for _, _, k in c.branches)
-    if isinstance(c, WrappedInp):
-        return any(_uses_var(k, var) for _, _, k in c.arms)
-    return False
+    role does not take part in the loop, so its vector is the finished one;
+    a body that never loops back needs no binder."""
+    if isinstance(c, VarT) and c.var == var:
+        return END_T
+    return _fix_unused(var, c)
 
 
 def eval_global(
@@ -368,109 +182,81 @@ def eval_global(
     session: object,
     roles: Optional[Sequence[Role]] = None,
 ) -> tuple[tuple[ChannelVector, ...], ChannelTable]:
-    """Compile a (well-typed) global protocol into one vector per role.
+    """Compile a global protocol into one channel vector per role.
 
-    The caller is expected to have run ``type_global`` first; if it did not,
-    failures surface here as :class:`EvalError` with the same kinds.
+    This is the only traversal that derives the roles' behaviour:
+    ``types.type_global`` erases the channels of its result.  An ill-formed
+    protocol raises :class:`ProtocolTypeError`, with the kind and path that
+    ``type_global`` reports for it.
     """
     tuple_roles = tuple(roles) if roles is not None else roles_of(g)
-    participating = {r.name for r in roles_of(g)}
     idx = {r.name: i for i, r in enumerate(tuple_roles)}
     n = len(tuple_roles)
     table = ChannelTable(session)
+    namer = _Namer()
 
     def go(
         node: GlobalProtocol,
-        env: dict[str, tuple[VarRef, ...]],
+        env: dict[str, tuple[VarT, ...]],
         path: Path,
         closed: frozenset[str],
     ) -> list[ChannelVector]:
         if isinstance(node, End):
-            return [UNIT_VAL] * n
+            return [END_T] * n
         if isinstance(node, Comm):
             vs = go(node.cont, env, path + ("cont",), closed)
             name = table.alloc(node.from_role, node.to_role, node.label)
             i, j = idx[node.from_role.name], idx[node.to_role.name]
-            vs[i] = OutRec(node.to_role, ((node.label, name.narrowed(IoMode.OUT), vs[i]),))
-            vs[j] = WrappedInp(node.from_role, ((node.label, name.narrowed(IoMode.IN), vs[j]),))
+            vs[i] = OutRec(node.to_role, ((node.label, name, vs[i]),))
+            vs[j] = WrappedInp(node.from_role, ((node.label, name, vs[j]),))
             return vs
         if isinstance(node, Choice):
             per_branch = [go(b, env, path + (step,), closed) for step, b in node.children()]
             a = idx[node.at.name]
-            outs: list[OutRec] = []
-            for k, vs in enumerate(per_branch):
-                head = unfold_cv(vs[a])
-                if not isinstance(head, OutRec):
-                    raise EvalError(
-                        ErrorKind.ACTIVE_ROLE_MISMATCH,
-                        f"deciding role {node.at} does not start with an output in branch {k}",
-                        path,
-                    )
-                outs.append(head)
-            peer = outs[0].peer
-            for k, o in enumerate(outs[1:], start=1):
-                if o.peer != peer:
-                    raise EvalError(
-                        ErrorKind.ACTIVE_ROLE_MISMATCH,
-                        f"active role mismatch: branch 0 decides toward {peer}, branch {k} toward {o.peer}",
-                        path,
-                    )
-            seen: set[str] = set()
-            cat = []
-            for o in outs:
-                for l, s, k in o.branches:
-                    if l.name in seen:
-                        raise EvalError(
-                            ErrorKind.DUPLICATE_CHOICE_LABEL,
-                            f"label {l.name} is offered by more than one branch of the choice",
-                            path,
-                        )
-                    seen.add(l.name)
-                    cat.append((l, s, k))
             result = list(per_branch[0])
-            result[a] = OutRec(peer, tuple(cat))
+            result[a] = _decider_output([vs[a] for vs in per_branch], node.at, path)
             for k in range(n):
                 if k == a:
                     continue
                 acc = per_branch[0][k]
                 for vs in per_branch[1:]:
-                    acc = merge_cv(acc, vs[k], {}, table, path)
+                    acc = merge(acc, vs[k], path, namer, table)
                 result[k] = acc
             return result
         if isinstance(node, Rec):
-            fresh = tuple(VarRef(f"{node.var}@{i}") for i in range(n))
             env2 = dict(env)
-            env2[node.var] = fresh
+            env2[node.var] = tuple(VarT(f"{node.var}@{i}") for i in range(n))
             vs = go(node.body, env2, path + ("body",), closed)
-            out = []
             for i in range(n):
-                if isinstance(vs[i], VarRef):
+                if isinstance(vs[i], VarT):
+                    # the loop never touches this role
                     name = tuple_roles[i].name
-                    if name in participating and name not in closed:
-                        raise EvalError(
+                    if name not in closed and name in {r.name for r in roles_of(g)}:
+                        raise ProtocolTypeError(
                             ErrorKind.UNCLOSED_ROLE,
                             f"role {name} takes no part in this loop; annotate it with closed_at",
                             path,
                         )
-                    out.append(UNIT_VAL)
+                    vs[i] = END_T
                 else:
-                    out.append(fixv(f"{node.var}@{i}", vs[i]))
-            return out
+                    vs[i] = fixv(f"{node.var}@{i}", vs[i])
+            return vs
         if isinstance(node, Var):
             if node.var not in env:
-                raise EvalError(ErrorKind.UNBOUND_TYPE_VAR,
-                                f"recursion variable {node.var} is unbound", path)
+                raise ProtocolTypeError(
+                    ErrorKind.UNBOUND_TYPE_VAR, f"recursion variable {node.var} is unbound", path
+                )
             return list(env[node.var])
         if isinstance(node, ClosedAt):
             vs = go(node.cont, env, path + ("cont",), closed | {node.role.name})
             a = idx[node.role.name]
-            if not isinstance(vs[a], (UnitVal, VarRef)):
-                raise EvalError(
+            if not isinstance(vs[a], (EndT, VarT)):
+                raise ProtocolTypeError(
                     ErrorKind.UNCLOSED_ROLE,
                     f"closed_at {node.role} contradicts the role's remaining behaviour",
                     path,
                 )
-            vs[a] = UNIT_VAL
+            vs[a] = END_T
             return vs
         raise AssertionError(f"unknown node {node!r}")
 
@@ -494,16 +280,13 @@ def typecheck_cv(
         return table.find(key) if table is not None else key
 
     def go(v: ChannelVector) -> LocalType:
-        if isinstance(v, UnitVal):
-            return END_T
-        if isinstance(v, VarRef):
-            return VarT(v.var)
-        if isinstance(v, RecVal):
+        if isinstance(v, (EndT, VarT)):
+            return v
+        if isinstance(v, RecT):
             return RecT(v.var, go(v.body))
         if isinstance(v, (OutRec, WrappedInp)):
-            items = v.branches if isinstance(v, OutRec) else v.arms
             out = []
-            for l, s, k in items:
+            for l, s, k in v.branches:
                 key = resolve(s.key)
                 if key not in env:
                     raise CvTypeError(ErrorKind.PAYLOAD_MISMATCH,
@@ -530,27 +313,20 @@ def dump_channel_vectors(
 ) -> str:
     """Deterministic textual rendering with find-normalized channel names."""
 
-    def name_str(s: ChannelName) -> str:
-        return str(table.canonical(s))
-
     def render(v: ChannelVector) -> str:
-        if isinstance(v, UnitVal):
+        if isinstance(v, EndT):
             return "unit"
-        if isinstance(v, VarRef):
+        if isinstance(v, VarT):
             return v.var
-        if isinstance(v, RecVal):
+        if isinstance(v, RecT):
             return f"rec {v.var} . {render(v.body)}"
-        if isinstance(v, OutRec):
+        if isinstance(v, (OutRec, WrappedInp)):
             inner = "; ".join(
-                f"{l.name}{name_str(s)} -> {render(k)}"
+                f"{l.name}{table.canonical(s)} -> {render(k)}"
                 for l, s, k in sorted(v.branches, key=lambda b: b[0].name)
             )
-            return f"out({v.peer}){{{inner}}}"
-        if isinstance(v, WrappedInp):
-            inner = "; ".join(
-                f"{l.name}{name_str(s)} -> {render(k)}"
-                for l, s, k in sorted(v.arms, key=lambda b: b[0].name)
-            )
+            if isinstance(v, OutRec):
+                return f"out({v.peer}){{{inner}}}"
             return f"inp({v.peer})[{inner}]"
         raise AssertionError
 
@@ -573,18 +349,15 @@ def reachable_names(v: ChannelVector) -> Iterator[tuple[ChannelName, str]]:
     seen: set[int] = set()
 
     def walk(c: ChannelVector) -> Iterator[tuple[ChannelName, str]]:
-        if isinstance(c, RecVal):
+        if isinstance(c, RecT):
             if id(c) in seen:
                 return
             seen.add(id(c))
             yield from walk(c.body)
-        elif isinstance(c, OutRec):
+        elif isinstance(c, (OutRec, WrappedInp)):
+            side = IoMode.OUT if isinstance(c, OutRec) else IoMode.IN
             for _, s, k in c.branches:
-                yield s, IoMode.OUT
-                yield from walk(k)
-        elif isinstance(c, WrappedInp):
-            for _, s, k in c.arms:
-                yield s, IoMode.IN
+                yield s, side
                 yield from walk(k)
 
     return walk(v)

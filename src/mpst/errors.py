@@ -26,9 +26,7 @@ class ErrorKind(str, Enum):
     UNCLOSED_ROLE = "UnclosedRole"
     UNBOUND_TYPE_VAR = "UnboundTypeVar"
 
-    # channel-vector evaluation
-    MERGE_SHAPE_MISMATCH = "MergeShapeMismatch"
-    EMPTY_OUTPUT_INTERSECTION = "EmptyOutputIntersection"
+    # channel-vector projection
     MISSING_FIELD = "MissingField"
 
     # runtime
@@ -82,11 +80,11 @@ class ShapeError(MpstError):
 
 
 class ProtocolTypeError(MpstError):
-    """A well-formedness violation found while typing or projecting."""
+    """A well-formedness violation found while typing, compiling or projecting."""
 
 
 class EvalError(MpstError):
-    """A failure while evaluating a global protocol to channel vectors."""
+    """A missing field when projecting out of a channel vector."""
 
 
 class CvTypeError(MpstError):

@@ -2,13 +2,14 @@
 
 A global protocol describes every interaction of a multiparty session from a
 bird's-eye view.  Values built here are immutable and carry no channels; the
-``types`` module checks them and the ``chanvec`` module compiles them.
+``chanvec`` module compiles them to channel vectors, whose channel-erased
+view is the ``types`` module's local types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyChoiceError, ErrorKind, Path, SelfSendError
 
@@ -315,5 +316,3 @@ def bind_roles(declared: Iterable[Role], g: GlobalProtocol) -> tuple[Role, ...]:
         raise ValueError("declared roles contain duplicates")
     return out
 
-
-GlobalNode = Union[Comm, Choice, Rec, Var, End, ClosedAt]

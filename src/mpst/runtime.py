@@ -22,7 +22,6 @@ from .chanvec import (
     ChannelTable,
     ChannelVector,
     OutRec,
-    UnitVal,
     WrappedInp,
     eval_global,
     typecheck_cv,
@@ -52,7 +51,7 @@ from .transport import (
     connect_pairs,
     select,
 )
-from .types import LocalType, subtype, type_global
+from .types import Branch, EndT, LocalType, Select, subtype, unfold_type
 
 DEFAULT_TIMEOUT = 5.0
 
@@ -93,9 +92,8 @@ class SessionMonitor:
         self._seq = itertools.count()
 
     def record(self, kind: EventKind, role: Role, peer: Optional[Role], label: Optional[Label]) -> None:
-        ev = TraceEvent(next(self._seq), kind, role, peer, label)
-        with self._lock:
-            self._events.append(ev)
+        with self._lock:  # seq is taken under the lock, so list order is seq order
+            self._events.append(TraceEvent(next(self._seq), kind, role, peer, label))
 
     @property
     def events(self) -> list[TraceEvent]:
@@ -105,12 +103,11 @@ class SessionMonitor:
     def verdict(self) -> tuple[bool, str]:
         """Conformant iff every role's event subsequence walks its local type
         from the start to End, finishing with a close."""
-        from .types import Branch, EndT, Select, unfold_type
-
+        events = self.events
         for role_name, t in self.expected.items():
             cursor = unfold_type(t)
             closed = False
-            for ev in self.events:
+            for ev in events:
                 if ev.role.name != role_name:
                     continue
                 if closed:
@@ -170,7 +167,6 @@ class SessionChannels:
         self.roles = roles
         self.channels: dict = {}
         self.pairs: dict[tuple[str, str], FramedPair] = {}
-        self.pair_side: dict[tuple[str, str], int] = {}
         self._stamps: dict[tuple[str, str], itertools.count] = {}
         self._stamps_lock = threading.Lock()
         if isinstance(transport, (SyncRendezvous, AsyncBuffered)):
@@ -184,10 +180,7 @@ class SessionChannels:
                     for n in table.classes()
                 }
             )
-            conns = connect_pairs(transport.host, pair_names)
-            for (a, b), pair in conns.items():
-                self.pairs[(a, b)] = pair
-                self.pair_side[(a, b)] = 0
+            self.pairs.update(connect_pairs(transport.host, pair_names))
         else:
             raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"unknown transport {transport!r}")
 
@@ -351,14 +344,14 @@ class Endpoint:
             )
         self._consume()
         if self.session.in_process:
-            chans = [self.session.channel_for(s) for _, s, _ in head.arms]
+            chans = [self.session.channel_for(s) for _, s, _ in head.branches]
             i, value = select(chans, self.timeout, start=self._rotor % len(chans))
-            label, _, cont = head.arms[i]
+            label, _, cont = head.branches[i]
         else:
             pair, side = self.session.pair_for(self.role, head.peer)
             ch, value = pair.read(side, self.timeout)
             match = None
-            for l, s, cont_ in head.arms:
+            for l, s, cont_ in head.branches:
                 canon = self.session.table.canonical(s)
                 if _frame_header(canon) == ch:
                     match = (l, cont_)
@@ -375,7 +368,7 @@ class Endpoint:
     def close(self) -> None:
         if self.cell.used:
             self._consume()
-        if not isinstance(self.vector, UnitVal):
+        if not isinstance(self.vector, EndT):
             raise SessionRuntimeError(
                 ErrorKind.PROTOCOL_NOT_FINISHED,
                 f"{self.role} closed with protocol steps remaining",
@@ -411,15 +404,18 @@ def open_session(
 ) -> Session:
     """Check a protocol, compile it, bind a transport, and hand out endpoints.
 
-    Shape and typing failures are raised before anything is allocated.
+    The protocol is compiled once: the local types (for the monitor and
+    ``Session.local_types``) are the channel-erased vectors.  Shape and
+    typing failures are raised before any transport is bound.
     """
     report = validate_shape(g)
     if not report.ok:
         raise ShapeError(report.findings)
     tuple_roles = roles if roles is not None else roles_of(g)
-    local = type_global(g, tuple_roles)
     sid = f"s{next(_session_ids)}"
     vectors, table = eval_global(g, sid, tuple_roles)
+    env = table.payload_env()
+    local = {r: typecheck_cv(v, env, table) for r, v in zip(tuple_roles, vectors)}
     channels = SessionChannels(transport, table, tuple_roles)
     monitor = SessionMonitor(local) if monitored else None
     rng = seeded_rng()  # MPST_SEED fixes the select rotation

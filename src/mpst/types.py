@@ -1,15 +1,18 @@
-"""Local (channel-vector) types and the two routes that derive them.
+"""Local types: one role's behaviour, and the node set channel vectors share.
 
 A local type describes one role's view of a protocol as directed internal
 choices (:class:`Select`), directed external choices (:class:`Branch`),
-equi-recursive loops, and termination.  Two independent derivations are
-provided and cross-checked by the test suite:
+equi-recursive loops, and termination.  Channel vectors (``chanvec``) are
+built from the same nodes: their output records and wrapped inputs are
+directed choices whose entries also carry a channel, so one substitution,
+one cached unfolding and one merge serve both.
 
-* :func:`type_global` types the whole protocol at once, producing one local
-  type per role of the tuple, widening non-deciding roles across choice
-  branches by the least-upper-bound merge.
-* :func:`project` is the classical per-role endpoint projection with the
-  same merge operator.
+There is one compile route.  :func:`type_global` is the channel-erased view
+of the vectors that ``chanvec.eval_global`` computes, so typing and
+compiling accept the same protocols and fail with the same errors.
+:func:`project`, the classical per-role endpoint projection, is a separate
+traversal kept as the independent oracle that the test suite checks the
+route against.
 
 Subtyping is coinductive: :func:`subtype` carries a set of assumed pairs and
 answers positively on revisit, which is sound and complete for the regular
@@ -18,7 +21,6 @@ trees denoted by closed guarded types.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -61,22 +63,36 @@ def _canon_branches(branches) -> tuple[tuple[Label, "LocalType"], ...]:
 
 
 @dataclass(frozen=True)
-class Select(LocalType):
-    """Internal choice: this role picks one label to send to ``peer``."""
+class DirectedChoice(LocalType):
+    """A choice made by or offered to one ``peer``.
+
+    Each entry of ``branches`` starts with its label and ends with its
+    continuation: ``(label, cont)`` in a local type, ``(label, channel,
+    cont)`` in a channel vector.
+    """
 
     peer: Role
-    branches: tuple[tuple[Label, LocalType], ...]
+    branches: tuple
+
+    output = False  # True when this role picks the label and sends it
+
+    def labels(self) -> list[str]:
+        return [e[0].name for e in self.branches]
+
+
+@dataclass(frozen=True)
+class Select(DirectedChoice):
+    """Internal choice: this role picks one label to send to ``peer``."""
+
+    output = True
 
     def __post_init__(self):
         object.__setattr__(self, "branches", _canon_branches(self.branches))
 
 
 @dataclass(frozen=True)
-class Branch(LocalType):
+class Branch(DirectedChoice):
     """External choice: ``peer`` picks one label this role must receive."""
-
-    peer: Role
-    branches: tuple[tuple[Label, LocalType], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "branches", _canon_branches(self.branches))
@@ -110,10 +126,10 @@ def branch(peer: Role, branches) -> Branch:
 
 
 def _free_vars(t: LocalType, bound: frozenset[str] = frozenset()) -> frozenset[str]:
-    if isinstance(t, (Select, Branch)):
+    if isinstance(t, DirectedChoice):
         out: frozenset[str] = frozenset()
-        for _, c in t.branches:
-            out |= _free_vars(c, bound)
+        for e in t.branches:
+            out |= _free_vars(e[-1], bound)
         return out
     if isinstance(t, RecT):
         return _free_vars(t.body, bound | {t.var})
@@ -145,10 +161,8 @@ def _subst(t: LocalType, var: str, repl: LocalType) -> LocalType:
                 body = _subst(t.body, t.var, VarT(fresh))
                 return RecT(fresh, go(body))
             return RecT(t.var, go(t.body))
-        if isinstance(t, Select):
-            return Select(t.peer, tuple((l, go(c)) for l, c in t.branches))
-        if isinstance(t, Branch):
-            return Branch(t.peer, tuple((l, go(c)) for l, c in t.branches))
+        if isinstance(t, DirectedChoice):
+            return type(t)(t.peer, tuple(e[:-1] + (go(e[-1]),) for e in t.branches))
         return t
 
     return go(t)
@@ -157,11 +171,22 @@ def _subst(t: LocalType, var: str, repl: LocalType) -> LocalType:
 _MAX_UNFOLD = 10_000
 
 
+def _unfold_once(t: RecT) -> LocalType:
+    """The body of ``t`` with ``t`` substituted for its variable.  The result
+    is cached on the node, since the runtime, the monitor and merge unfold
+    the same loop once per iteration."""
+    u = t.__dict__.get("_unfolded")
+    if u is None:
+        u = _subst(t.body, t.var, t)
+        object.__setattr__(t, "_unfolded", u)
+    return u
+
+
 def unfold_type(t: LocalType) -> LocalType:
     """Substitute the recursion away until the head is not a Rec."""
     n = 0
     while isinstance(t, RecT):
-        t = _subst(t.body, t.var, t)
+        t = _unfold_once(t)
         n += 1
         if n > _MAX_UNFOLD:
             raise ValueError("recursion is not guarded")
@@ -247,41 +272,33 @@ def _fix_unused(var: str, body: LocalType) -> LocalType:
 
 
 def merge(s: LocalType, t: LocalType, path: Path = (), _namer: Optional[_Namer] = None,
-          _memo: Optional[dict] = None) -> LocalType:
-    """Least upper bound of two mergeable local types.
+          table=None) -> LocalType:
+    """Least upper bound of two mergeable local types (or channel vectors).
 
     Inputs from the same peer union their label sets (continuations of shared
     labels merge recursively, payloads must agree); outputs merge only when
     peer, labels, and payloads coincide, continuations again merging
     recursively.  Recursion is handled with a memo of in-progress pairs so
-    that loops close back on a fresh binder.
+    that loops close back on a fresh binder.  When both sides are channel
+    vectors, the channels of every shared label are unified in ``table``, a
+    ``chanvec.ChannelTable``.
 
     Raises :class:`ProtocolTypeError` when the two behaviours cannot be
     reconciled.
     """
     namer = _namer or _Namer()
-    memo: dict[tuple[LocalType, LocalType], str] = {} if _memo is None else _memo
+    memo: dict[tuple[LocalType, LocalType], str] = {}
 
     def fail(kind: ErrorKind, detail: str):
         raise ProtocolTypeError(kind, detail, path)
 
     def go(a: LocalType, b: LocalType) -> LocalType:
-        if isinstance(a, RecT):
+        if isinstance(a, RecT) or isinstance(b, RecT):
             key = (a, b)
             if key in memo:
                 return VarT(memo[key])
-            z = namer.fresh()
-            memo[key] = z
-            inner = go(_subst(a.body, a.var, a), b)
-            del memo[key]
-            return _fix_unused(z, inner)
-        if isinstance(b, RecT):
-            key = (a, b)
-            if key in memo:
-                return VarT(memo[key])
-            z = namer.fresh()
-            memo[key] = z
-            inner = go(a, _subst(b.body, b.var, b))
+            z = memo[key] = namer.fresh()
+            inner = go(_unfold_once(a), b) if isinstance(a, RecT) else go(a, _unfold_once(b))
             del memo[key]
             return _fix_unused(z, inner)
         if isinstance(a, EndT) and isinstance(b, EndT):
@@ -291,37 +308,35 @@ def merge(s: LocalType, t: LocalType, path: Path = (), _namer: Optional[_Namer] 
                 return a
             fail(ErrorKind.OUTPUT_MERGE_MISMATCH,
                  f"cannot merge distinct recursion variables {a.var} and {b.var}")
-        if isinstance(a, Branch) and isinstance(b, Branch):
+        if isinstance(a, DirectedChoice) and type(a) is type(b):
             if a.peer != b.peer:
+                if a.output:
+                    fail(ErrorKind.NON_DIRECTED_OUTPUT,
+                         f"outputs toward different peers {a.peer} and {b.peer} cannot be merged")
                 fail(ErrorKind.NON_DIRECTED_INPUT,
                      f"inputs from different peers {a.peer} and {b.peer} cannot be merged")
-            right = dict((l.name, (l, c)) for l, c in b.branches)
-            out: list[tuple[Label, LocalType]] = []
-            for l, c in a.branches:
-                if l.name in right:
-                    l2, c2 = right.pop(l.name)
-                    if l.payload != l2.payload:
-                        fail(ErrorKind.PAYLOAD_MISMATCH,
-                             f"label {l.name} carries {l.payload.sort_name()} in one branch "
-                             f"and {l2.payload.sort_name()} in another")
-                    out.append((l, go(c, c2)))
-                else:
-                    out.append((l, c))
-            out.extend(right.values())
-            return Branch(a.peer, tuple(out))
-        if isinstance(a, Select) and isinstance(b, Select):
-            if a.peer != b.peer:
-                fail(ErrorKind.NON_DIRECTED_OUTPUT,
-                     f"outputs toward different peers {a.peer} and {b.peer} cannot be merged")
-            la = [(l.name, l.payload) for l, _ in a.branches]
-            lb = [(l.name, l.payload) for l, _ in b.branches]
-            if la != lb:
+            right = {e[0].name: e for e in b.branches}
+            if a.output and ({e[0].name: e[0].payload for e in a.branches}
+                             != {n: e[0].payload for n, e in right.items()}):
                 fail(ErrorKind.OUTPUT_MERGE_MISMATCH,
                      f"output choices toward {a.peer} differ: "
-                     f"{[n for n, _ in la]} vs {[n for n, _ in lb]}")
-            return Select(a.peer, tuple(
-                (l, go(c, c2)) for (l, c), (_, c2) in zip(a.branches, b.branches)
-            ))
+                     f"{sorted(a.labels())} vs {sorted(b.labels())}")
+            out = []
+            for e in a.branches:
+                e2 = right.pop(e[0].name, None)
+                if e2 is None:
+                    out.append(e)
+                    continue
+                l, l2 = e[0], e2[0]
+                if l.payload != l2.payload:
+                    fail(ErrorKind.PAYLOAD_MISMATCH,
+                         f"label {l.name} carries {l.payload.sort_name()} in one branch "
+                         f"and {l2.payload.sort_name()} in another")
+                if len(e) == 3:  # (label, channel, cont): a channel vector
+                    table.unify(e[1], e2[1])
+                out.append(e[:-1] + (go(e[-1], e2[-1]),))
+            out.extend(right.values())
+            return type(a)(a.peer, tuple(out))
         fail(ErrorKind.OUTPUT_MERGE_MISMATCH,
              f"behaviours of different shapes cannot be merged: "
              f"{type(a).__name__} vs {type(b).__name__}")
@@ -329,22 +344,21 @@ def merge(s: LocalType, t: LocalType, path: Path = (), _namer: Optional[_Namer] 
     return go(s, t)
 
 
-def _decider_select(t: LocalType, at: Role, path: Path) -> Select:
-    t = unfold_type(t)
-    if not isinstance(t, Select):
-        raise ProtocolTypeError(
-            ErrorKind.ACTIVE_ROLE_MISMATCH,
-            f"deciding role {at} does not start with an output in this branch "
-            f"(found {type(t).__name__})",
-            path,
-        )
-    return t
-
-
-def _concat_outputs(parts: Sequence[Select], at: Role, path: Path) -> Select:
-    """Concatenate the deciding role's per-branch outputs into one Select."""
-    peer = parts[0].peer
-    for i, p in enumerate(parts[1:], start=1):
+def _decider_output(parts: Sequence[LocalType], at: Role, path: Path) -> DirectedChoice:
+    """The deciding role's behaviour at a choice: its opening output in every
+    branch, concatenated into one output choice."""
+    outs = []
+    for k, t in enumerate(parts):
+        t = unfold_type(t)
+        if not (isinstance(t, DirectedChoice) and t.output):
+            raise ProtocolTypeError(
+                ErrorKind.ACTIVE_ROLE_MISMATCH,
+                f"deciding role {at} does not start with an output in this branch",
+                path + (f"branch[{k}]",),
+            )
+        outs.append(t)
+    peer = outs[0].peer
+    for i, p in enumerate(outs[1:], start=1):
         if p.peer != peer:
             raise ProtocolTypeError(
                 ErrorKind.ACTIVE_ROLE_MISMATCH,
@@ -352,109 +366,35 @@ def _concat_outputs(parts: Sequence[Select], at: Role, path: Path) -> Select:
                 f"branch {i} toward {p.peer}",
                 path,
             )
-    out: list[tuple[Label, LocalType]] = []
+    out = []
     seen: set[str] = set()
-    for p in parts:
-        for l, c in p.branches:
-            if l.name in seen:
+    for p in outs:
+        for e in p.branches:
+            if e[0].name in seen:
                 raise ProtocolTypeError(
                     ErrorKind.DUPLICATE_CHOICE_LABEL,
-                    f"label {l.name} is offered by more than one branch of the choice",
+                    f"label {e[0].name} is offered by more than one branch of the choice",
                     path,
                 )
-            seen.add(l.name)
-            out.append((l, c))
-    return Select(peer, tuple(out))
+            seen.add(e[0].name)
+            out.append(e)
+    return type(outs[0])(peer, tuple(out))
 
 
 def type_global(g: GlobalProtocol, roles: Optional[Sequence[Role]] = None) -> dict[Role, LocalType]:
     """Type a global protocol, returning one local type per role.
 
+    The types are the channel-erased vectors of ``chanvec.eval_global``, so
+    an ill-formed protocol fails here exactly as it fails to compile.
     ``roles`` overrides the tuple order (defaulting to first-appearance
     order); roles listed but never used type as End.
     """
+    from .chanvec import eval_global, typecheck_cv  # chanvec builds on this module
+
     tuple_roles = tuple(roles) if roles is not None else roles_of(g)
-    participating = {r.name for r in roles_of(g)}
-    namer = _Namer()
-    n = len(tuple_roles)
-    idx = {r.name: i for i, r in enumerate(tuple_roles)}
-
-    def fix_role(var: str, t: LocalType, r: Role, path: Path, closed: frozenset[str]) -> LocalType:
-        if isinstance(t, VarT):
-            # the loop never touches this role
-            if r.name in participating and r.name not in closed:
-                raise ProtocolTypeError(
-                    ErrorKind.UNCLOSED_ROLE,
-                    f"role {r} takes no part in this loop; annotate it with closed_at",
-                    path,
-                )
-            return END_T
-        return RecT(var, t) if var in _free_vars(t) else t
-
-    def go(
-        node: GlobalProtocol,
-        env: dict[str, tuple[LocalType, ...]],
-        path: Path,
-        closed: frozenset[str],
-    ) -> list[LocalType]:
-        if isinstance(node, End):
-            return [END_T] * n
-        if isinstance(node, Comm):
-            ts = go(node.cont, env, path + ("cont",), closed)
-            i, j = idx[node.from_role.name], idx[node.to_role.name]
-            ts[i] = Select(node.to_role, ((node.label, ts[i]),))
-            ts[j] = Branch(node.from_role, ((node.label, ts[j]),))
-            return ts
-        if isinstance(node, Choice):
-            per_branch = [
-                go(b, env, path + (step,), closed) for step, b in node.children()
-            ]
-            a = idx[node.at.name]
-            outs = [
-                _decider_select(ts[a], node.at, path + (f"branch[{k}]",))
-                for k, ts in enumerate(per_branch)
-            ]
-            result = list(per_branch[0])
-            result[a] = _concat_outputs(outs, node.at, path)
-            for k in range(n):
-                if k == a:
-                    continue
-                acc = per_branch[0][k]
-                for ts in per_branch[1:]:
-                    acc = merge(acc, ts[k], path, namer)
-                result[k] = acc
-            return result
-        if isinstance(node, Rec):
-            fresh = tuple(VarT(f"{node.var}@{i}") for i in range(n))
-            env2 = dict(env)
-            env2[node.var] = fresh
-            ts = go(node.body, env2, path + ("body",), closed)
-            return [
-                fix_role(f"{node.var}@{i}", ts[i], tuple_roles[i], path, closed)
-                for i in range(n)
-            ]
-        if isinstance(node, Var):
-            if node.var not in env:
-                raise ProtocolTypeError(
-                    ErrorKind.UNBOUND_TYPE_VAR, f"recursion variable {node.var} is unbound", path
-                )
-            return list(env[node.var])
-        if isinstance(node, ClosedAt):
-            ts = go(node.cont, env, path + ("cont",), closed | {node.role.name})
-            a = idx[node.role.name]
-            at = ts[a]
-            if not isinstance(at, (EndT, VarT)):
-                raise ProtocolTypeError(
-                    ErrorKind.UNCLOSED_ROLE,
-                    f"closed_at {node.role} contradicts the role's remaining behaviour",
-                    path,
-                )
-            ts[a] = END_T
-            return ts
-        raise AssertionError(f"unknown node {node!r}")
-
-    ts = go(g, {}, (), frozenset())
-    return {r: ts[i] for i, r in enumerate(tuple_roles)}
+    vectors, table = eval_global(g, None, tuple_roles)
+    env = table.payload_env()
+    return {r: typecheck_cv(v, env, table) for r, v in zip(tuple_roles, vectors)}
 
 
 def project(g: GlobalProtocol, r: Role) -> LocalType:
@@ -481,11 +421,7 @@ def project(g: GlobalProtocol, r: Role) -> LocalType:
         if isinstance(node, Choice):
             parts = [go(b, path + (step,), closed) for step, b in node.children()]
             if node.at == r:
-                outs = [
-                    _decider_select(p, node.at, path + (f"branch[{k}]",))
-                    for k, p in enumerate(parts)
-                ]
-                return _concat_outputs(outs, node.at, path)
+                return _decider_output(parts, node.at, path)
             acc = parts[0]
             for p in parts[1:]:
                 acc = merge(acc, p, path, namer)
@@ -543,10 +479,6 @@ def local_type_to_json(t: LocalType):
             },
         }
     }
-
-
-def local_type_to_json_str(t: LocalType) -> str:
-    return json.dumps(local_type_to_json(t), sort_keys=True, separators=(",", ":"))
 
 
 def format_local_type(t: LocalType) -> str:

@@ -25,6 +25,7 @@ from mpst import (
     choice_at,
     comm,
     end_,
+    open_session,
     roles_of,
 )
 from mpst.chanvec import (
@@ -39,15 +40,14 @@ from mpst.chanvec import (
     dump_channel_vectors,
     eval_global,
     fixv,
-    merge_cv,
     nth,
     proj_field,
     reachable_names,
     typecheck_cv,
     unfold_cv,
 )
-from mpst.errors import ErrorKind, EvalError
-from mpst.types import type_equiv, type_global
+from mpst.errors import ErrorKind, EvalError, ProtocolTypeError
+from mpst.types import merge, project, type_equiv, type_global
 
 
 def test_eval_g_auth_structure():
@@ -61,7 +61,7 @@ def test_eval_g_auth_structure():
     assert isinstance(cont, WrappedInp) and cont.peer == S
     assert sorted(cont.labels()) == ["cancel", "ok"]
     assert isinstance(s_vec, WrappedInp) and s_vec.peer == C
-    inner = s_vec.arms[0][2]
+    inner = s_vec.branches[0][2]
     assert isinstance(inner, OutRec) and sorted(inner.labels()) == ["cancel", "ok"]
 
 
@@ -86,7 +86,7 @@ def test_eval_nonparticipant_choice_merges_arms():
     a_vec = vs[list(r.name for r in roles_of(g)).index("a")]
     assert isinstance(a_vec, WrappedInp) and a_vec.peer == S
     assert sorted(a_vec.labels()) == ["cancel", "ok"]
-    names = {(n.from_role.name, n.to_role.name, n.label.name, n.index) for _, n, _ in a_vec.arms}
+    names = {(n.from_role.name, n.to_role.name, n.label.name, n.index) for _, n, _ in a_vec.branches}
     assert names == {("s", "a", "ok", 0), ("s", "a", "cancel", 0)}
 
 
@@ -103,17 +103,41 @@ def test_eval_index_allocation_increments():
 
 
 def test_eval_errors_mirror_typing():
-    with pytest.raises(EvalError) as e:
+    with pytest.raises(ProtocolTypeError) as e:
         eval_global(oauth4(), "s0")
     assert e.value.kind is ErrorKind.ACTIVE_ROLE_MISMATCH
-    with pytest.raises(EvalError) as e2:
+    with pytest.raises(ProtocolTypeError) as e2:
         eval_global(unclosed_loop(), "s0")
     assert e2.value.kind is ErrorKind.UNCLOSED_ROLE
 
 
+def test_output_menus_differing_across_branches_rejected_by_every_route():
+    # only b learns a's choice, yet c offers b {x, y} in one branch and {x}
+    # in the other: c's outputs cannot be merged
+    a, b, c = Role("a"), Role("b"), Role("c")
+    x, y = Label("x"), Label("y")
+    g = choice_at(a, [
+        comm(a, b, Label("go"), choice_at(c, [comm(c, b, x, end_()), comm(c, b, y, end_())])),
+        comm(a, b, Label("st"), comm(c, b, x, end_())),
+    ])
+    routes = [
+        lambda: eval_global(g, "s0"),
+        lambda: type_global(g),
+        lambda: project(g, c),
+        lambda: open_session(g),
+    ]
+    paths = set()
+    for route in routes:
+        with pytest.raises(ProtocolTypeError) as e:
+            route()
+        assert e.value.kind is ErrorKind.OUTPUT_MERGE_MISMATCH
+        paths.add(e.value.path)
+    assert len(paths) == 1
+
+
 def test_choice_unifies_decider_side_names():
     # both branches start s->c under the same labels only if disjoint; the
-    # third role's input names for shared labels are unified by merge_cv
+    # third role's input names for shared labels are unified by merge
     ok, no = Label("ok"), Label("no")
     g = choice_at(
         S,
@@ -125,7 +149,7 @@ def test_choice_unifies_decider_side_names():
     vs, table = eval_global(g, "s0")
     a_vec = vs[2]
     assert isinstance(a_vec, WrappedInp)
-    assert len(a_vec.arms) == 1  # fwd arms from both branches collapsed
+    assert len(a_vec.branches) == 1  # fwd arms from both branches collapsed
     classes = channel_classes(table)
     assert (frozenset({"s", "a"}), "fwd", 0) in classes
     assert (frozenset({"s", "a"}), "fwd", 1) not in classes
@@ -193,7 +217,7 @@ def test_proj_field_unfolds_recursion():
     assert isinstance(cont, OutRec)  # the loop came back unfolded
 
 
-# --- merge_cv ----------------------------------------------------------------
+# --- merge on channel vectors ----------------------------------------------
 
 
 def _cv_trees_equal(a, b, depth: int) -> bool:
@@ -205,8 +229,8 @@ def _cv_trees_equal(a, b, depth: int) -> bool:
     if isinstance(a, (OutRec, WrappedInp)):
         if a.peer != b.peer:
             return False
-        ia = sorted(a.branches if isinstance(a, OutRec) else a.arms, key=lambda x: x[0].name)
-        ib = sorted(b.branches if isinstance(b, OutRec) else b.arms, key=lambda x: x[0].name)
+        ia = sorted(a.branches, key=lambda x: x[0].name)
+        ib = sorted(b.branches, key=lambda x: x[0].name)
         if [(l.name, s.key) for l, s, _ in ia] != [(l.name, s.key) for l, s, _ in ib]:
             return False
         return all(_cv_trees_equal(x, y, depth - 1) for (_, _, x), (_, _, y) in zip(ia, ib))
@@ -216,7 +240,7 @@ def _cv_trees_equal(a, b, depth: int) -> bool:
 
 
 def test_merge_cv_unit():
-    assert merge_cv(UNIT_VAL, UNIT_VAL, {}, ChannelTable("t")) is UNIT_VAL
+    assert merge(UNIT_VAL, UNIT_VAL, table=ChannelTable("t")) is UNIT_VAL
 
 
 def test_merge_cv_input_union():
@@ -224,7 +248,7 @@ def test_merge_cv_input_union():
     n1, n2 = t.alloc(S, A, Label("ok")), t.alloc(S, A, Label("cancel"))
     left = WrappedInp(S, ((Label("ok"), n1, UNIT_VAL),))
     right = WrappedInp(S, ((Label("cancel"), n2, UNIT_VAL),))
-    got = merge_cv(left, right, {}, t)
+    got = merge(left, right, table=t)
     assert isinstance(got, WrappedInp)
     assert sorted(got.labels()) == ["cancel", "ok"]
 
@@ -234,41 +258,45 @@ def test_merge_cv_output_intersection_and_unification():
     n1, n2 = t.alloc(S, A, Label("m")), t.alloc(S, A, Label("m"))
     left = OutRec(A, ((Label("m"), n1, UNIT_VAL),))
     right = OutRec(A, ((Label("m"), n2, UNIT_VAL),))
-    got = merge_cv(left, right, {}, t)
+    got = merge(left, right, table=t)
     assert isinstance(got, OutRec)
     assert t.find(n1.key) == t.find(n2.key)
     assert got.branches[0][1] == n1  # left name kept
 
 
-def test_merge_cv_empty_intersection():
+def test_merge_cv_output_menus_must_be_equal():
     t = ChannelTable("t")
-    n1, n2 = t.alloc(S, A, Label("x")), t.alloc(S, A, Label("y"))
-    with pytest.raises(EvalError) as e:
-        merge_cv(
-            OutRec(A, ((Label("x"), n1, UNIT_VAL),)),
-            OutRec(A, ((Label("y"), n2, UNIT_VAL),)),
-            {},
-            t,
-        )
-    assert e.value.kind is ErrorKind.EMPTY_OUTPUT_INTERSECTION
+    x1, y1, x2 = t.alloc(S, A, Label("x")), t.alloc(S, A, Label("y")), t.alloc(S, A, Label("x"))
+    both = OutRec(A, ((Label("x"), x1, UNIT_VAL), (Label("y"), y1, UNIT_VAL)))
+    only_x = OutRec(A, ((Label("x"), x2, UNIT_VAL),))
+    for left, right in ((both, only_x), (only_x, both)):
+        with pytest.raises(ProtocolTypeError) as e:
+            merge(left, right, table=t)
+        assert e.value.kind is ErrorKind.OUTPUT_MERGE_MISMATCH
+    assert t.find(x1.key) != t.find(x2.key)  # nothing unified on failure
 
 
-def test_merge_cv_shape_mismatch():
+def test_merge_cv_shape_and_peer_mismatch():
     t = ChannelTable("t")
     n1 = t.alloc(S, A, Label("m"))
-    with pytest.raises(EvalError) as e:
-        merge_cv(OutRec(A, ((Label("m"), n1, UNIT_VAL),)), UNIT_VAL, {}, t)
-    assert e.value.kind is ErrorKind.MERGE_SHAPE_MISMATCH
-    with pytest.raises(EvalError) as e2:
-        merge_cv(WrappedInp(S, ((Label("m"), n1, UNIT_VAL),)), VarRef("X"), {}, t)
-    assert e2.value.kind is ErrorKind.MERGE_SHAPE_MISMATCH
+    out, inp = OutRec(A, ((Label("m"), n1, UNIT_VAL),)), WrappedInp(S, ((Label("m"), n1, UNIT_VAL),))
+    for left, right in ((out, UNIT_VAL), (inp, VarRef("X")), (out, inp)):
+        with pytest.raises(ProtocolTypeError) as e:
+            merge(left, right, table=t)
+        assert e.value.kind is ErrorKind.OUTPUT_MERGE_MISMATCH
+    with pytest.raises(ProtocolTypeError) as e:
+        merge(out, OutRec(C, ((Label("m"), n1, UNIT_VAL),)), table=t)
+    assert e.value.kind is ErrorKind.NON_DIRECTED_OUTPUT
+    with pytest.raises(ProtocolTypeError) as e:
+        merge(inp, WrappedInp(C, ((Label("m"), n1, UNIT_VAL),)), table=t)
+    assert e.value.kind is ErrorKind.NON_DIRECTED_INPUT
 
 
 def test_merge_cv_recursive_self_merge_terminates_alpha_equal():
     t = ChannelTable("t")
     n = t.alloc(P, Q, Label("m"))
     loop = RecVal("X", OutRec(Q, ((Label("m"), n, VarRef("X")),)))
-    got = merge_cv(loop, loop, {}, t)
+    got = merge(loop, loop, table=t)
     assert _cv_trees_equal(got, loop, 10)
 
 
@@ -278,7 +306,7 @@ def test_merge_cv_asymmetric_recursion():
     n2 = t.alloc(P, Q, Label("halt"))
     loop = RecVal("X", WrappedInp(P, ((Label("go"), n1, VarRef("X")),)))
     fin = WrappedInp(P, ((Label("halt"), n2, UNIT_VAL),))
-    got = merge_cv(loop, fin, {}, t)
+    got = merge(loop, fin, table=t)
     u = unfold_cv(got)
     assert isinstance(u, WrappedInp)
     assert sorted(u.labels()) == ["go", "halt"]

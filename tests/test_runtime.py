@@ -349,3 +349,34 @@ def test_monitor_event_signatures():
         EventKind.RECEIVE,
         EventKind.CLOSE,
     }
+
+
+def test_monitor_records_concurrently_in_seq_order():
+    import sys
+
+    from mpst.runtime import SessionMonitor
+
+    monitor = SessionMonitor({})
+    roles = [Role(f"r{i}") for i in range(6)]
+    label = Label("m")
+
+    def recorder(role):
+        def run():
+            for _ in range(2000):
+                monitor.record(EventKind.SEND, role, P, label)
+
+        return run
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=recorder(r), daemon=True) for r in roles]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    seqs = [e.seq for e in monitor.events]
+    assert seqs == list(range(len(roles) * 2000))
