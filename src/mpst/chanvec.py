@@ -7,7 +7,9 @@ labelled receive.  Vectors are built from the node set of ``types``: only
 :class:`OutRec` and :class:`WrappedInp` are vector-specific, and a local type
 is a vector with its channels erased (:func:`typecheck_cv`).  Choice branches
 are merged per role by ``types.merge``, which unifies the channel names of
-shared labels through a union-find kept in the :class:`ChannelTable`.
+shared labels through a union-find kept in the :class:`ChannelTable`.  The
+table is used at compile time only: a name's key is its allocation slot, and
+the runtime binds each slot's class when a session opens.
 """
 
 from __future__ import annotations
@@ -62,25 +64,17 @@ class IoMode:
     OUT = "out"
 
 
-# Identity of a binary channel: session id, sender, receiver, label, index.
-# The index counts per (sender, receiver, label name), so it alone keeps
-# same-name labels with different payloads apart.
-NameKey = tuple[object, str, str, str, int]
-
-
 @dataclass(frozen=True)
 class ChannelName:
-    """A fresh binary channel, shared by exactly one sender/receiver pair."""
+    """A fresh binary channel, shared by exactly one sender/receiver pair.
+    ``index`` counts per (sender, receiver, label name); ``key`` is the
+    name's allocation slot in its :class:`ChannelTable`."""
 
-    session: object
     from_role: Role
     to_role: Role
     label: Label
     index: int
-
-    @property
-    def key(self) -> NameKey:
-        return (self.session, self.from_role.name, self.to_role.name, self.label.name, self.index)
+    key: int
 
     def __str__(self) -> str:
         return f"<{self.from_role},{self.to_role},{self.label.name},{self.index}>"
@@ -99,29 +93,28 @@ class WrappedInp(DirectedChoice):
 
 
 class ChannelTable:
-    """Channel registry: allocation counters plus union-find over name keys.
+    """Channel registry: allocation counters plus union-find over slots.
 
     Output-merging across choice branches unifies the names of shared labels;
-    after evaluation, `find` maps every name to its class representative and
-    the runtime attaches one transport handle per class.
+    after evaluation, `find` maps every slot to its class representative.
     """
 
     def __init__(self, session: object) -> None:
         self.session = session
         self._counters: dict[tuple[str, str, str], int] = {}
-        self._parent: dict[NameKey, NameKey] = {}
-        self._names: dict[NameKey, ChannelName] = {}
+        self._parent: list[int] = []
+        self._names: list[ChannelName] = []
 
     def alloc(self, from_role: Role, to_role: Role, label: Label) -> ChannelName:
         ckey = (from_role.name, to_role.name, label.name)
         i = self._counters.get(ckey, 0)
         self._counters[ckey] = i + 1
-        name = ChannelName(self.session, from_role, to_role, label, i)
-        self._parent[name.key] = name.key
-        self._names[name.key] = name
+        name = ChannelName(from_role, to_role, label, i, len(self._names))
+        self._parent.append(name.key)
+        self._names.append(name)
         return name
 
-    def find(self, key: NameKey) -> NameKey:
+    def find(self, key: int) -> int:
         root = key
         while self._parent[root] != root:
             root = self._parent[root]
@@ -138,11 +131,13 @@ class ChannelTable:
         return self._names[self.find(name.key)]
 
     def classes(self) -> list[ChannelName]:
-        roots = {self.find(k) for k in self._parent}
-        return [self._names[r] for r in sorted(roots, key=lambda k: k[1:])]
+        """One representative per class, in (sender, receiver, label, index) order."""
+        roots = [n for n in self._names if self.find(n.key) == n.key]
+        return sorted(roots, key=lambda n: (n.from_role.name, n.to_role.name, n.label.name, n.index))
 
-    def payload_env(self) -> dict[NameKey, PayloadSort]:
-        return {self.find(k): self._names[self.find(k)].label.payload for k in self._parent}
+    def payload_env(self) -> dict[int, PayloadSort]:
+        """Every slot's payload sort, which is that of its class representative."""
+        return {n.key: self.canonical(n).label.payload for n in self._names}
 
 
 def proj_field(c: ChannelVector, key: Union[Role, Label, str]):
@@ -266,17 +261,17 @@ def eval_global(
 
 def typecheck_cv(
     c: ChannelVector,
-    env: dict[NameKey, PayloadSort],
+    env: dict[int, PayloadSort],
     table: Optional[ChannelTable] = None,
 ) -> LocalType:
     """Reconstruct the principal local type of a channel vector.
 
-    ``env`` maps (find-normalized) channel keys to their payload sorts; a
-    disagreement between a name's registered sort and the label it is used
-    under is a :class:`CvTypeError`.
+    ``env`` maps channel slots (find-normalized through ``table`` when one is
+    given) to their payload sorts; a disagreement between a name's registered
+    sort and the label it is used under is a :class:`CvTypeError`.
     """
 
-    def resolve(key: NameKey) -> NameKey:
+    def resolve(key: int) -> int:
         return table.find(key) if table is not None else key
 
     def go(v: ChannelVector) -> LocalType:

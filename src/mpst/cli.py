@@ -1,8 +1,7 @@
 """Command-line front-end: check, project, simulate, bench.
 
 Exit codes: 0 success, 1 protocol/role errors, 2 I/O or parse errors.
-All JSON output is canonical (sorted keys, LF line endings).  The
-``MPST_SEED`` environment variable fixes every random decision.
+All JSON output is canonical (sorted keys, LF line endings).
 """
 
 from __future__ import annotations

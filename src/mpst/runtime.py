@@ -1,5 +1,10 @@
 """Session runtime: affine endpoints over channel vectors.
 
+A protocol is compiled once per protocol object and role tuple, and the
+compile's union-find is not used after it: a session binds one transport
+handle per channel class into a list indexed by slot, so an operation finds
+its channel by a list index.
+
 An :class:`Endpoint` is one role's live handle into a session.  Every
 protocol stage carries a fresh :class:`LinearityCell`; the first operation
 (send, receive, close, or being delegated away) consumes the cell, and any
@@ -11,7 +16,6 @@ stage exactly once.
 from __future__ import annotations
 
 import itertools
-import random
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,7 +23,6 @@ from typing import Optional
 
 from .chanvec import (
     ChannelName,
-    ChannelTable,
     ChannelVector,
     OutRec,
     WrappedInp,
@@ -158,43 +161,66 @@ class LinearityCell:
         return self._used
 
 
-class SessionChannels:
-    """Transport bindings for one session: one handle per channel class."""
+@dataclass(frozen=True)
+class CompiledProtocol:
+    """One protocol compiled for one role tuple, shared by all its sessions.
+    ``slot_class`` maps each channel slot to its class in ``classes``."""
 
-    def __init__(self, transport: Transport, table: ChannelTable, roles: tuple[Role, ...]) -> None:
-        self.transport = transport
-        self.table = table
-        self.roles = roles
-        self.channels: dict = {}
+    roles: tuple[Role, ...]
+    vectors: tuple[ChannelVector, ...]
+    local_types: dict[Role, LocalType]
+    env: dict[int, PayloadSort]
+    classes: list[ChannelName]
+    slot_class: tuple[int, ...]
+
+
+def _compile(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledProtocol:
+    report = validate_shape(g)
+    if not report.ok:
+        raise ShapeError(report.findings)
+    tuple_roles = roles if roles is not None else roles_of(g)
+    vectors, table = eval_global(g, None, tuple_roles)
+    env = table.payload_env()
+    local = {r: typecheck_cv(v, env) for r, v in zip(tuple_roles, vectors)}
+    classes = table.classes()
+    class_of = {c.key: i for i, c in enumerate(classes)}
+    slot_class = tuple(class_of[table.find(k)] for k in range(len(env)))
+    return CompiledProtocol(tuple_roles, vectors, local, env, classes, slot_class)
+
+
+def _compiled_for(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledProtocol:
+    """The compiled form of ``g`` for ``roles`` (``None``: the discovered
+    roles), kept on ``g`` like the unfolding kept on a ``RecT``.  Failures are
+    raised, not kept; two threads compiling at once both compile."""
+    cache = g.__dict__.setdefault("_compiled", {})
+    if roles not in cache:
+        cache[roles] = _compile(g, roles)
+    return cache[roles]
+
+
+class SessionChannels:
+    """Transport bindings for one session, in a list indexed by slot: one
+    :class:`Channel` (in process) or frame header (framed) per class."""
+
+    def __init__(self, transport: Transport, compiled: CompiledProtocol) -> None:
+        self.env = compiled.env
         self.pairs: dict[tuple[str, str], FramedPair] = {}
-        self._stamps: dict[tuple[str, str], itertools.count] = {}
-        self._stamps_lock = threading.Lock()
+        self.in_process = not isinstance(transport, FramedSocket)
         if isinstance(transport, (SyncRendezvous, AsyncBuffered)):
             cap = transport.capacity if isinstance(transport, AsyncBuffered) else 0
-            for name in table.classes():
-                self.channels[name.key] = Channel(cap)
+            per_class = [Channel(cap) for _ in compiled.classes]
         elif isinstance(transport, FramedSocket):
+            per_class = [_frame_header(c) for c in compiled.classes]
             pair_names = sorted(
-                {
-                    tuple(sorted((n.from_role.name, n.to_role.name)))
-                    for n in table.classes()
-                }
+                {tuple(sorted((c.from_role.name, c.to_role.name))) for c in compiled.classes}
             )
             self.pairs.update(connect_pairs(transport.host, pair_names))
         else:
             raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"unknown transport {transport!r}")
+        self.channels = [per_class[c] for c in compiled.slot_class]
 
-    @property
-    def in_process(self) -> bool:
-        return not isinstance(self.transport, FramedSocket)
-
-    def channel_for(self, name: ChannelName) -> Channel:
-        return self.channels[self.table.find(name.key)]
-
-    def next_stamp(self, frm: Role, to: Role) -> int:
-        with self._stamps_lock:
-            counter = self._stamps.setdefault((frm.name, to.name), itertools.count())
-        return next(counter)
+    def channel_for(self, name: ChannelName):
+        return self.channels[name.key]
 
     def pair_for(self, me: Role, peer: Role) -> tuple[FramedPair, int]:
         a, b = sorted((me.name, peer.name))
@@ -231,9 +257,10 @@ def _payload_matches(sort: PayloadSort, value: object) -> bool:
 
 
 class Endpoint:
-    """A role's affine handle at one protocol stage."""
+    """A role's affine handle at one protocol stage.  ``stamps`` is the role's
+    send counter: only its one live endpoint draws from it, so it needs no lock."""
 
-    __slots__ = ("role", "vector", "cell", "session", "monitor", "timeout", "_rotor")
+    __slots__ = ("role", "vector", "cell", "session", "monitor", "timeout", "stamps")
 
     def __init__(
         self,
@@ -242,7 +269,7 @@ class Endpoint:
         session: SessionChannels,
         monitor: Optional[SessionMonitor],
         timeout: float,
-        rotor: int = 0,
+        stamps: itertools.count,
     ) -> None:
         self.role = role
         self.vector = unfold_cv(vector)
@@ -250,10 +277,10 @@ class Endpoint:
         self.session = session
         self.monitor = monitor
         self.timeout = timeout
-        self._rotor = rotor
+        self.stamps = stamps
 
     def _next(self, vector: ChannelVector) -> "Endpoint":
-        return Endpoint(self.role, vector, self.session, self.monitor, self.timeout, self._rotor + 1)
+        return Endpoint(self.role, vector, self.session, self.monitor, self.timeout, self.stamps)
 
     def _consume(self) -> None:
         if not self.cell.use():
@@ -262,7 +289,7 @@ class Endpoint:
             )
 
     def remaining_type(self) -> LocalType:
-        return typecheck_cv(self.vector, self.session.table.payload_env(), self.session.table)
+        return typecheck_cv(self.vector, self.session.env)
 
     def send(self, peer: Role, label: Label | str, payload: object = None) -> "Endpoint":
         head = self.vector
@@ -302,12 +329,10 @@ class Endpoint:
         if self.monitor:
             self.monitor.record(EventKind.SEND, self.role, head.peer, l)
         if self.session.in_process:
-            stamp = self.session.next_stamp(self.role, head.peer)
-            self.session.channel_for(name).send(wire, self.timeout, stamp)
+            self.session.channel_for(name).send(wire, self.timeout, next(self.stamps))
         else:
-            canon = self.session.table.canonical(name)
             pair, side = self.session.pair_for(self.role, head.peer)
-            pair.send(side, _frame_header(canon), wire)
+            pair.send(side, self.session.channel_for(name), wire)
         return self._next(cont)
 
     def _prepare_delegation(self, sort: SessionSort, payload: object) -> "Endpoint":
@@ -345,17 +370,14 @@ class Endpoint:
         self._consume()
         if self.session.in_process:
             chans = [self.session.channel_for(s) for _, s, _ in head.branches]
-            i, value = select(chans, self.timeout, start=self._rotor % len(chans))
+            i, value = select(chans, self.timeout)
             label, _, cont = head.branches[i]
         else:
             pair, side = self.session.pair_for(self.role, head.peer)
             ch, value = pair.read(side, self.timeout)
-            match = None
-            for l, s, cont_ in head.branches:
-                canon = self.session.table.canonical(s)
-                if _frame_header(canon) == ch:
-                    match = (l, cont_)
-                    break
+            match = next(
+                ((l, k) for l, s, k in head.branches if self.session.channel_for(s) == ch), None
+            )
             if match is None:
                 raise SessionRuntimeError(
                     ErrorKind.TRANSPORT_ERROR, f"frame for unexpected channel {ch}"
@@ -392,9 +414,6 @@ class Session:
         self.channels.close()
 
 
-_session_ids = itertools.count()
-
-
 def open_session(
     g: GlobalProtocol,
     transport: Transport = SyncRendezvous(),
@@ -404,32 +423,17 @@ def open_session(
 ) -> Session:
     """Check a protocol, compile it, bind a transport, and hand out endpoints.
 
-    The protocol is compiled once: the local types (for the monitor and
-    ``Session.local_types``) are the channel-erased vectors.  Shape and
-    typing failures are raised before any transport is bound.
+    ``g`` is compiled on its first open with these ``roles``; shape and
+    typing failures are raised before any transport is bound.  The local
+    types (for the monitor and ``Session.local_types``) are the
+    channel-erased vectors.
     """
-    report = validate_shape(g)
-    if not report.ok:
-        raise ShapeError(report.findings)
-    tuple_roles = roles if roles is not None else roles_of(g)
-    sid = f"s{next(_session_ids)}"
-    vectors, table = eval_global(g, sid, tuple_roles)
-    env = table.payload_env()
-    local = {r: typecheck_cv(v, env, table) for r, v in zip(tuple_roles, vectors)}
-    channels = SessionChannels(transport, table, tuple_roles)
+    compiled = _compiled_for(g, tuple(roles) if roles is not None else None)
+    channels = SessionChannels(transport, compiled)
+    local = dict(compiled.local_types)
     monitor = SessionMonitor(local) if monitored else None
-    rng = seeded_rng()  # MPST_SEED fixes the select rotation
     endpoints = {
-        r: Endpoint(r, v, channels, monitor, timeout, rotor=rng.randrange(997) + i)
-        for i, (r, v) in enumerate(zip(tuple_roles, vectors))
+        r: Endpoint(r, v, channels, monitor, timeout, itertools.count())
+        for r, v in zip(compiled.roles, compiled.vectors)
     }
-    return Session(tuple_roles, endpoints, monitor, channels, local)
-
-
-def seeded_rng(seed: Optional[int] = None) -> random.Random:
-    """RNG honouring the MPST_SEED environment variable."""
-    import os
-
-    if seed is None:
-        seed = int(os.environ.get("MPST_SEED", "0"))
-    return random.Random(seed)
+    return Session(compiled.roles, endpoints, monitor, channels, local)

@@ -126,13 +126,13 @@ class Channel:
         h = self._q.popleft()
         h.taken = True
         h.event.set()
-        # promote a blocked sender into the freed buffer slot
-        for pending in self._q:
-            if not pending.accepted and not pending.taken:
-                if sum(1 for x in self._q if x.accepted) < self.capacity:
-                    pending.accepted = True
-                    pending.event.set()
-                break
+        # Accepted handoffs are always the first min(capacity, len) entries,
+        # so the sender that now fits the buffer is the one at capacity - 1.
+        if len(self._q) >= self.capacity > 0:
+            pending = self._q[self.capacity - 1]
+            if not pending.accepted:
+                pending.accepted = True
+                pending.event.set()
         return h.value
 
     def receive(self, timeout: Optional[float] = None) -> object:

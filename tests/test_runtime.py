@@ -18,7 +18,7 @@ from mpst import (
     project,
 )
 from mpst.errors import SessionRuntimeError, ShapeError
-from mpst.protocol import UNIT
+from mpst.protocol import INT, UNIT
 from mpst.runtime import EventKind
 from mpst.transport import AsyncBuffered, FramedSocket, SyncRendezvous
 
@@ -380,3 +380,85 @@ def test_monitor_records_concurrently_in_seq_order():
         sys.setswitchinterval(old)
     seqs = [e.seq for e in monitor.events]
     assert seqs == list(range(len(roles) * 2000))
+
+
+def _count_compiles(monkeypatch) -> list:
+    from mpst import runtime
+
+    calls = []
+    eval_global = runtime.eval_global
+
+    def counted(*args):
+        calls.append(args)
+        return eval_global(*args)
+
+    monkeypatch.setattr(runtime, "eval_global", counted)
+    return calls
+
+
+def test_sessions_of_one_compiled_protocol_stay_separate(monkeypatch):
+    compiles = _count_compiles(monkeypatch)
+    ping, pong = Label("ping", INT), Label("pong", INT)
+    g = comm(P, Q, ping, comm(Q, P, pong, end_()))
+    one = open_session(g, AsyncBuffered(1), monitored=True, timeout=1.0)
+    two = open_session(g, AsyncBuffered(1), monitored=True, timeout=1.0)
+    assert len(compiles) == 1
+    # interleaved in one thread: a shared channel would hand 1 to session two
+    p1 = one.endpoints[P].send(Q, ping, 1)
+    p2 = two.endpoints[P].send(Q, ping, 2)
+    _, got2, q2 = two.endpoints[Q].receive(P)
+    _, got1, q1 = one.endpoints[Q].receive(P)
+    q2 = q2.send(P, pong, 20)
+    q1 = q1.send(P, pong, 10)
+    _, back1, p1 = p1.receive(Q)
+    _, back2, p2 = p2.receive(Q)
+    assert (got1, got2, back1, back2) == (1, 2, 10, 20)
+    for ep in (p1, q1, p2, q2):
+        ep.close()
+    for sess in (one, two):
+        assert sess.monitor.verdict() == (True, "conformant")
+        assert len(sess.monitor.events) == 6
+
+
+def test_each_role_order_gets_its_own_compiled_form(monkeypatch):
+    compiles = _count_compiles(monkeypatch)
+    m = Label("m", INT)
+    g = comm(P, Q, m, end_())
+    open_session(g, AsyncBuffered(1))
+    open_session(g, AsyncBuffered(1))
+    assert len(compiles) == 1
+    swapped = open_session(g, AsyncBuffered(1), roles=(Q, P), monitored=True, timeout=1.0)
+    assert len(compiles) == 2
+    assert swapped.roles == (Q, P)
+    assert swapped.local_types == {P: project(g, P), Q: project(g, Q)}
+    swapped.endpoints[P].send(Q, m, 7).close()
+    _, got, ep = swapped.endpoints[Q].receive(P)
+    ep.close()
+    assert got == 7 and swapped.monitor.verdict() == (True, "conformant")
+    open_session(g, AsyncBuffered(1), roles=(Q, P))
+    assert len(compiles) == 2
+
+
+def test_compile_failures_are_raised_on_every_open():
+    from corpus import oauth4
+    from mpst import rec, var_
+    from mpst.errors import ProtocolTypeError
+
+    ill_typed, unguarded = oauth4(), rec("X", var_("X"))
+    for _ in range(2):
+        with pytest.raises(ProtocolTypeError) as e:
+            open_session(ill_typed)
+        assert e.value.kind is ErrorKind.ACTIVE_ROLE_MISMATCH
+        with pytest.raises(ShapeError) as e2:
+            open_session(unguarded)
+        assert e2.value.kind is ErrorKind.UNGUARDED_RECURSION
+
+
+def test_local_types_are_per_session():
+    g = oauth()
+    first = open_session(g, SyncRendezvous())
+    want = dict(first.local_types)
+    first.local_types.clear()
+    second = open_session(g, SyncRendezvous(), monitored=True)
+    assert second.local_types == want
+    assert second.monitor.expected == {r.name: t for r, t in want.items()}

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from corpus import P, Q, calc, finite_corpus, g_auth, oauth, oauth2
-from mpst import ErrorKind, end_, roles_of
+from mpst import INT, STRING, ErrorKind, Label, Role, choice_at, comm, end_, rec, roles_of, var_
+from mpst.gen import random_protocols
 from mpst.scripts import (
     CloseStep,
     ReceiveStep,
@@ -154,3 +156,43 @@ def test_infinite_loop_has_no_finite_run():
 
     with pytest.raises(ValueError):
         global_trace(infinite_loop(), random.Random(0), budget=10)
+
+
+def _has_choice_or_loop(g) -> bool:
+    from mpst.protocol import Choice, Rec
+
+    return isinstance(g, (Choice, Rec)) or any(_has_choice_or_loop(c) for _, c in g.children())
+
+
+def _merged_channel_protocols():
+    """Choices where a role not told of the choice uses one label in several
+    branches, so one channel class holds several slots."""
+    a, b, c = Role("a"), Role("b"), Role("c")
+    go, w, fwd = Label("go"), Label("w", INT), Label("fwd", STRING)
+    loop = rec("X", choice_at(a, [
+        comm(a, b, Label("l1"), comm(a, c, go, comm(b, c, w, var_("X")))),
+        comm(a, b, Label("l2"), comm(a, c, go, comm(b, c, w, var_("X")))),
+        comm(a, b, Label("l3"), comm(a, c, Label("halt"), end_())),
+    ]))
+    forward = choice_at(a, [
+        comm(a, b, Label("ok"), comm(a, c, fwd, end_())),
+        comm(a, b, Label("no"), comm(a, c, fwd, end_())),
+    ])
+    return [loop, forward]
+
+
+def test_transport_equivalence_with_choices_and_loops():
+    generated = [g for g in random_protocols(400, seed=909, max_depth=6) if _has_choice_or_loop(g)]
+    assert len(generated) > 50
+    # generated protocols almost never merge channels, so each hand-written
+    # one runs under several scripts to take every branch
+    protos = generated + [g for g in _merged_channel_protocols() for _ in range(8)]
+    rng = random.Random(909)
+    for i, g in enumerate(protos):
+        scripts = compliant_scripts(g, rng, budget=40)
+        traces = []
+        for transport in (SyncRendezvous(), AsyncBuffered(4), FramedSocket()):
+            report = run_scripted(g, scripts, transport, timeout=10.0)
+            assert report.verdict == "conformant", (i, transport, report.detail)
+            traces.append(Counter(ev.signature() for ev in report.trace))
+        assert traces[0] == traces[1] == traces[2], f"protocol {i}"

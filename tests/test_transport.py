@@ -74,6 +74,36 @@ def test_buffered_fifo_order():
     assert [ch.receive(timeout=1) for _ in range(10)] == list(range(10))
 
 
+def test_blocked_senders_take_freed_slots_in_fifo_order():
+    ch = Channel(2)
+    ch.send(0, timeout=1)
+    ch.send(1, timeout=1)
+    done = [threading.Event() for _ in range(3)]
+    threads = []
+    for k in range(3):
+        def sender(k=k):
+            ch.send(2 + k, timeout=5)
+            done[k].set()
+
+        threads.append(threading.Thread(target=sender, daemon=True))
+        threads[-1].start()
+        deadline = time.monotonic() + 5
+        while len(ch._q) < 3 + k and time.monotonic() < deadline:  # queued in order
+            time.sleep(0.001)
+        assert len(ch._q) == 3 + k
+    assert not any(d.is_set() for d in done)
+    got = []
+    for k in range(3):
+        got.append(ch.receive(timeout=1))
+        assert done[k].wait(5)  # the sender that now fits the buffer returns
+        assert not any(d.is_set() for d in done[k + 1:])  # the ones behind it wait
+    got += [ch.receive(timeout=1) for _ in range(2)]
+    assert got == [0, 1, 2, 3, 4]
+    for t in threads:
+        t.join(5)
+        assert not t.is_alive()
+
+
 def test_send_timeout_is_timeout_kind():
     ch = Channel(0)
     with pytest.raises(SessionRuntimeError) as e:
