@@ -8,8 +8,9 @@ labelled receive.  Vectors are built from the node set of ``types``: only
 is a vector with its channels erased (:func:`typecheck_cv`).  Choice branches
 are merged per role by ``types.merge``, which unifies the channel names of
 shared labels through a union-find kept in the :class:`ChannelTable`.  The
-table is used at compile time only: a name's key is its allocation slot, and
-the runtime binds each slot's class when a session opens.
+table is used at compile time only, for the payload sort of each class: a
+name's key is its allocation slot, and the runtime binds each slot to the
+link of its (sender, receiver) pair when a session opens.
 """
 
 from __future__ import annotations
@@ -95,23 +96,24 @@ class WrappedInp(DirectedChoice):
 class ChannelTable:
     """Channel registry: allocation counters plus union-find over slots.
 
-    Output-merging across choice branches unifies the names of shared labels;
-    after evaluation, `find` maps every slot to its class representative.
+    ``names`` lists every allocated name by slot.  Output-merging across
+    choice branches unifies the names of shared labels; after evaluation,
+    `find` maps every slot to its class representative.
     """
 
     def __init__(self, session: object) -> None:
         self.session = session
         self._counters: dict[tuple[str, str, str], int] = {}
         self._parent: list[int] = []
-        self._names: list[ChannelName] = []
+        self.names: list[ChannelName] = []
 
     def alloc(self, from_role: Role, to_role: Role, label: Label) -> ChannelName:
         ckey = (from_role.name, to_role.name, label.name)
         i = self._counters.get(ckey, 0)
         self._counters[ckey] = i + 1
-        name = ChannelName(from_role, to_role, label, i, len(self._names))
+        name = ChannelName(from_role, to_role, label, i, len(self.names))
         self._parent.append(name.key)
-        self._names.append(name)
+        self.names.append(name)
         return name
 
     def find(self, key: int) -> int:
@@ -128,16 +130,16 @@ class ChannelTable:
             self._parent[rb] = ra
 
     def canonical(self, name: ChannelName) -> ChannelName:
-        return self._names[self.find(name.key)]
+        return self.names[self.find(name.key)]
 
     def classes(self) -> list[ChannelName]:
         """One representative per class, in (sender, receiver, label, index) order."""
-        roots = [n for n in self._names if self.find(n.key) == n.key]
+        roots = [n for n in self.names if self.find(n.key) == n.key]
         return sorted(roots, key=lambda n: (n.from_role.name, n.to_role.name, n.label.name, n.index))
 
     def payload_env(self) -> dict[int, PayloadSort]:
         """Every slot's payload sort, which is that of its class representative."""
-        return {n.key: self.canonical(n).label.payload for n in self._names}
+        return {n.key: self.canonical(n).label.payload for n in self.names}
 
 
 def proj_field(c: ChannelVector, key: Union[Role, Label, str]):

@@ -1,9 +1,12 @@
 """Session runtime: affine endpoints over channel vectors.
 
 A protocol is compiled once per protocol object and role tuple, and the
-compile's union-find is not used after it: a session binds one transport
-handle per channel class into a list indexed by slot, so an operation finds
-its channel by a list index.
+compile's union-find is not used after it.  A session binds one link per
+directed role pair, a FIFO of ``(label name, payload)`` messages on every
+transport: a send puts its label and payload on the link to the peer, and a
+receive takes the head of the link from the peer and picks its branch by the
+label name.  Each slot's pair is found at compile time, so an operation finds
+its link by a list index.
 
 An :class:`Endpoint` is one role's live handle into a session.  Every
 protocol stage carries a fresh :class:`LinearityCell`; the first operation
@@ -47,12 +50,12 @@ from .protocol import (
 from .transport import (
     AsyncBuffered,
     Channel,
-    FramedPair,
+    FramedLink,
     FramedSocket,
     SyncRendezvous,
     Transport,
     connect_pairs,
-    select,
+    select,  # not called here; re-exported for callers that look up runtime.select
 )
 from .types import Branch, EndT, LocalType, Select, subtype, unfold_type
 
@@ -164,14 +167,15 @@ class LinearityCell:
 @dataclass(frozen=True)
 class CompiledProtocol:
     """One protocol compiled for one role tuple, shared by all its sessions.
-    ``slot_class`` maps each channel slot to its class in ``classes``."""
+    ``pairs`` are the directed (sender, receiver) role-name pairs that carry
+    messages, and ``slot_pair`` maps each channel slot to its index there."""
 
     roles: tuple[Role, ...]
     vectors: tuple[ChannelVector, ...]
     local_types: dict[Role, LocalType]
     env: dict[int, PayloadSort]
-    classes: list[ChannelName]
-    slot_class: tuple[int, ...]
+    pairs: tuple[tuple[str, str], ...]
+    slot_pair: tuple[int, ...]
 
 
 def _compile(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledProtocol:
@@ -182,10 +186,11 @@ def _compile(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledPr
     vectors, table = eval_global(g, None, tuple_roles)
     env = table.payload_env()
     local = {r: typecheck_cv(v, env) for r, v in zip(tuple_roles, vectors)}
-    classes = table.classes()
-    class_of = {c.key: i for i, c in enumerate(classes)}
-    slot_class = tuple(class_of[table.find(k)] for k in range(len(env)))
-    return CompiledProtocol(tuple_roles, vectors, local, env, classes, slot_class)
+    pair_of: dict[tuple[str, str], int] = {}
+    slot_pair = tuple(
+        pair_of.setdefault((n.from_role.name, n.to_role.name), len(pair_of)) for n in table.names
+    )
+    return CompiledProtocol(tuple_roles, vectors, local, env, tuple(pair_of), slot_pair)
 
 
 def _compiled_for(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledProtocol:
@@ -199,47 +204,28 @@ def _compiled_for(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> Compi
 
 
 class SessionChannels:
-    """Transport bindings for one session, in a list indexed by slot: one
-    :class:`Channel` (in process) or frame header (framed) per class."""
+    """One session's links, one per directed role pair: a :class:`Channel`
+    in process or a :class:`FramedLink` over TCP.  ``channels`` holds each
+    slot's pair link in a list indexed by slot."""
 
     def __init__(self, transport: Transport, compiled: CompiledProtocol) -> None:
         self.env = compiled.env
-        self.pairs: dict[tuple[str, str], FramedPair] = {}
-        self.in_process = not isinstance(transport, FramedSocket)
         if isinstance(transport, (SyncRendezvous, AsyncBuffered)):
             cap = transport.capacity if isinstance(transport, AsyncBuffered) else 0
-            per_class = [Channel(cap) for _ in compiled.classes]
+            self.links = [Channel(cap) for _ in compiled.pairs]
         elif isinstance(transport, FramedSocket):
-            per_class = [_frame_header(c) for c in compiled.classes]
-            pair_names = sorted(
-                {tuple(sorted((c.from_role.name, c.to_role.name))) for c in compiled.classes}
-            )
-            self.pairs.update(connect_pairs(transport.host, pair_names))
+            self.links = connect_pairs(transport.host, compiled.pairs)
         else:
             raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"unknown transport {transport!r}")
-        self.channels = [per_class[c] for c in compiled.slot_class]
+        self.channels = [self.links[p] for p in compiled.slot_pair]
 
     def channel_for(self, name: ChannelName):
         return self.channels[name.key]
 
-    def pair_for(self, me: Role, peer: Role) -> tuple[FramedPair, int]:
-        a, b = sorted((me.name, peer.name))
-        pair = self.pairs[(a, b)]
-        side = 0 if me.name == a else 1
-        return pair, side
-
     def close(self) -> None:
-        for pair in self.pairs.values():
-            pair.close()
-
-
-def _frame_header(name: ChannelName) -> dict:
-    return {
-        "from": name.from_role.name,
-        "to": name.to_role.name,
-        "label": name.label.name,
-        "idx": name.index,
-    }
+        for link in self.links:
+            if isinstance(link, FramedLink):
+                link.close()
 
 
 def _payload_matches(sort: PayloadSort, value: object) -> bool:
@@ -257,10 +243,9 @@ def _payload_matches(sort: PayloadSort, value: object) -> bool:
 
 
 class Endpoint:
-    """A role's affine handle at one protocol stage.  ``stamps`` is the role's
-    send counter: only its one live endpoint draws from it, so it needs no lock."""
+    """A role's affine handle at one protocol stage."""
 
-    __slots__ = ("role", "vector", "cell", "session", "monitor", "timeout", "stamps")
+    __slots__ = ("role", "vector", "cell", "session", "monitor", "timeout")
 
     def __init__(
         self,
@@ -269,7 +254,6 @@ class Endpoint:
         session: SessionChannels,
         monitor: Optional[SessionMonitor],
         timeout: float,
-        stamps: itertools.count,
     ) -> None:
         self.role = role
         self.vector = unfold_cv(vector)
@@ -277,10 +261,9 @@ class Endpoint:
         self.session = session
         self.monitor = monitor
         self.timeout = timeout
-        self.stamps = stamps
 
     def _next(self, vector: ChannelVector) -> "Endpoint":
-        return Endpoint(self.role, vector, self.session, self.monitor, self.timeout, self.stamps)
+        return Endpoint(self.role, vector, self.session, self.monitor, self.timeout)
 
     def _consume(self) -> None:
         if not self.cell.use():
@@ -317,30 +300,27 @@ class Endpoint:
                 f"label {label_name} is not offered here (have {head.labels()})",
             )
         l, name, cont = entry
+        link = self.session.channel_for(name)
         wire = payload
         if isinstance(l.payload, SessionSort):
-            wire = self._prepare_delegation(l.payload, payload)
+            wire = self._prepare_delegation(l.payload, payload, link)
         elif not _payload_matches(l.payload, payload):
             raise SessionRuntimeError(
                 ErrorKind.PAYLOAD_SORT_MISMATCH,
                 f"label {l} expects {l.payload.sort_name()}, got {type(payload).__name__}",
             )
         self._consume()
-        if self.monitor:
+        link.send((l.name, wire), self.timeout)
+        if self.monitor:  # only a send that happened is traced
             self.monitor.record(EventKind.SEND, self.role, head.peer, l)
-        if self.session.in_process:
-            self.session.channel_for(name).send(wire, self.timeout, next(self.stamps))
-        else:
-            pair, side = self.session.pair_for(self.role, head.peer)
-            pair.send(side, self.session.channel_for(name), wire)
         return self._next(cont)
 
-    def _prepare_delegation(self, sort: SessionSort, payload: object) -> "Endpoint":
+    def _prepare_delegation(self, sort: SessionSort, payload: object, link) -> "Endpoint":
         if not isinstance(payload, Endpoint):
             raise SessionRuntimeError(
                 ErrorKind.PAYLOAD_SORT_MISMATCH, "delegation payload must be an endpoint"
             )
-        if not self.session.in_process:
+        if isinstance(link, FramedLink):
             raise SessionRuntimeError(
                 ErrorKind.DELEGATION_UNSUPPORTED,
                 "endpoints cannot be delegated across a framed socket",
@@ -368,21 +348,15 @@ class Endpoint:
                 ErrorKind.WRONG_PEER, f"{self.role} must listen to {head.peer} here, not {peer}"
             )
         self._consume()
-        if self.session.in_process:
-            chans = [self.session.channel_for(s) for _, s, _ in head.branches]
-            i, value = select(chans, self.timeout)
-            label, _, cont = head.branches[i]
+        # every arm has the one sender head.peer, so they share its pair link
+        label_name, value = self.session.channel_for(head.branches[0][1]).receive(self.timeout)
+        for label, _, cont in head.branches:  # labels are unique within one receive
+            if label.name == label_name:
+                break
         else:
-            pair, side = self.session.pair_for(self.role, head.peer)
-            ch, value = pair.read(side, self.timeout)
-            match = next(
-                ((l, k) for l, s, k in head.branches if self.session.channel_for(s) == ch), None
+            raise SessionRuntimeError(
+                ErrorKind.TRANSPORT_ERROR, f"message with unexpected label {label_name}"
             )
-            if match is None:
-                raise SessionRuntimeError(
-                    ErrorKind.TRANSPORT_ERROR, f"frame for unexpected channel {ch}"
-                )
-            label, cont = match
         if self.monitor:
             self.monitor.record(EventKind.RECEIVE, self.role, head.peer, label)
         return label, value, self._next(cont)
@@ -433,7 +407,7 @@ def open_session(
     local = dict(compiled.local_types)
     monitor = SessionMonitor(local) if monitored else None
     endpoints = {
-        r: Endpoint(r, v, channels, monitor, timeout, itertools.count())
+        r: Endpoint(r, v, channels, monitor, timeout)
         for r, v in zip(compiled.roles, compiled.vectors)
     }
     return Session(compiled.roles, endpoints, monitor, channels, local)

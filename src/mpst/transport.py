@@ -1,10 +1,16 @@
 """Transports: in-process channels (rendezvous and buffered) and framed TCP.
 
-The in-process :class:`Channel` implements both the synchronous rendezvous
-discipline (capacity 0: a send completes only when a matching receive is
-pending) and bounded FIFO buffering.  A receive may select across several
-channels at once; the claim protocol below makes the rendezvous between one
-of many senders and one multi-channel waiter atomic.
+A session talks over one link per directed role pair, and both kinds of link
+carry ``(label name, payload)`` messages in FIFO order through ``send`` and
+``receive``.  In process the link is a :class:`Channel`, which implements
+both the synchronous rendezvous discipline (capacity 0: a send completes only
+when a matching receive is pending) and bounded FIFO buffering.  Over TCP it
+is a :class:`FramedLink`, one direction of the pair's connection, whose
+frames are headed by the label name.
+
+The multi-channel :func:`select` serves bare channels; the claim protocol
+below makes the rendezvous between one of many senders and one
+multi-channel waiter atomic.
 
 Lock order: a sender holds its channel lock and then the waiter lock; a
 selecting receiver holds all arm locks (in a canonical order) and then no
@@ -72,11 +78,10 @@ class _Waiter:
 
 
 class _Handoff:
-    __slots__ = ("value", "stamp", "accepted", "taken", "event")
+    __slots__ = ("value", "accepted", "taken", "event")
 
-    def __init__(self, value: object, stamp: int) -> None:
+    def __init__(self, value: object) -> None:
         self.value = value
-        self.stamp = stamp
         self.accepted = False
         self.taken = False
         self.event = threading.Event()
@@ -97,10 +102,9 @@ class Channel:
             Channel._ids += 1
             self._order = Channel._ids  # canonical lock order for select
 
-    def send(self, value: object, timeout: Optional[float] = None, stamp: int = 0) -> None:
-        """Deliver ``value``.  ``stamp`` is a per-sender sequence number used
-        by multi-channel receives to take same-pair messages in send order."""
-        h = _Handoff(value, stamp)
+    def send(self, value: object, timeout: Optional[float] = None) -> None:
+        """Deliver ``value``."""
+        h = _Handoff(value)
         with self._lock:
             if not self._q:
                 for w in list(self._waiters):
@@ -140,32 +144,18 @@ class Channel:
         return value
 
 
-def select(
-    channels: Sequence[Channel],
-    timeout: Optional[float] = None,
-    start: int = 0,
-) -> tuple[int, object]:
-    """Wait for a value on any of ``channels``.
-
-    Pending values are polled in rotating order starting at ``start`` so no
-    arm starves.  Returns (index into channels, value).
-    """
-    n = len(channels)
-    order = [(start + k) % n for k in range(n)]
+def select(channels: Sequence[Channel], timeout: Optional[float] = None) -> tuple[int, object]:
+    """Wait for a value on any of ``channels``; of several ready arms, the
+    first in list order is taken.  Returns (index into channels, value)."""
     locked = sorted(set(channels), key=lambda c: c._order)
     w: Optional[_Waiter] = None
 
     for ch in locked:
         ch._lock.acquire()
     try:
-        # among ready arms, take the message sent first (lowest stamp)
-        best = None
-        for i in order:
-            ch = channels[i]
-            if ch._q and (best is None or ch._q[0].stamp < channels[best]._q[0].stamp):
-                best = i
-        if best is not None:
-            return best, channels[best]._pop_locked()
+        for i, ch in enumerate(channels):
+            if ch._q:
+                return i, ch._pop_locked()
         w = _Waiter()
         for ch in locked:
             if ch._waiters:  # drop waiters already claimed elsewhere
@@ -180,8 +170,8 @@ def select(
             raise _timeout_error("receive timed out with no pending send")
         w.event.wait()  # a sender won the race; the value is ours
     got_ch, value = w.result  # type: ignore[misc]
-    for i in order:
-        if channels[i] is got_ch:
+    for i, ch in enumerate(channels):
+        if ch is got_ch:
             return i, value
     raise AssertionError("select delivered on an unknown channel")
 
@@ -192,8 +182,9 @@ _LEN = struct.Struct(">I")
 _MAX_FRAME = 16 * 1024 * 1024
 
 
-def encode_frame(ch: dict, payload: object) -> bytes:
-    """Wire format: 4-byte big-endian length, then UTF-8 JSON."""
+def encode_frame(ch: object, payload: object) -> bytes:
+    """Wire format: 4-byte big-endian length, then UTF-8 JSON of the header
+    ``ch`` (a session's frames carry the label name) and the payload."""
     body = json.dumps({"ch": ch, "payload": payload}, sort_keys=True).encode("utf-8")
     return _LEN.pack(len(body)) + body
 
@@ -208,7 +199,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return buf
 
 
-def read_frame(sock: socket.socket) -> tuple[dict, object]:
+def read_frame(sock: socket.socket) -> tuple[object, object]:
     raw = _recv_exact(sock, _LEN.size)
     (length,) = _LEN.unpack(raw)
     if length > _MAX_FRAME:
@@ -217,69 +208,72 @@ def read_frame(sock: socket.socket) -> tuple[dict, object]:
     return body["ch"], body["payload"]
 
 
-class FramedPair:
-    """Both ends of one role pair's socket, with per-end read locks."""
+class FramedLink:
+    """One direction of a role pair's TCP connection: the sender writes
+    frames on its end, and the receiver reads them from the other end."""
 
-    def __init__(self, left_sock: socket.socket, right_sock: socket.socket) -> None:
-        self.socks = {0: left_sock, 1: right_sock}
-        self.read_locks = {0: threading.Lock(), 1: threading.Lock()}
-        self.write_locks = {0: threading.Lock(), 1: threading.Lock()}
+    def __init__(self, out_sock: socket.socket, in_sock: socket.socket) -> None:
+        self.out_sock = out_sock
+        self.in_sock = in_sock
+        self.write_lock = threading.Lock()
+        self.read_lock = threading.Lock()
 
-    def send(self, side: int, ch: dict, payload: object) -> None:
-        with self.write_locks[side]:
-            self.socks[side].sendall(encode_frame(ch, payload))
+    def send(self, message: tuple[str, object], timeout: Optional[float] = None) -> None:
+        label, payload = message
+        with self.write_lock:
+            self.out_sock.sendall(encode_frame(label, payload))
 
-    def read(self, side: int, timeout: Optional[float]) -> tuple[dict, object]:
-        with self.read_locks[side]:
-            self.socks[side].settimeout(timeout)
+    def receive(self, timeout: Optional[float] = None) -> tuple[object, object]:
+        with self.read_lock:
+            self.in_sock.settimeout(timeout)
             try:
-                return read_frame(self.socks[side])
+                return read_frame(self.in_sock)
             except socket.timeout:
                 raise _timeout_error("receive timed out on socket") from None
 
     def close(self) -> None:
-        for s in self.socks.values():
+        for s in (self.out_sock, self.in_sock):
             try:
                 s.close()
             except OSError:
                 pass
 
 
-def connect_pairs(host: str, pairs: Sequence[tuple[str, str]]) -> dict[tuple[str, str], FramedPair]:
-    """Open one localhost TCP connection per role pair.
+def connect_pairs(host: str, pairs: Sequence[tuple[str, str]]) -> list[FramedLink]:
+    """Open one localhost TCP connection per unordered role pair among the
+    directed ``pairs``, and return each directed pair's link, in order.
 
     Both endpoints live in this process; a small hello frame names the pair
     so the accepting side can route the socket.
     """
+    unordered = sorted({tuple(sorted(p)) for p in pairs})
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     listener.bind((host, 0))
-    listener.listen(len(pairs) or 1)
+    listener.listen(len(unordered) or 1)
     addr = listener.getsockname()
 
-    out: dict[tuple[str, str], FramedPair] = {}
+    ends: dict[tuple[str, str], socket.socket] = {}  # (a, b): a's end of the a-b connection
     accepted: dict[tuple[str, str], socket.socket] = {}
 
     def accept_all() -> None:
-        for _ in pairs:
+        for _ in unordered:
             conn, _peer = listener.accept()
-            ch, _ = read_frame(conn)
-            accepted[(ch["from"], ch["to"])] = conn
+            (a, b), _ = read_frame(conn)
+            accepted[(b, a)] = conn
 
     t = threading.Thread(target=accept_all, daemon=True)
     t.start()
-    client_side: dict[tuple[str, str], socket.socket] = {}
-    for a, b in pairs:
+    for a, b in unordered:
         c = socket.create_connection(addr)
         c.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        c.sendall(encode_frame({"from": a, "to": b, "label": "@hello", "idx": 0}, None))
-        client_side[(a, b)] = c
+        c.sendall(encode_frame([a, b], None))
+        ends[(a, b)] = c
     t.join(timeout=10)
     if t.is_alive():
         raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, "pair handshake did not finish")
     listener.close()
-    for a, b in pairs:
-        server = accepted[(a, b)]
-        server.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        out[(a, b)] = FramedPair(client_side[(a, b)], server)
-    return out
+    for end in accepted.values():
+        end.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    ends.update(accepted)
+    return [FramedLink(ends[(s, r)], ends[(r, s)]) for s, r in pairs]

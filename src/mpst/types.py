@@ -118,11 +118,11 @@ END_T = EndT()
 
 
 def select(peer: Role, branches) -> Select:
-    return Select(peer, _canon_branches(branches))
+    return Select(peer, branches)
 
 
 def branch(peer: Role, branches) -> Branch:
-    return Branch(peer, _canon_branches(branches))
+    return Branch(peer, branches)
 
 
 def _free_vars(t: LocalType, bound: frozenset[str] = frozenset()) -> frozenset[str]:

@@ -462,3 +462,37 @@ def test_local_types_are_per_session():
     second = open_session(g, SyncRendezvous(), monitored=True)
     assert second.local_types == want
     assert second.monitor.expected == {r.name: t for r, t in want.items()}
+
+
+def test_timed_out_send_is_not_traced():
+    sess = open_session(comm(P, Q, Label("m"), end_()), SyncRendezvous(), monitored=True, timeout=0.2)
+    with pytest.raises(SessionRuntimeError) as e:
+        sess.endpoints[P].send(Q, "m", None)  # no receiver
+    assert e.value.kind is ErrorKind.TIMEOUT
+    assert sess.monitor.events == []
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_buffer_capacity_bounds_each_role_pair(capacity):
+    a, b = Label("a", INT), Label("b", INT)
+    sess = open_session(comm(P, Q, a, comm(P, Q, b, end_())), AsyncBuffered(capacity))
+    first = sess.endpoints[P].send(Q, a, 1)
+    sent = threading.Event()
+
+    def second():
+        first.send(Q, b, 2).close()
+        sent.set()
+
+    t = threading.Thread(target=second, daemon=True)
+    t.start()
+    if capacity == 1:
+        assert not sent.wait(0.2)  # one buffer slot for the pair: b waits until a is taken
+    else:
+        assert sent.wait(5)  # both labels fit before q receives
+    la, x, ep = sess.endpoints[Q].receive(P)
+    assert sent.wait(5)
+    lb, y, ep = ep.receive(P)
+    ep.close()
+    t.join(5)
+    assert not t.is_alive()
+    assert (la.name, x, lb.name, y) == ("a", 1, "b", 2)

@@ -70,7 +70,7 @@ def test_buffered_send_does_not_block_until_full():
 def test_buffered_fifo_order():
     ch = Channel(16)
     for i in range(10):
-        ch.send(i, timeout=1, stamp=i)
+        ch.send(i, timeout=1)
     assert [ch.receive(timeout=1) for _ in range(10)] == list(range(10))
 
 
@@ -123,14 +123,6 @@ def test_select_takes_pending_value():
     b.send("hello", timeout=1)
     idx, value = select([a, b], timeout=1)
     assert (idx, value) == (1, "hello")
-
-
-def test_select_prefers_lowest_stamp():
-    a, b = Channel(4), Channel(4)
-    b.send("second", timeout=1, stamp=2)
-    a.send("first", timeout=1, stamp=1)
-    idx, value = select([a, b], timeout=1, start=1)  # rotation would favour b
-    assert (idx, value) == (0, "first")
 
 
 def test_select_wakes_on_late_send():
