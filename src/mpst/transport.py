@@ -12,9 +12,24 @@ The multi-channel :func:`select` serves bare channels; the claim protocol
 below makes the rendezvous between one of many senders and one
 multi-channel waiter atomic.
 
-Lock order: a sender holds its channel lock and then the waiter lock; a
-selecting receiver holds all arm locks (in a canonical order) and then no
-waiter lock.  The waiter lock is always innermost, so there is no cycle.
+Wake protocol: a message costs one deque operation under the channel lock,
+and a wakeup primitive exists only for a thread that really blocks.  Such a
+thread parks on a ``threading.Lock`` it acquired itself (its *wake* lock) and
+acquires it a second time; whoever hands the message over releases it,
+exactly once.  A send into a buffer with room queues a handoff that is
+already accepted and builds no lock.  A send that must block (a rendezvous
+with no waiting receiver, or a full buffer) queues its handoff with a wake
+lock, which the receive that takes it, or the receive that frees it a buffer
+slot, releases.  A receive that finds nothing queues a waiter with a wake
+lock, which the one sender that claims the waiter releases.  A thread whose
+wait times out re-checks whether it was served meanwhile (a send under the
+channel lock, a receive by trying to claim its own waiter), and if so the
+handoff completes as if the wait had not timed out.
+
+Lock order: a sender holds its channel lock and then the waiter's claim lock;
+a selecting receiver holds all arm locks (in a canonical order) and then no
+claim lock.  The claim lock is always innermost, so there is no cycle.  Wake
+locks are only released under a channel lock and waited on under none.
 """
 
 from __future__ import annotations
@@ -54,14 +69,32 @@ def _timeout_error(what: str) -> SessionRuntimeError:
     return SessionRuntimeError(ErrorKind.TIMEOUT, what)
 
 
+def _wait(wake: threading.Lock, timeout: Optional[float]) -> bool:
+    """Acquire ``wake``: forever when ``timeout`` is None, not at all when it
+    is zero or negative."""
+    if timeout is None:
+        return wake.acquire()
+    if timeout <= 0:
+        return wake.acquire(False)
+    return wake.acquire(True, timeout)
+
+
+def _wake_lock() -> threading.Lock:
+    """A lock held already, so that the next ``acquire`` parks until the
+    thread that hands over the message releases it."""
+    wake = threading.Lock()
+    wake.acquire()
+    return wake
+
+
 class _Waiter:
     """One pending multi-channel receive.  First claimant wins."""
 
-    __slots__ = ("lock", "event", "claimed", "result")
+    __slots__ = ("lock", "wake", "claimed", "result")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.event = threading.Event()
+        self.wake = _wake_lock()
         self.claimed = False
         self.result: Optional[tuple["Channel", object]] = None
 
@@ -73,18 +106,22 @@ class _Waiter:
             return True
 
     def deliver(self, ch: "Channel", value: object) -> None:
+        """Hand ``value`` to the waiter; only its claimant calls this."""
         self.result = (ch, value)
-        self.event.set()
+        self.wake.release()
 
 
 class _Handoff:
-    __slots__ = ("value", "accepted", "taken", "event")
+    """A queued message.  ``wake`` is the blocked sender's wake lock, or None
+    when the message went into a buffer with room and nobody waits on it."""
+
+    __slots__ = ("value", "accepted", "taken", "wake")
 
     def __init__(self, value: object) -> None:
         self.value = value
         self.accepted = False
         self.taken = False
-        self.event = threading.Event()
+        self.wake: Optional[threading.Lock] = None
 
 
 class Channel:
@@ -113,30 +150,31 @@ class Channel:
                         w.deliver(self, value)
                         return
                 self._waiters.clear()
-            self._q.append(h)
-            if len(self._q) <= self.capacity:
+            if len(self._q) < self.capacity:
                 h.accepted = True
+                self._q.append(h)
                 return
-        if not h.event.wait(timeout):
+            h.wake = _wake_lock()
+            self._q.append(h)
+        if not _wait(h.wake, timeout):
             with self._lock:
-                if h in self._q and not h.taken and not h.accepted:
+                if not (h.taken or h.accepted):
                     self._q.remove(h)
                     raise _timeout_error("send timed out with no matching receive")
-            # taken/accepted while we were timing out
-            if not (h.taken or h.accepted):
-                raise _timeout_error("send timed out with no matching receive")
+            # taken or accepted while we were timing out: the send completed
 
     def _pop_locked(self) -> object:
         h = self._q.popleft()
         h.taken = True
-        h.event.set()
+        if not h.accepted:  # its sender still waits on its wake lock
+            h.wake.release()
         # Accepted handoffs are always the first min(capacity, len) entries,
         # so the sender that now fits the buffer is the one at capacity - 1.
         if len(self._q) >= self.capacity > 0:
             pending = self._q[self.capacity - 1]
             if not pending.accepted:
                 pending.accepted = True
-                pending.event.set()
+                pending.wake.release()
         return h.value
 
     def receive(self, timeout: Optional[float] = None) -> object:
@@ -147,7 +185,10 @@ class Channel:
 def select(channels: Sequence[Channel], timeout: Optional[float] = None) -> tuple[int, object]:
     """Wait for a value on any of ``channels``; of several ready arms, the
     first in list order is taken.  Returns (index into channels, value)."""
-    locked = sorted(set(channels), key=lambda c: c._order)
+    if len(channels) == 1:
+        locked = channels
+    else:
+        locked = sorted(set(channels), key=lambda c: c._order)
     w: Optional[_Waiter] = None
 
     for ch in locked:
@@ -165,10 +206,10 @@ def select(channels: Sequence[Channel], timeout: Optional[float] = None) -> tupl
         for ch in reversed(locked):
             ch._lock.release()
 
-    if not w.event.wait(timeout):
+    if not _wait(w.wake, timeout):
         if w.try_claim():
             raise _timeout_error("receive timed out with no pending send")
-        w.event.wait()  # a sender won the race; the value is ours
+        w.wake.acquire()  # a sender won the race; the value is ours
     got_ch, value = w.result  # type: ignore[misc]
     for i, ch in enumerate(channels):
         if ch is got_ch:

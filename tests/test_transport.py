@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import random
 import socket
 import struct
+import sys
 import threading
 import time
 
 import pytest
 
+from mpst import transport
 from mpst.errors import ErrorKind, SessionRuntimeError
 from mpst.transport import Channel, encode_frame, read_frame, select
 
@@ -102,6 +105,168 @@ def test_blocked_senders_take_freed_slots_in_fifo_order():
     for t in threads:
         t.join(5)
         assert not t.is_alive()
+
+
+def test_send_into_a_buffer_with_room_builds_no_wake_lock():
+    ch = Channel(2)
+    ch.send(0, timeout=1)
+    ch.send(1, timeout=1)
+    assert [h.wake for h in ch._q] == [None, None]
+    done = threading.Event()
+
+    def third():
+        ch.send(2, timeout=5)
+        done.set()
+
+    t = threading.Thread(target=third, daemon=True)
+    t.start()
+    deadline = time.monotonic() + 5
+    while len(ch._q) < 3 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    blocked = ch._q[2]
+    assert blocked.wake is not None and blocked.wake.locked()  # the full buffer blocks it
+    assert not done.is_set()
+    assert ch.receive(timeout=1) == 0  # frees a slot: the blocked send is accepted
+    assert done.wait(5)
+    t.join(5)
+    assert not t.is_alive()
+    assert blocked.accepted
+    assert [ch.receive(timeout=1) for _ in range(2)] == [1, 2]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Channel(0).send("v", timeout=0),
+    lambda: Channel(0).send("v", timeout=-1),
+    lambda: Channel(0).send("v", timeout=-0.5),
+    lambda: Channel(1).receive(timeout=0),
+    lambda: Channel(1).receive(timeout=-1),
+    lambda: select([Channel(0), Channel(1)], timeout=0),
+    lambda: select([Channel(0), Channel(1)], timeout=-2.5),
+], ids=["send-0", "send-neg1", "send-neg", "receive-0", "receive-neg1", "select-0", "select-neg"])
+def test_non_positive_timeout_times_out_at_once(call):
+    outcome = []
+
+    def run():
+        try:
+            call()
+            outcome.append("returned")
+        except SessionRuntimeError as e:
+            outcome.append(e.kind)
+        except Exception as e:  # e.g. ValueError from a lock given a negative timeout
+            outcome.append(e)
+
+    t = threading.Thread(target=run, daemon=True)
+    start = time.monotonic()
+    t.start()
+    t.join(5)
+    assert not t.is_alive(), "a non-positive timeout blocked"
+    assert outcome == [ErrorKind.TIMEOUT]
+    assert time.monotonic() - start < 1
+
+
+def _timeout_race(chans, receive, rounds=600):
+    """One sender thread per channel and one receiver race with short
+    timeouts.  Returns (values whose send returned, values whose send timed
+    out, values received, unexpected exceptions on any thread)."""
+    rng = random.Random(7)
+    timeouts = [0, 0.0001, 0.0003, 0.001, 0.002]
+    sent, timed_out, got, errors = [], [], [], []
+    senders_done = threading.Event()
+
+    def sender(k, ch):
+        for i in range(rounds):
+            try:
+                ch.send((k, i), timeout=rng.choice(timeouts))
+                sent.append((k, i))
+            except SessionRuntimeError as e:
+                if e.kind is not ErrorKind.TIMEOUT:
+                    errors.append(e)
+                timed_out.append((k, i))
+            except Exception as e:
+                errors.append(e)
+
+    def receiver():
+        while True:
+            finished = senders_done.is_set()  # read before the receive that may drain the rest
+            try:
+                got.append(receive(0.05 if finished else rng.choice(timeouts)))
+            except SessionRuntimeError as e:
+                if e.kind is not ErrorKind.TIMEOUT:
+                    errors.append(e)
+                elif finished:
+                    return
+            except Exception as e:
+                errors.append(e)
+                return
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        senders = [threading.Thread(target=sender, args=(k, ch), daemon=True)
+                   for k, ch in enumerate(chans)]
+        recv = threading.Thread(target=receiver, daemon=True)
+        for t in senders + [recv]:
+            t.start()
+        for t in senders:
+            t.join(60)
+            assert not t.is_alive()
+        senders_done.set()
+        recv.join(60)
+        assert not recv.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    return sent, timed_out, got, errors
+
+
+@pytest.mark.parametrize("case", ["rendezvous", "buffered-blocked-sender", "select"])
+def test_handoff_is_exactly_once_under_timeouts(case):
+    if case == "rendezvous":
+        ch = Channel(0)
+        chans, receive = [ch], ch.receive
+    elif case == "buffered-blocked-sender":
+        ch = Channel(1)
+        chans, receive = [ch, ch], ch.receive  # the second sender blocks on the full buffer
+    else:
+        chans = [Channel(0), Channel(0)]
+
+        def receive(timeout):
+            idx, value = select(chans, timeout)
+            assert value[0] == idx  # delivered on the arm it was sent on
+            return value
+
+    sent, timed_out, got, errors = _timeout_race(chans, receive)
+    assert errors == []  # no release of an unlocked lock, on any thread
+    assert sorted(got) == sorted(sent)  # every completed send is received exactly once
+    assert not set(got) & set(timed_out)  # no timed-out send is ever received
+    assert sent and timed_out  # both outcomes were exercised
+
+
+@pytest.mark.parametrize("case", ["rendezvous-send", "promoted-send", "receive"])
+def test_wait_that_times_out_after_being_served_completes(monkeypatch, case):
+    # The other side acts just as this side's wait times out: the re-check
+    # under the channel lock, or the failed claim, sees that it was served.
+    ch = Channel(1 if case == "promoted-send" else 0)
+    if case == "promoted-send":
+        ch.send("first", timeout=1)  # fills the buffer, so "v" blocks
+    got = []
+
+    def served_as_the_timeout_fires(wake, timeout):
+        if case == "receive":
+            ch.send("v", timeout=1)
+        else:
+            got.append(ch.receive(timeout=1))
+        return False
+
+    monkeypatch.setattr(transport, "_wait", served_as_the_timeout_fires)
+    if case == "receive":
+        got.append(ch.receive(timeout=1))
+    else:
+        ch.send("v", timeout=1)  # no Timeout: the value was taken or accepted
+    monkeypatch.undo()
+    if case == "promoted-send":
+        got.append(ch.receive(timeout=1))
+    assert got == (["first", "v"] if case == "promoted-send" else ["v"])
+    assert not ch._q and not [w for w in ch._waiters if not w.claimed]
 
 
 def test_send_timeout_is_timeout_kind():
