@@ -50,7 +50,7 @@ from .protocol import (
     roles_of,
 )
 from .scripts import CloseStep, ReceiveStep, ReuseStep, Script, SendStep, Step
-from .types import Branch, EndT, LocalType, RecT, Select, VarT, END_T
+from .types import Branch, LocalType, RecT, Select, VarT, END_T, format_sort
 
 Span = tuple[int, int, int, int]  # line, col, end line, end col (1-based)
 
@@ -406,24 +406,6 @@ def parse_scenario(text: str) -> ScenarioFile:
     return _Parser(text).parse_scenario_file()
 
 
-def _sort_text(sort: PayloadSort) -> str:
-    if isinstance(sort, SessionSort):
-        return f"session({_local_text(sort.local)})"
-    return sort.sort_name()
-
-
-def _local_text(t: LocalType) -> str:
-    if isinstance(t, EndT):
-        return "end"
-    if isinstance(t, VarT):
-        return t.var
-    if isinstance(t, RecT):
-        return f"rec {t.var} . {_local_text(t.body)}"
-    mark = "!" if isinstance(t, Select) else "?"
-    inner = ", ".join(f"{l.name}({_sort_text(l.payload)}): {_local_text(c)}" for l, c in t.branches)
-    return f"{mark}{t.peer.name}{{{inner}}}"
-
-
 def print_protocol(pf: ProtocolFile) -> str:
     """Canonical pretty-printer; parsing its output reproduces the AST."""
     out: list[str] = []
@@ -438,7 +420,7 @@ def print_protocol(pf: ProtocolFile) -> str:
             out.append(f"{pad}continue {node.var};")
         elif isinstance(node, Comm):
             out.append(f"{pad}{node.from_role.name} -> {node.to_role.name} : "
-                       f"{node.label.name}({_sort_text(node.label.payload)});")
+                       f"{node.label.name}({format_sort(node.label.payload)});")
             stmt(node.cont, depth)
         elif isinstance(node, ClosedAt):
             out.append(f"{pad}closed {node.role.name};")

@@ -8,12 +8,15 @@ receive takes the head of the link from the peer and picks its branch by the
 label name.  Each slot's pair is found at compile time, so an operation finds
 its link by a list index.
 
-An :class:`Endpoint` is one role's live handle into a session.  Every
-protocol stage carries a fresh :class:`LinearityCell`; the first operation
-(send, receive, close, or being delegated away) consumes the cell, and any
-further use raises ``InvalidEndpoint``.  Consuming the cell covers all
-sibling labels of the stage: choosing one output among alternatives uses the
-stage exactly once.
+An :class:`Endpoint` is one role's live handle into a session at one
+protocol stage: the role's seat (role, links, monitor and timeout, built
+once per session), the stage's channel vector, and a fresh
+:class:`LinearityCell`.  The cell is one ``threading.Lock`` taken with a
+non-blocking ``acquire`` and never released, so exactly one caller wins it.
+The first operation (send, receive, close, or being delegated away) consumes
+the cell, and any further use raises ``InvalidEndpoint``.  Consuming the
+cell covers all sibling labels of the stage: choosing one output among
+alternatives uses the stage exactly once.
 """
 
 from __future__ import annotations
@@ -144,24 +147,19 @@ class SessionMonitor:
 
 
 class LinearityCell:
-    """A once-settable flag; the false-to-true transition is atomic."""
+    """A once-settable flag: ``use`` returns True to exactly one caller."""
 
-    __slots__ = ("_used", "_lock")
+    __slots__ = ("_lock",)
 
     def __init__(self) -> None:
-        self._used = False
         self._lock = threading.Lock()
 
     def use(self) -> bool:
-        with self._lock:
-            if self._used:
-                return False
-            self._used = True
-            return True
+        return self._lock.acquire(False)
 
     @property
     def used(self) -> bool:
-        return self._used
+        return self._lock.locked()
 
 
 @dataclass(frozen=True)
@@ -242,51 +240,49 @@ def _payload_matches(sort: PayloadSort, value: object) -> bool:
     return False
 
 
+@dataclass(slots=True)
+class _Seat:
+    """What a role's endpoints share across the stages of one session."""
+
+    role: Role
+    links: SessionChannels
+    monitor: Optional[SessionMonitor]
+    timeout: float
+
+
 class Endpoint:
     """A role's affine handle at one protocol stage."""
 
-    __slots__ = ("role", "vector", "cell", "session", "monitor", "timeout")
+    __slots__ = ("seat", "vector", "cell")
 
-    def __init__(
-        self,
-        role: Role,
-        vector: ChannelVector,
-        session: SessionChannels,
-        monitor: Optional[SessionMonitor],
-        timeout: float,
-    ) -> None:
-        self.role = role
+    def __init__(self, seat: _Seat, vector: ChannelVector) -> None:
+        self.seat = seat
         self.vector = unfold_cv(vector)
         self.cell = LinearityCell()
-        self.session = session
-        self.monitor = monitor
-        self.timeout = timeout
-
-    def _next(self, vector: ChannelVector) -> "Endpoint":
-        return Endpoint(self.role, vector, self.session, self.monitor, self.timeout)
 
     def _consume(self) -> None:
         if not self.cell.use():
             raise SessionRuntimeError(
-                ErrorKind.INVALID_ENDPOINT, f"endpoint of {self.role} was already used"
+                ErrorKind.INVALID_ENDPOINT, f"endpoint of {self.seat.role} was already used"
             )
 
     def remaining_type(self) -> LocalType:
-        return typecheck_cv(self.vector, self.session.env)
+        return typecheck_cv(self.vector, self.seat.links.env)
 
     def send(self, peer: Role, label: Label | str, payload: object = None) -> "Endpoint":
+        seat = self.seat
         head = self.vector
         if self.cell.used:
             self._consume()  # raises InvalidEndpoint
         if not isinstance(head, OutRec):
             raise SessionRuntimeError(
                 ErrorKind.WRONG_PEER,
-                f"{self.role} tried to send but the protocol expects "
+                f"{seat.role} tried to send but the protocol expects "
                 f"{'a receive' if isinstance(head, WrappedInp) else 'close'} here",
             )
         if head.peer.name != (peer.name if isinstance(peer, Role) else peer):
             raise SessionRuntimeError(
-                ErrorKind.WRONG_PEER, f"{self.role} must talk to {head.peer} here, not {peer}"
+                ErrorKind.WRONG_PEER, f"{seat.role} must talk to {head.peer} here, not {peer}"
             )
         label_name = label.name if isinstance(label, Label) else label
         entry = None
@@ -300,7 +296,7 @@ class Endpoint:
                 f"label {label_name} is not offered here (have {head.labels()})",
             )
         l, name, cont = entry
-        link = self.session.channel_for(name)
+        link = seat.links.channel_for(name)
         wire = payload
         if isinstance(l.payload, SessionSort):
             wire = self._prepare_delegation(l.payload, payload, link)
@@ -310,10 +306,10 @@ class Endpoint:
                 f"label {l} expects {l.payload.sort_name()}, got {type(payload).__name__}",
             )
         self._consume()
-        link.send((l.name, wire), self.timeout)
-        if self.monitor:  # only a send that happened is traced
-            self.monitor.record(EventKind.SEND, self.role, head.peer, l)
-        return self._next(cont)
+        link.send((l.name, wire), seat.timeout)
+        if seat.monitor:  # only a send that happened is traced
+            seat.monitor.record(EventKind.SEND, seat.role, head.peer, l)
+        return Endpoint(seat, cont)
 
     def _prepare_delegation(self, sort: SessionSort, payload: object, link) -> "Endpoint":
         if not isinstance(payload, Endpoint):
@@ -331,25 +327,26 @@ class Endpoint:
                 "delegated endpoint does not implement the declared session type",
             )
         payload._consume()  # the sender's handle dies; raises if already used
-        return payload._next(payload.vector)
+        return Endpoint(payload.seat, payload.vector)
 
     def receive(self, peer: Role) -> tuple[Label, object, "Endpoint"]:
+        seat = self.seat
         head = self.vector
         if self.cell.used:
             self._consume()
         if not isinstance(head, WrappedInp):
             raise SessionRuntimeError(
                 ErrorKind.WRONG_PEER,
-                f"{self.role} tried to receive but the protocol expects "
+                f"{seat.role} tried to receive but the protocol expects "
                 f"{'a send' if isinstance(head, OutRec) else 'close'} here",
             )
         if head.peer.name != (peer.name if isinstance(peer, Role) else peer):
             raise SessionRuntimeError(
-                ErrorKind.WRONG_PEER, f"{self.role} must listen to {head.peer} here, not {peer}"
+                ErrorKind.WRONG_PEER, f"{seat.role} must listen to {head.peer} here, not {peer}"
             )
         self._consume()
         # every arm has the one sender head.peer, so they share its pair link
-        label_name, value = self.session.channel_for(head.branches[0][1]).receive(self.timeout)
+        label_name, value = seat.links.channel_for(head.branches[0][1]).receive(seat.timeout)
         for label, _, cont in head.branches:  # labels are unique within one receive
             if label.name == label_name:
                 break
@@ -357,21 +354,22 @@ class Endpoint:
             raise SessionRuntimeError(
                 ErrorKind.TRANSPORT_ERROR, f"message with unexpected label {label_name}"
             )
-        if self.monitor:
-            self.monitor.record(EventKind.RECEIVE, self.role, head.peer, label)
-        return label, value, self._next(cont)
+        if seat.monitor:
+            seat.monitor.record(EventKind.RECEIVE, seat.role, head.peer, label)
+        return label, value, Endpoint(seat, cont)
 
     def close(self) -> None:
+        seat = self.seat
         if self.cell.used:
             self._consume()
         if not isinstance(self.vector, EndT):
             raise SessionRuntimeError(
                 ErrorKind.PROTOCOL_NOT_FINISHED,
-                f"{self.role} closed with protocol steps remaining",
+                f"{seat.role} closed with protocol steps remaining",
             )
         self._consume()
-        if self.monitor:
-            self.monitor.record(EventKind.CLOSE, self.role, None, None)
+        if seat.monitor:
+            seat.monitor.record(EventKind.CLOSE, seat.role, None, None)
 
 
 @dataclass
@@ -407,7 +405,7 @@ def open_session(
     local = dict(compiled.local_types)
     monitor = SessionMonitor(local) if monitored else None
     endpoints = {
-        r: Endpoint(r, v, channels, monitor, timeout)
+        r: Endpoint(_Seat(r, channels, monitor, timeout), v)
         for r, v in zip(compiled.roles, compiled.vectors)
     }
     return Session(compiled.roles, endpoints, monitor, channels, local)

@@ -8,28 +8,24 @@ when a matching receive is pending) and bounded FIFO buffering.  Over TCP it
 is a :class:`FramedLink`, one direction of the pair's connection, whose
 frames are headed by the label name.
 
-The multi-channel :func:`select` serves bare channels; the claim protocol
-below makes the rendezvous between one of many senders and one
-multi-channel waiter atomic.
+A channel keeps the values it has accepted as plain values in one deque, at
+most ``capacity`` of them.  Only a sender that finds no waiting receiver and
+no room (at capacity 0 there never is) gets a record: its value and a *wake*
+lock, a ``threading.Lock`` it acquired itself and acquires a second time to
+park, queued in FIFO order behind the buffer.  A receive pops the buffer and
+moves the first blocked sender into the freed slot (at capacity 0 it takes
+the blocked sender's value directly), marks it done and releases its wake
+lock.  A receive that finds nothing parks a waiter, which the first sender
+to claim it serves.  A thread whose wait times out re-checks whether it was
+served meanwhile (a send by its ``done`` flag under the channel lock, a
+receive by trying to claim its own waiter), and if so the handoff completes
+as if the wait had not timed out.
 
-Wake protocol: a message costs one deque operation under the channel lock,
-and a wakeup primitive exists only for a thread that really blocks.  Such a
-thread parks on a ``threading.Lock`` it acquired itself (its *wake* lock) and
-acquires it a second time; whoever hands the message over releases it,
-exactly once.  A send into a buffer with room queues a handoff that is
-already accepted and builds no lock.  A send that must block (a rendezvous
-with no waiting receiver, or a full buffer) queues its handoff with a wake
-lock, which the receive that takes it, or the receive that frees it a buffer
-slot, releases.  A receive that finds nothing queues a waiter with a wake
-lock, which the one sender that claims the waiter releases.  A thread whose
-wait times out re-checks whether it was served meanwhile (a send under the
-channel lock, a receive by trying to claim its own waiter), and if so the
-handoff completes as if the wait had not timed out.
-
-Lock order: a sender holds its channel lock and then the waiter's claim lock;
-a selecting receiver holds all arm locks (in a canonical order) and then no
-claim lock.  The claim lock is always innermost, so there is no cycle.  Wake
-locks are only released under a channel lock and waited on under none.
+The multi-channel :func:`select` serves bare channels.  It takes its channel
+locks in ``id()`` order (the ids of live objects are distinct); a sender
+holds one channel lock and claims a waiter with a non-blocking ``acquire``,
+so no thread waits for a lock out of order.  Wake locks are released under a
+channel lock and waited on under none.
 """
 
 from __future__ import annotations
@@ -47,19 +43,17 @@ from .errors import ErrorKind, SessionRuntimeError
 
 @dataclass(frozen=True)
 class SyncRendezvous:
-    kind: str = "sync"
+    """Capacity 0: a send completes only when the matching receive is pending."""
 
 
 @dataclass(frozen=True)
 class AsyncBuffered:
     capacity: int = 1
-    kind: str = "async"
 
 
 @dataclass(frozen=True)
 class FramedSocket:
     host: str = "127.0.0.1"
-    kind: str = "framed"
 
 
 Transport = SyncRendezvous | AsyncBuffered | FramedSocket
@@ -88,94 +82,71 @@ def _wake_lock() -> threading.Lock:
 
 
 class _Waiter:
-    """One pending multi-channel receive.  First claimant wins."""
+    """One pending receive, on one channel or several.  ``claim`` is a
+    once-flag: whoever takes it with ``acquire(False)`` first serves the
+    waiter (a sender) or withdraws it (the waiter itself, on timeout)."""
 
-    __slots__ = ("lock", "wake", "claimed", "result")
+    __slots__ = ("claim", "wake", "result")
 
     def __init__(self) -> None:
-        self.lock = threading.Lock()
+        self.claim = threading.Lock()
         self.wake = _wake_lock()
-        self.claimed = False
         self.result: Optional[tuple["Channel", object]] = None
 
-    def try_claim(self) -> bool:
-        with self.lock:
-            if self.claimed:
-                return False
-            self.claimed = True
-            return True
 
-    def deliver(self, ch: "Channel", value: object) -> None:
-        """Hand ``value`` to the waiter; only its claimant calls this."""
-        self.result = (ch, value)
-        self.wake.release()
+class _Blocked:
+    """A sender that found no room; ``done`` is set, under the channel lock,
+    once its value is in the buffer or taken."""
 
-
-class _Handoff:
-    """A queued message.  ``wake`` is the blocked sender's wake lock, or None
-    when the message went into a buffer with room and nobody waits on it."""
-
-    __slots__ = ("value", "accepted", "taken", "wake")
+    __slots__ = ("value", "wake", "done")
 
     def __init__(self, value: object) -> None:
         self.value = value
-        self.accepted = False
-        self.taken = False
-        self.wake: Optional[threading.Lock] = None
+        self.wake = _wake_lock()
+        self.done = False
 
 
 class Channel:
     """A binary channel: rendezvous when ``capacity`` is 0, FIFO otherwise."""
 
-    _ids = 0
-    _ids_lock = threading.Lock()
-
     def __init__(self, capacity: int = 0) -> None:
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._q: deque[_Handoff] = deque()
+        self._buf: deque[object] = deque()
+        self._blocked: deque[_Blocked] = deque()
         self._waiters: list[_Waiter] = []
-        with Channel._ids_lock:
-            Channel._ids += 1
-            self._order = Channel._ids  # canonical lock order for select
 
     def send(self, value: object, timeout: Optional[float] = None) -> None:
         """Deliver ``value``."""
-        h = _Handoff(value)
         with self._lock:
-            if not self._q:
-                for w in list(self._waiters):
-                    if w.try_claim():
-                        self._waiters.remove(w)
-                        w.deliver(self, value)
-                        return
-                self._waiters.clear()
-            if len(self._q) < self.capacity:
-                h.accepted = True
-                self._q.append(h)
+            # an unclaimed waiter means the channel is empty; drop claimed ones
+            while self._waiters:
+                w = self._waiters.pop(0)
+                if w.claim.acquire(False):
+                    w.result = (self, value)
+                    w.wake.release()
+                    return
+            if len(self._buf) < self.capacity:
+                self._buf.append(value)
                 return
-            h.wake = _wake_lock()
-            self._q.append(h)
-        if not _wait(h.wake, timeout):
+            b = _Blocked(value)
+            self._blocked.append(b)
+        if not _wait(b.wake, timeout):
             with self._lock:
-                if not (h.taken or h.accepted):
-                    self._q.remove(h)
+                if not b.done:
+                    self._blocked.remove(b)
                     raise _timeout_error("send timed out with no matching receive")
-            # taken or accepted while we were timing out: the send completed
+            # served while we were timing out: the send completed
 
-    def _pop_locked(self) -> object:
-        h = self._q.popleft()
-        h.taken = True
-        if not h.accepted:  # its sender still waits on its wake lock
-            h.wake.release()
-        # Accepted handoffs are always the first min(capacity, len) entries,
-        # so the sender that now fits the buffer is the one at capacity - 1.
-        if len(self._q) >= self.capacity > 0:
-            pending = self._q[self.capacity - 1]
-            if not pending.accepted:
-                pending.accepted = True
-                pending.wake.release()
-        return h.value
+    def _take_locked(self) -> object:
+        """The next value.  The first blocked sender's value joins the back of
+        the buffer, which is full (capacity 0: empty), so FIFO order holds."""
+        if self._blocked:
+            b = self._blocked.popleft()
+            self._buf.append(b.value)
+            b.done = True
+            b.wake.release()
+        return self._buf.popleft()
 
     def receive(self, timeout: Optional[float] = None) -> object:
         _, value = select([self], timeout)
@@ -185,29 +156,24 @@ class Channel:
 def select(channels: Sequence[Channel], timeout: Optional[float] = None) -> tuple[int, object]:
     """Wait for a value on any of ``channels``; of several ready arms, the
     first in list order is taken.  Returns (index into channels, value)."""
-    if len(channels) == 1:
-        locked = channels
-    else:
-        locked = sorted(set(channels), key=lambda c: c._order)
-    w: Optional[_Waiter] = None
-
+    locked = channels if len(channels) == 1 else sorted(set(channels), key=id)
     for ch in locked:
         ch._lock.acquire()
     try:
         for i, ch in enumerate(channels):
-            if ch._q:
-                return i, ch._pop_locked()
+            if ch._buf or ch._blocked:
+                return i, ch._take_locked()
         w = _Waiter()
         for ch in locked:
             if ch._waiters:  # drop waiters already claimed elsewhere
-                ch._waiters[:] = [x for x in ch._waiters if not x.claimed]
+                ch._waiters[:] = [x for x in ch._waiters if not x.claim.locked()]
             ch._waiters.append(w)
     finally:
         for ch in reversed(locked):
             ch._lock.release()
 
     if not _wait(w.wake, timeout):
-        if w.try_claim():
+        if w.claim.acquire(False):
             raise _timeout_error("receive timed out with no pending send")
         w.wake.acquire()  # a sender won the race; the value is ours
     got_ch, value = w.result  # type: ignore[misc]
@@ -227,6 +193,8 @@ def encode_frame(ch: object, payload: object) -> bytes:
     """Wire format: 4-byte big-endian length, then UTF-8 JSON of the header
     ``ch`` (a session's frames carry the label name) and the payload."""
     body = json.dumps({"ch": ch, "payload": payload}, sort_keys=True).encode("utf-8")
+    if len(body) > _MAX_FRAME:  # the reader would refuse it and lose the stream
+        raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"oversized frame: {len(body)}")
     return _LEN.pack(len(body)) + body
 
 
@@ -260,9 +228,14 @@ class FramedLink:
         self.read_lock = threading.Lock()
 
     def send(self, message: tuple[str, object], timeout: Optional[float] = None) -> None:
-        label, payload = message
+        frame = encode_frame(*message)
         with self.write_lock:
-            self.out_sock.sendall(encode_frame(label, payload))
+            try:
+                self.out_sock.sendall(frame)
+            except socket.timeout:
+                raise _timeout_error("send timed out on socket") from None
+            except OSError as e:
+                raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"send failed: {e}") from None
 
     def receive(self, timeout: Optional[float] = None) -> tuple[object, object]:
         with self.read_lock:

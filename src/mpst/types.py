@@ -117,14 +117,6 @@ class EndT(LocalType):
 END_T = EndT()
 
 
-def select(peer: Role, branches) -> Select:
-    return Select(peer, branches)
-
-
-def branch(peer: Role, branches) -> Branch:
-    return Branch(peer, branches)
-
-
 def _free_vars(t: LocalType, bound: frozenset[str] = frozenset()) -> frozenset[str]:
     if isinstance(t, DirectedChoice):
         out: frozenset[str] = frozenset()
@@ -481,8 +473,16 @@ def local_type_to_json(t: LocalType):
     }
 
 
+def format_sort(sort: PayloadSort) -> str:
+    """A payload sort in the protocol-file syntax, e.g. ``session(!s{...})``."""
+    if isinstance(sort, SessionSort):
+        return f"session({format_local_type(sort.local)})"
+    return sort.sort_name()
+
+
 def format_local_type(t: LocalType) -> str:
-    """Compact human-readable rendering, e.g. ``!s{auth(string): ...}``."""
+    """Compact rendering in the protocol-file syntax, which parses back to
+    ``t``, e.g. ``!s{auth(string): end}``."""
     if isinstance(t, EndT):
         return "end"
     if isinstance(t, VarT):
@@ -490,5 +490,7 @@ def format_local_type(t: LocalType) -> str:
     if isinstance(t, RecT):
         return f"rec {t.var} . {format_local_type(t.body)}"
     mark = "!" if isinstance(t, Select) else "?"
-    inner = ", ".join(f"{l}: {format_local_type(c)}" for l, c in t.branches)
-    return f"{mark}{t.peer}{{{inner}}}"
+    inner = ", ".join(
+        f"{l.name}({format_sort(l.payload)}): {format_local_type(c)}" for l, c in t.branches
+    )
+    return f"{mark}{t.peer.name}{{{inner}}}"

@@ -6,10 +6,11 @@ import pytest
 
 from corpus import finite_corpus, oauth
 from mpst import SessionSort, parse_protocol, parse_scenario, print_protocol
-from mpst.dsl import protocol_file_for
+from mpst.dsl import _Parser, protocol_file_for
 from mpst.errors import ParseError
 from mpst.protocol import Comm
 from mpst.scripts import CloseStep, ReceiveStep, ReuseStep, SendStep
+from mpst.types import format_local_type, type_global
 
 OAUTH_TEXT = """protocol oAuth (roles s, c, a) {
   s -> c : login(string);
@@ -74,7 +75,7 @@ def test_builder_roundtrip_on_generated_protocols():
 
 
 def test_session_sort_roundtrip():
-    from corpus import delegation_protocol
+    from corpus import P, delegation_protocol
 
     g = delegation_protocol()
     pf = protocol_file_for("handoff", g)
@@ -82,6 +83,12 @@ def test_session_sort_roundtrip():
     assert back.body == g
     lab = back.body.label
     assert isinstance(lab.payload, SessionSort)
+    # the local-type printer uses the same syntax, so its output parses back
+    for t in [lab.payload.local, *type_global(g).values()]:
+        parser = _Parser(format_local_type(t))
+        assert parser.parse_local() == t
+        parser.expect("eof", "end of input")
+    assert format_local_type(type_global(g)[P]) == "!q{hand(session(?p{bye(unit): end})): end}"
 
 
 def test_implicit_end_at_block_close():

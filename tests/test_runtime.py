@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -171,6 +172,43 @@ def test_receive_timeout_reports_deadlock_kind():
     with pytest.raises(SessionRuntimeError) as e:
         sess.endpoints[C].receive(S)
     assert e.value.kind is ErrorKind.TIMEOUT
+
+
+def test_concurrent_sends_on_one_stage_have_one_winner():
+    # A buffer of 8 has room for every racer, so only the linearity cell
+    # stands between them and the link.  A check-then-set flag in place of
+    # the lock lost 2 rounds in 500 when tried, so 1000 rounds are likely to
+    # show such a race.
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(1000):
+            sess = open_session(comm(P, Q, Label("m", INT), end_()), AsyncBuffered(8))
+            ep = sess.endpoints[P]
+            start = threading.Barrier(8)
+            sent, refused, other = [], [], []
+
+            def racer(k):
+                start.wait()
+                try:
+                    ep.send(Q, "m", k)
+                    sent.append(k)
+                except SessionRuntimeError as e:
+                    (refused if e.kind is ErrorKind.INVALID_ENDPOINT else other).append(e)
+
+            threads = [threading.Thread(target=racer, args=(k,), daemon=True) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+            assert other == [] and len(sent) == 1 and len(refused) == 7
+            (link,) = sess.channels.links
+            assert link.receive(timeout=0) == ("m", sent[0])
+            with pytest.raises(SessionRuntimeError) as e:
+                link.receive(timeout=0)  # exactly one message reached the link
+            assert e.value.kind is ErrorKind.TIMEOUT
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_sibling_stage_exclusivity():

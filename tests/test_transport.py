@@ -91,9 +91,10 @@ def test_blocked_senders_take_freed_slots_in_fifo_order():
         threads.append(threading.Thread(target=sender, daemon=True))
         threads[-1].start()
         deadline = time.monotonic() + 5
-        while len(ch._q) < 3 + k and time.monotonic() < deadline:  # queued in order
+        while len(ch._blocked) < 1 + k and time.monotonic() < deadline:  # queued in order
             time.sleep(0.001)
-        assert len(ch._q) == 3 + k
+        assert list(ch._buf) == [0, 1]
+        assert [b.value for b in ch._blocked] == list(range(2, 3 + k))
     assert not any(d.is_set() for d in done)
     got = []
     for k in range(3):
@@ -111,7 +112,7 @@ def test_send_into_a_buffer_with_room_builds_no_wake_lock():
     ch = Channel(2)
     ch.send(0, timeout=1)
     ch.send(1, timeout=1)
-    assert [h.wake for h in ch._q] == [None, None]
+    assert list(ch._buf) == [0, 1] and not ch._blocked  # plain values, no record
     done = threading.Event()
 
     def third():
@@ -121,16 +122,16 @@ def test_send_into_a_buffer_with_room_builds_no_wake_lock():
     t = threading.Thread(target=third, daemon=True)
     t.start()
     deadline = time.monotonic() + 5
-    while len(ch._q) < 3 and time.monotonic() < deadline:
+    while not ch._blocked and time.monotonic() < deadline:
         time.sleep(0.001)
-    blocked = ch._q[2]
-    assert blocked.wake is not None and blocked.wake.locked()  # the full buffer blocks it
+    blocked = ch._blocked[0]
+    assert blocked.wake.locked()  # the full buffer blocks it
     assert not done.is_set()
     assert ch.receive(timeout=1) == 0  # frees a slot: the blocked send is accepted
     assert done.wait(5)
     t.join(5)
     assert not t.is_alive()
-    assert blocked.accepted
+    assert blocked.done and not ch._blocked
     assert [ch.receive(timeout=1) for _ in range(2)] == [1, 2]
 
 
@@ -266,7 +267,8 @@ def test_wait_that_times_out_after_being_served_completes(monkeypatch, case):
     if case == "promoted-send":
         got.append(ch.receive(timeout=1))
     assert got == (["first", "v"] if case == "promoted-send" else ["v"])
-    assert not ch._q and not [w for w in ch._waiters if not w.claimed]
+    assert not ch._buf and not ch._blocked
+    assert not [w for w in ch._waiters if not w.claim.locked()]
 
 
 def test_send_timeout_is_timeout_kind():
@@ -343,6 +345,38 @@ def test_frame_roundtrip_over_socketpair():
     finally:
         left.close()
         right.close()
+
+
+def test_oversized_frame_is_refused_before_it_is_written(monkeypatch):
+    monkeypatch.setattr(transport, "_MAX_FRAME", 64)
+    left, right = socket.socketpair()
+    link = transport.FramedLink(left, right)
+    try:
+        with pytest.raises(SessionRuntimeError) as e:
+            link.send(("m", "x" * 100))
+        assert e.value.kind is ErrorKind.TRANSPORT_ERROR
+        link.send(("m", 1))
+        assert link.receive(timeout=1) == ("m", 1)  # the stream is still in step
+    finally:
+        link.close()
+
+
+@pytest.mark.parametrize("case", ["closed", "full"])
+def test_framed_send_failure_has_an_error_kind(case):
+    left, right = socket.socketpair()
+    link = transport.FramedLink(left, right)
+    if case == "closed":
+        left.close()
+        message, kind = ("m", 1), ErrorKind.TRANSPORT_ERROR
+    else:  # nobody reads, so a frame larger than the socket buffers blocks
+        left.settimeout(0.05)
+        message, kind = ("m", "x" * (4 << 20)), ErrorKind.TIMEOUT
+    try:
+        with pytest.raises(SessionRuntimeError) as e:
+            link.send(message)
+        assert e.value.kind is kind
+    finally:
+        link.close()
 
 
 def test_frame_rejects_short_stream():
