@@ -1,7 +1,7 @@
 """Micro-benchmarks: session runtime against a bare-channel baseline.
 
 Both variants run the same message pattern over the same transport
-machinery; the session rows therefore isolate the cost of channel vectors,
+machinery; the session rows therefore isolate the cost of walking local types,
 linearity cells, and endpoint bookkeeping.  Absolute numbers are machine
 noise; the interesting column is the ratio.
 """

@@ -7,10 +7,11 @@ labelled receive.  Vectors are built from the node set of ``types``: only
 :class:`OutRec` and :class:`WrappedInp` are vector-specific, and a local type
 is a vector with its channels erased (:func:`typecheck_cv`).  Choice branches
 are merged per role by ``types.merge``, which unifies the channel names of
-shared labels through a union-find kept in the :class:`ChannelTable`.  The
-table is used at compile time only, for the payload sort of each class: a
-name's key is its allocation slot, and the runtime binds each slot to the
-link of its (sender, receiver) pair when a session opens.
+shared labels through a union-find kept in the :class:`ChannelTable`.  Vectors
+and the table live at compile time only: the table gives each class its
+payload sort (a name's key is its allocation slot) and the role pairs that
+carry messages, and the runtime walks the re-typed local types, binding one
+link per (sender, receiver) pair when a session opens.
 """
 
 from __future__ import annotations
@@ -81,14 +82,14 @@ class ChannelName:
         return f"<{self.from_role},{self.to_role},{self.label.name},{self.index}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutRec(DirectedChoice):
     """Output record toward ``peer``: branches of (label, channel, continuation)."""
 
     output = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WrappedInp(DirectedChoice):
     """Multiplexed input from ``peer``: branches of (label, channel, continuation)."""
 
@@ -273,9 +274,6 @@ def typecheck_cv(
     sort and the label it is used under is a :class:`CvTypeError`.
     """
 
-    def resolve(key: int) -> int:
-        return table.find(key) if table is not None else key
-
     def go(v: ChannelVector) -> LocalType:
         if isinstance(v, (EndT, VarT)):
             return v
@@ -284,7 +282,7 @@ def typecheck_cv(
         if isinstance(v, (OutRec, WrappedInp)):
             out = []
             for l, s, k in v.branches:
-                key = resolve(s.key)
+                key = table.find(s.key) if table is not None else s.key
                 if key not in env:
                     raise CvTypeError(ErrorKind.PAYLOAD_MISMATCH,
                                       f"channel {s} is not covered by the environment")

@@ -1,16 +1,15 @@
-"""Session runtime: affine endpoints over channel vectors.
+"""Session runtime: affine endpoints that walk compiled local types.
 
-A protocol is compiled once per protocol object and role tuple, and the
-compile's union-find is not used after it.  A session binds one link per
-directed role pair, a FIFO of ``(label name, payload)`` messages on every
-transport: a send puts its label and payload on the link to the peer, and a
-receive takes the head of the link from the peer and picks its branch by the
-label name.  Each slot's pair is found at compile time, so an operation finds
-its link by a list index.
+A protocol is compiled once per protocol object and role tuple, to one local
+type per role and the directed role pairs that carry messages; its channel
+vectors are not kept.  A session binds one link per directed role pair, a
+FIFO of ``(label name, payload)`` messages on every transport: a send puts
+its label and payload on the link to the peer, and a receive takes the head
+of the link from the peer and picks its branch by the label name.
 
 An :class:`Endpoint` is one role's live handle into a session at one
 protocol stage: the role's seat (role, links, monitor and timeout, built
-once per session), the stage's channel vector, and a fresh
+once per session), the stage's local type, and a fresh
 :class:`LinearityCell`.  The cell is one ``threading.Lock`` taken with a
 non-blocking ``acquire`` and never released, so exactly one caller wins it.
 The first operation (send, receive, close, or being delegated away) consumes
@@ -27,15 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .chanvec import (
-    ChannelName,
-    ChannelVector,
-    OutRec,
-    WrappedInp,
-    eval_global,
-    typecheck_cv,
-    unfold_cv,
-)
+from .chanvec import eval_global, typecheck_cv, unfold_cv
 from .errors import ErrorKind, SessionRuntimeError, ShapeError
 from .protocol import (
     BOOL,
@@ -131,11 +122,8 @@ class SessionMonitor:
                     return False, f"{role_name} performed {ev.kind} at a {type(cursor).__name__} stage"
                 if ev.peer is None or cursor.peer.name != ev.peer.name:
                     return False, f"{role_name} talked to {ev.peer} instead of {cursor.peer}"
-                nxt = None
-                for l, c in cursor.branches:
-                    if ev.label is not None and l.name == ev.label.name:
-                        nxt = c
-                        break
+                name = ev.label.name if ev.label is not None else None
+                nxt = next((c for l, c in cursor.branches if l.name == name), None)
                 if nxt is None:
                     return False, f"{role_name} used unknown label {ev.label}"
                 cursor = unfold_type(nxt)
@@ -166,14 +154,11 @@ class LinearityCell:
 class CompiledProtocol:
     """One protocol compiled for one role tuple, shared by all its sessions.
     ``pairs`` are the directed (sender, receiver) role-name pairs that carry
-    messages, and ``slot_pair`` maps each channel slot to its index there."""
+    messages."""
 
     roles: tuple[Role, ...]
-    vectors: tuple[ChannelVector, ...]
     local_types: dict[Role, LocalType]
-    env: dict[int, PayloadSort]
     pairs: tuple[tuple[str, str], ...]
-    slot_pair: tuple[int, ...]
 
 
 def _compile(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledProtocol:
@@ -184,11 +169,8 @@ def _compile(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledPr
     vectors, table = eval_global(g, None, tuple_roles)
     env = table.payload_env()
     local = {r: typecheck_cv(v, env) for r, v in zip(tuple_roles, vectors)}
-    pair_of: dict[tuple[str, str], int] = {}
-    slot_pair = tuple(
-        pair_of.setdefault((n.from_role.name, n.to_role.name), len(pair_of)) for n in table.names
-    )
-    return CompiledProtocol(tuple_roles, vectors, local, env, tuple(pair_of), slot_pair)
+    pairs = dict.fromkeys((n.from_role.name, n.to_role.name) for n in table.names)
+    return CompiledProtocol(tuple_roles, local, tuple(pairs))
 
 
 def _compiled_for(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledProtocol:
@@ -203,11 +185,9 @@ def _compiled_for(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> Compi
 
 class SessionChannels:
     """One session's links, one per directed role pair: a :class:`Channel`
-    in process or a :class:`FramedLink` over TCP.  ``channels`` holds each
-    slot's pair link in a list indexed by slot."""
+    in process or a :class:`FramedLink` over TCP."""
 
     def __init__(self, transport: Transport, compiled: CompiledProtocol) -> None:
-        self.env = compiled.env
         if isinstance(transport, (SyncRendezvous, AsyncBuffered)):
             cap = transport.capacity if isinstance(transport, AsyncBuffered) else 0
             self.links = [Channel(cap) for _ in compiled.pairs]
@@ -215,10 +195,12 @@ class SessionChannels:
             self.links = connect_pairs(transport.host, compiled.pairs)
         else:
             raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"unknown transport {transport!r}")
-        self.channels = [self.links[p] for p in compiled.slot_pair]
+        self._to: dict[str, dict[str, object]] = {}  # sender -> receiver -> link
+        for (sender, receiver), link in zip(compiled.pairs, self.links):
+            self._to.setdefault(sender, {})[receiver] = link
 
-    def channel_for(self, name: ChannelName):
-        return self.channels[name.key]
+    def channel_for(self, sender: str, receiver: str):
+        return self._to[sender][receiver]
 
     def close(self) -> None:
         for link in self.links:
@@ -235,8 +217,6 @@ def _payload_matches(sort: PayloadSort, value: object) -> bool:
         return isinstance(value, int) and not isinstance(value, bool)
     if sort == STRING:
         return isinstance(value, str)
-    if isinstance(sort, SessionSort):
-        return isinstance(value, Endpoint)
     return False
 
 
@@ -253,11 +233,11 @@ class _Seat:
 class Endpoint:
     """A role's affine handle at one protocol stage."""
 
-    __slots__ = ("seat", "vector", "cell")
+    __slots__ = ("seat", "stage", "cell")
 
-    def __init__(self, seat: _Seat, vector: ChannelVector) -> None:
+    def __init__(self, seat: _Seat, stage: LocalType) -> None:
         self.seat = seat
-        self.vector = unfold_cv(vector)
+        self.stage = unfold_cv(stage)
         self.cell = LinearityCell()
 
     def _consume(self) -> None:
@@ -266,37 +246,31 @@ class Endpoint:
                 ErrorKind.INVALID_ENDPOINT, f"endpoint of {self.seat.role} was already used"
             )
 
-    def remaining_type(self) -> LocalType:
-        return typecheck_cv(self.vector, self.seat.links.env)
-
     def send(self, peer: Role, label: Label | str, payload: object = None) -> "Endpoint":
         seat = self.seat
-        head = self.vector
+        head = self.stage
         if self.cell.used:
             self._consume()  # raises InvalidEndpoint
-        if not isinstance(head, OutRec):
+        if not isinstance(head, Select):
             raise SessionRuntimeError(
                 ErrorKind.WRONG_PEER,
                 f"{seat.role} tried to send but the protocol expects "
-                f"{'a receive' if isinstance(head, WrappedInp) else 'close'} here",
+                f"{'a receive' if isinstance(head, Branch) else 'close'} here",
             )
         if head.peer.name != (peer.name if isinstance(peer, Role) else peer):
             raise SessionRuntimeError(
                 ErrorKind.WRONG_PEER, f"{seat.role} must talk to {head.peer} here, not {peer}"
             )
         label_name = label.name if isinstance(label, Label) else label
-        entry = None
-        for l, s, cont in head.branches:
+        for l, cont in head.branches:
             if l.name == label_name:
-                entry = (l, s, cont)
                 break
-        if entry is None:
+        else:
             raise SessionRuntimeError(
                 ErrorKind.UNKNOWN_LABEL,
                 f"label {label_name} is not offered here (have {head.labels()})",
             )
-        l, name, cont = entry
-        link = seat.links.channel_for(name)
+        link = seat.links.channel_for(seat.role.name, head.peer.name)
         wire = payload
         if isinstance(l.payload, SessionSort):
             wire = self._prepare_delegation(l.payload, payload, link)
@@ -321,33 +295,33 @@ class Endpoint:
                 ErrorKind.DELEGATION_UNSUPPORTED,
                 "endpoints cannot be delegated across a framed socket",
             )
-        if not subtype(payload.remaining_type(), sort.local):
+        if not subtype(payload.stage, sort.local):
             raise SessionRuntimeError(
                 ErrorKind.PAYLOAD_SORT_MISMATCH,
                 "delegated endpoint does not implement the declared session type",
             )
         payload._consume()  # the sender's handle dies; raises if already used
-        return Endpoint(payload.seat, payload.vector)
+        return Endpoint(payload.seat, payload.stage)
 
     def receive(self, peer: Role) -> tuple[Label, object, "Endpoint"]:
         seat = self.seat
-        head = self.vector
+        head = self.stage
         if self.cell.used:
             self._consume()
-        if not isinstance(head, WrappedInp):
+        if not isinstance(head, Branch):
             raise SessionRuntimeError(
                 ErrorKind.WRONG_PEER,
                 f"{seat.role} tried to receive but the protocol expects "
-                f"{'a send' if isinstance(head, OutRec) else 'close'} here",
+                f"{'a send' if isinstance(head, Select) else 'close'} here",
             )
         if head.peer.name != (peer.name if isinstance(peer, Role) else peer):
             raise SessionRuntimeError(
                 ErrorKind.WRONG_PEER, f"{seat.role} must listen to {head.peer} here, not {peer}"
             )
         self._consume()
-        # every arm has the one sender head.peer, so they share its pair link
-        label_name, value = seat.links.channel_for(head.branches[0][1]).receive(seat.timeout)
-        for label, _, cont in head.branches:  # labels are unique within one receive
+        link = seat.links.channel_for(head.peer.name, seat.role.name)
+        label_name, value = link.receive(seat.timeout)
+        for label, cont in head.branches:  # labels are unique within one receive
             if label.name == label_name:
                 break
         else:
@@ -362,7 +336,7 @@ class Endpoint:
         seat = self.seat
         if self.cell.used:
             self._consume()
-        if not isinstance(self.vector, EndT):
+        if not isinstance(self.stage, EndT):
             raise SessionRuntimeError(
                 ErrorKind.PROTOCOL_NOT_FINISHED,
                 f"{seat.role} closed with protocol steps remaining",
@@ -396,16 +370,15 @@ def open_session(
     """Check a protocol, compile it, bind a transport, and hand out endpoints.
 
     ``g`` is compiled on its first open with these ``roles``; shape and
-    typing failures are raised before any transport is bound.  The local
-    types (for the monitor and ``Session.local_types``) are the
-    channel-erased vectors.
+    typing failures are raised before any transport is bound.  Each
+    endpoint starts at its role's local type, the one the monitor and
+    ``Session.local_types`` hold.
     """
     compiled = _compiled_for(g, tuple(roles) if roles is not None else None)
     channels = SessionChannels(transport, compiled)
     local = dict(compiled.local_types)
     monitor = SessionMonitor(local) if monitored else None
     endpoints = {
-        r: Endpoint(_Seat(r, channels, monitor, timeout), v)
-        for r, v in zip(compiled.roles, compiled.vectors)
+        r: Endpoint(_Seat(r, channels, monitor, timeout), t) for r, t in local.items()
     }
     return Session(compiled.roles, endpoints, monitor, channels, local)

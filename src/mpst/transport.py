@@ -219,7 +219,10 @@ def read_frame(sock: socket.socket) -> tuple[object, object]:
 
 class FramedLink:
     """One direction of a role pair's TCP connection: the sender writes
-    frames on its end, and the receiver reads them from the other end."""
+    frames on its end, and the receiver reads them from the other end.
+
+    Both operations wait at most their ``timeout``.  A send that times out
+    may have written part of its frame, and the link is unusable after it."""
 
     def __init__(self, out_sock: socket.socket, in_sock: socket.socket) -> None:
         self.out_sock = out_sock
@@ -231,6 +234,7 @@ class FramedLink:
         frame = encode_frame(*message)
         with self.write_lock:
             try:
+                self.out_sock.settimeout(timeout)  # also the reverse link's in_sock, set alike
                 self.out_sock.sendall(frame)
             except socket.timeout:
                 raise _timeout_error("send timed out on socket") from None

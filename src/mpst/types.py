@@ -48,6 +48,22 @@ class LocalType:
         return _free_vars(self)
 
 
+def _hash_once(cls):
+    """Keep a compound node's structural hash on it after its first use, as
+    ``_unfolded`` is kept: ``subtype``'s assumed set and ``merge``'s memo
+    hash whole trees at every step.  The node is frozen, so the hash holds."""
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = structural(self)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 def _canon_branches(branches) -> tuple[tuple[Label, "LocalType"], ...]:
     if isinstance(branches, Mapping):
         items = list(branches.items())
@@ -62,13 +78,15 @@ def _canon_branches(branches) -> tuple[tuple[Label, "LocalType"], ...]:
     return tuple(items)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class DirectedChoice(LocalType):
     """A choice made by or offered to one ``peer``.
 
     Each entry of ``branches`` starts with its label and ends with its
     continuation: ``(label, cont)`` in a local type, ``(label, channel,
-    cont)`` in a channel vector.
+    cont)`` in a channel vector.  Subclasses add no fields and are declared
+    with ``eq=False``, so they share this equality and its cached hash.
     """
 
     peer: Role
@@ -80,7 +98,7 @@ class DirectedChoice(LocalType):
         return [e[0].name for e in self.branches]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Select(DirectedChoice):
     """Internal choice: this role picks one label to send to ``peer``."""
 
@@ -90,7 +108,7 @@ class Select(DirectedChoice):
         object.__setattr__(self, "branches", _canon_branches(self.branches))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Branch(DirectedChoice):
     """External choice: ``peer`` picks one label this role must receive."""
 
@@ -98,6 +116,7 @@ class Branch(DirectedChoice):
         object.__setattr__(self, "branches", _canon_branches(self.branches))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class RecT(LocalType):
     var: str

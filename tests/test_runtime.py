@@ -284,6 +284,33 @@ def test_delegation_roundtrip():
     run_threads(deleg, take, inner_p)
 
 
+def test_warm_delegation_re_types_nothing(monkeypatch):
+    from mpst import runtime
+
+    bye = Label("bye", UNIT)
+    inner_g = comm(P, Q, bye, end_())
+    handoff = comm(
+        Role("owner"), Role("taker"), Label("hand", SessionSort(project(inner_g, Q))), end_()
+    )
+    inner = open_session(inner_g, AsyncBuffered(1))
+    outer = open_session(handoff, AsyncBuffered(1))
+
+    def retyped(*args):
+        raise AssertionError("a delegation re-typed its endpoint")
+
+    monkeypatch.setattr(runtime, "typecheck_cv", retyped)
+    owner, taker = Role("owner"), Role("taker")
+    delegated = inner.endpoints[Q]
+    outer.endpoints[owner].send(taker, "hand", delegated).close()
+    _, live, ep = outer.endpoints[taker].receive(owner)
+    ep.close()
+    assert live.stage is delegated.stage
+    inner.endpoints[P].send(Q, "bye", None).close()
+    label, _, live = live.receive(P)
+    assert label.name == "bye"
+    live.close()
+
+
 def test_delegation_subtype_enforced():
     wrong = comm(P, Q, Label("other", UNIT), end_())
     expected = comm(P, Q, Label("bye", UNIT), end_())
@@ -363,6 +390,28 @@ def test_framed_transport_full_protocol():
         run_threads(client, server)
         ok, why = sess.monitor.verdict()
         assert ok, why
+    finally:
+        sess.close_transport()
+
+
+def test_framed_send_times_out_with_the_session_timeout():
+    from mpst.protocol import STRING
+
+    sess = open_session(comm(P, Q, Label("m", STRING), end_()), FramedSocket(), timeout=0.2)
+    errors = []
+
+    def send():  # nobody receives, so the frame outgrows the socket buffers
+        try:
+            sess.endpoints[P].send(Q, "m", "x" * (15 << 20))
+        except SessionRuntimeError as e:
+            errors.append(e.kind)
+
+    t = threading.Thread(target=send, daemon=True)
+    try:
+        t.start()
+        t.join(5)
+        assert not t.is_alive(), "the framed send outlived the session timeout"
+        assert errors == [ErrorKind.TIMEOUT]
     finally:
         sess.close_transport()
 

@@ -369,11 +369,10 @@ def test_framed_send_failure_has_an_error_kind(case):
         left.close()
         message, kind = ("m", 1), ErrorKind.TRANSPORT_ERROR
     else:  # nobody reads, so a frame larger than the socket buffers blocks
-        left.settimeout(0.05)
         message, kind = ("m", "x" * (4 << 20)), ErrorKind.TIMEOUT
     try:
         with pytest.raises(SessionRuntimeError) as e:
-            link.send(message)
+            link.send(message, timeout=0.05)
         assert e.value.kind is kind
     finally:
         link.close()
