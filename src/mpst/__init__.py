@@ -16,7 +16,6 @@ role over automatically wired binary channels:
 from .errors import (
     CvTypeError,
     ErrorKind,
-    EvalError,
     MpstError,
     ParseError,
     ProtocolTypeError,
@@ -77,12 +76,10 @@ from .chanvec import (
     dump_channel_vectors,
     eval_global,
     fixv,
-    nth,
-    proj_field,
     typecheck_cv,
     unfold_cv,
 )
-from .transport import AsyncBuffered, Channel, FramedSocket, SyncRendezvous, Transport, select
+from .transport import AsyncBuffered, Channel, FramedSocket, SyncRendezvous, Transport
 from .runtime import (
     Endpoint,
     EventKind,

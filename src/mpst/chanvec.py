@@ -17,9 +17,9 @@ link per (sender, receiver) pair when a session opens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
-from .errors import ErrorKind, EvalError, CvTypeError, Path, ProtocolTypeError
+from .errors import ErrorKind, CvTypeError, Path, ProtocolTypeError
 from .protocol import (
     ClosedAt,
     Choice,
@@ -141,29 +141,6 @@ class ChannelTable:
     def payload_env(self) -> dict[int, PayloadSort]:
         """Every slot's payload sort, which is that of its class representative."""
         return {n.key: self.canonical(n).label.payload for n in self.names}
-
-
-def proj_field(c: ChannelVector, key: Union[Role, Label, str]):
-    """Record projection: by peer role on the outer record, by label inside.
-
-    Projecting a label out of an output record returns the (channel,
-    continuation) pair with the continuation unfolded.
-    """
-    c = unfold_cv(c)
-    if isinstance(key, Role):
-        if isinstance(c, (OutRec, WrappedInp)) and c.peer == key:
-            return c
-        raise EvalError(ErrorKind.MISSING_FIELD, f"no field for peer {key}")
-    name = key.name if isinstance(key, Label) else key
-    if isinstance(c, (OutRec, WrappedInp)):
-        for l, s, cont in c.branches:
-            if l.name == name:
-                return (s, unfold_cv(cont))
-    raise EvalError(ErrorKind.MISSING_FIELD, f"no field {name}")
-
-
-def nth(t: Sequence[ChannelVector], i: int) -> ChannelVector:
-    return t[i]
 
 
 def fixv(var: str, c: ChannelVector) -> ChannelVector:

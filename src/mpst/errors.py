@@ -26,9 +26,6 @@ class ErrorKind(str, Enum):
     UNCLOSED_ROLE = "UnclosedRole"
     UNBOUND_TYPE_VAR = "UnboundTypeVar"
 
-    # channel-vector projection
-    MISSING_FIELD = "MissingField"
-
     # runtime
     INVALID_ENDPOINT = "InvalidEndpoint"
     WRONG_PEER = "WrongPeer"
@@ -81,10 +78,6 @@ class ShapeError(MpstError):
 
 class ProtocolTypeError(MpstError):
     """A well-formedness violation found while typing, compiling or projecting."""
-
-
-class EvalError(MpstError):
-    """A missing field when projecting out of a channel vector."""
 
 
 class CvTypeError(MpstError):

@@ -9,27 +9,26 @@ is a :class:`FramedLink`, one direction of the pair's connection, whose
 frames are headed by the label name.
 
 A channel keeps the values it has accepted as plain values in one deque, at
-most ``capacity`` of them.  Only a sender that finds no waiting receiver and
-no room (at capacity 0 there never is) gets a record: its value and a *wake*
-lock, a ``threading.Lock`` it acquired itself and acquires a second time to
-park, queued in FIFO order behind the buffer.  A receive pops the buffer and
-moves the first blocked sender into the freed slot (at capacity 0 it takes
-the blocked sender's value directly), marks it done and releases its wake
-lock.  A receive that finds nothing parks a waiter, which the first sender
-to claim it serves.  A thread whose wait times out re-checks whether it was
-served meanwhile (a send by its ``done`` flag under the channel lock, a
-receive by trying to claim its own waiter), and if so the handoff completes
-as if the wait had not timed out.
+most ``capacity`` of them.  Only a thread that must wait gets a record: its
+value, a ``done`` flag and a *wake* lock, a ``threading.Lock`` it acquired
+itself and acquires a second time to park.  A sender that finds neither a
+parked receiver nor room (at capacity 0 there never is) queues its record
+behind the buffer; a receive pops the buffer and moves the first blocked
+sender into the freed slot (at capacity 0 it takes that sender's value
+directly).  A receive that finds nothing parks its record, and the next send
+fills it.  The serving thread sets the record's value and ``done`` under the
+channel lock and then releases its wake lock; a thread whose wait times out
+re-checks ``done`` under that lock, and if it was served meanwhile the
+handoff completes as if the wait had not timed out.
 
-The multi-channel :func:`select` serves bare channels.  It takes its channel
-locks in ``id()`` order (the ids of live objects are distinct); a sender
-holds one channel lock and claims a waiter with a non-blocking ``acquire``,
-so no thread waits for a lock out of order.  Wake locks are released under a
-channel lock and waited on under none.
+A channel has one receiving role, so it has one receiver slot, an operation
+takes no lock but its channel's, and a second concurrent receive raises
+``TransportError``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import struct
@@ -81,55 +80,45 @@ def _wake_lock() -> threading.Lock:
     return wake
 
 
-class _Waiter:
-    """One pending receive, on one channel or several.  ``claim`` is a
-    once-flag: whoever takes it with ``acquire(False)`` first serves the
-    waiter (a sender) or withdraws it (the waiter itself, on timeout)."""
-
-    __slots__ = ("claim", "wake", "result")
-
-    def __init__(self) -> None:
-        self.claim = threading.Lock()
-        self.wake = _wake_lock()
-        self.result: Optional[tuple["Channel", object]] = None
-
-
-class _Blocked:
-    """A sender that found no room; ``done`` is set, under the channel lock,
-    once its value is in the buffer or taken."""
+class _Parked:
+    """A thread parked on a channel: a blocked sender with its value, or the
+    receiver, whose value the serving send puts here.  ``value`` and ``done``
+    are set under the channel lock before ``wake`` is released."""
 
     __slots__ = ("value", "wake", "done")
 
-    def __init__(self, value: object) -> None:
+    def __init__(self, value: object = None) -> None:
         self.value = value
         self.wake = _wake_lock()
         self.done = False
 
 
 class Channel:
-    """A binary channel: rendezvous when ``capacity`` is 0, FIFO otherwise."""
+    """A link with one receiving role: rendezvous when ``capacity`` is 0,
+    FIFO otherwise.  At most one receive may be pending; a second concurrent
+    receive raises ``TransportError``."""
 
     def __init__(self, capacity: int = 0) -> None:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._buf: deque[object] = deque()
-        self._blocked: deque[_Blocked] = deque()
-        self._waiters: list[_Waiter] = []
+        self._blocked: deque[_Parked] = deque()
+        self._receiver: Optional[_Parked] = None
 
     def send(self, value: object, timeout: Optional[float] = None) -> None:
         """Deliver ``value``."""
         with self._lock:
-            # an unclaimed waiter means the channel is empty; drop claimed ones
-            while self._waiters:
-                w = self._waiters.pop(0)
-                if w.claim.acquire(False):
-                    w.result = (self, value)
-                    w.wake.release()
-                    return
+            r = self._receiver
+            if r is not None:  # the receiver is parked, so the channel is empty
+                self._receiver = None
+                r.value = value
+                r.done = True
+                r.wake.release()
+                return
             if len(self._buf) < self.capacity:
                 self._buf.append(value)
                 return
-            b = _Blocked(value)
+            b = _Parked(value)
             self._blocked.append(b)
         if not _wait(b.wake, timeout):
             with self._lock:
@@ -149,38 +138,27 @@ class Channel:
         return self._buf.popleft()
 
     def receive(self, timeout: Optional[float] = None) -> object:
-        _, value = select([self], timeout)
+        _, value = select((self,), timeout)
         return value
 
 
 def select(channels: Sequence[Channel], timeout: Optional[float] = None) -> tuple[int, object]:
-    """Wait for a value on any of ``channels``; of several ready arms, the
-    first in list order is taken.  Returns (index into channels, value)."""
-    locked = channels if len(channels) == 1 else sorted(set(channels), key=id)
-    for ch in locked:
-        ch._lock.acquire()
-    try:
-        for i, ch in enumerate(channels):
-            if ch._buf or ch._blocked:
-                return i, ch._take_locked()
-        w = _Waiter()
-        for ch in locked:
-            if ch._waiters:  # drop waiters already claimed elsewhere
-                ch._waiters[:] = [x for x in ch._waiters if not x.claim.locked()]
-            ch._waiters.append(w)
-    finally:
-        for ch in reversed(locked):
-            ch._lock.release()
-
-    if not _wait(w.wake, timeout):
-        if w.claim.acquire(False):
-            raise _timeout_error("receive timed out with no pending send")
-        w.wake.acquire()  # a sender won the race; the value is ours
-    got_ch, value = w.result  # type: ignore[misc]
-    for i, ch in enumerate(channels):
-        if ch is got_ch:
-            return i, value
-    raise AssertionError("select delivered on an unknown channel")
+    """Wait for the next value on the one channel in ``channels``; returns
+    ``(0, value)``.  :meth:`Channel.receive` calls it through this module."""
+    (ch,) = channels
+    with ch._lock:
+        if ch._buf or ch._blocked:
+            return 0, ch._take_locked()
+        if ch._receiver is not None:
+            raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, "a receive is already pending")
+        r = ch._receiver = _Parked()
+    if not _wait(r.wake, timeout):
+        with ch._lock:
+            if not r.done:
+                ch._receiver = None
+                raise _timeout_error("receive timed out with no pending send")
+        # served while we were timing out: the value is ours
+    return 0, r.value
 
 
 # --- framed TCP transport ----------------------------------------------------
@@ -222,7 +200,9 @@ class FramedLink:
     frames on its end, and the receiver reads them from the other end.
 
     Both operations wait at most their ``timeout``.  A send that times out
-    may have written part of its frame, and the link is unusable after it."""
+    may have written part of its frame, so it shuts its end for writing: the
+    peer's receive and every later send raise ``TransportError``, and the
+    reverse direction, which shares the socket, keeps working."""
 
     def __init__(self, out_sock: socket.socket, in_sock: socket.socket) -> None:
         self.out_sock = out_sock
@@ -237,6 +217,8 @@ class FramedLink:
                 self.out_sock.settimeout(timeout)  # also the reverse link's in_sock, set alike
                 self.out_sock.sendall(frame)
             except socket.timeout:
+                with contextlib.suppress(OSError):
+                    self.out_sock.shutdown(socket.SHUT_WR)
                 raise _timeout_error("send timed out on socket") from None
             except OSError as e:
                 raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"send failed: {e}") from None
@@ -251,47 +233,28 @@ class FramedLink:
 
     def close(self) -> None:
         for s in (self.out_sock, self.in_sock):
-            try:
+            with contextlib.suppress(OSError):
                 s.close()
-            except OSError:
-                pass
 
 
 def connect_pairs(host: str, pairs: Sequence[tuple[str, str]]) -> list[FramedLink]:
     """Open one localhost TCP connection per unordered role pair among the
     directed ``pairs``, and return each directed pair's link, in order.
-
-    Both endpoints live in this process; a small hello frame names the pair
-    so the accepting side can route the socket.
-    """
-    unordered = sorted({tuple(sorted(p)) for p in pairs})
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, 0))
-    listener.listen(len(unordered) or 1)
-    addr = listener.getsockname()
-
+    Both ends live in this process: each pair connects, then accepts, and
+    refuses an accepted socket that is not the one it connected."""
     ends: dict[tuple[str, str], socket.socket] = {}  # (a, b): a's end of the a-b connection
-    accepted: dict[tuple[str, str], socket.socket] = {}
-
-    def accept_all() -> None:
-        for _ in unordered:
-            conn, _peer = listener.accept()
-            (a, b), _ = read_frame(conn)
-            accepted[(b, a)] = conn
-
-    t = threading.Thread(target=accept_all, daemon=True)
-    t.start()
-    for a, b in unordered:
-        c = socket.create_connection(addr)
-        c.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        c.sendall(encode_frame([a, b], None))
-        ends[(a, b)] = c
-    t.join(timeout=10)
-    if t.is_alive():
-        raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, "pair handshake did not finish")
-    listener.close()
-    for end in accepted.values():
-        end.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    ends.update(accepted)
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((host, 0))
+        listener.listen(1)
+        for a, b in sorted({tuple(sorted(p)) for p in pairs}):
+            ends[(a, b)] = c = socket.create_connection(listener.getsockname())
+            ends[(b, a)], peer = listener.accept()
+            if peer != c.getsockname():
+                raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"stray connection from {peer}")
+            for end in (c, ends[(b, a)]):
+                end.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    finally:
+        listener.close()
     return [FramedLink(ends[(s, r)], ends[(r, s)]) for s, r in pairs]

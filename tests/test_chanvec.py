@@ -40,13 +40,11 @@ from mpst.chanvec import (
     dump_channel_vectors,
     eval_global,
     fixv,
-    nth,
-    proj_field,
     reachable_names,
     typecheck_cv,
     unfold_cv,
 )
-from mpst.errors import ErrorKind, EvalError, ProtocolTypeError
+from mpst.errors import ErrorKind, ProtocolTypeError
 from mpst.types import merge, project, type_equiv, type_global
 
 
@@ -155,6 +153,40 @@ def test_choice_unifies_decider_side_names():
     assert (frozenset({"s", "a"}), "fwd", 1) not in classes
 
 
+def test_nested_merges_chain_one_class_and_payload_env_compresses_it():
+    # c is told of neither choice, so its four receives of m from b merge
+    # into one class: each inner merge joins two slots and the outer merge
+    # joins their roots, leaving a chain two links deep
+    a, b, c = Role("a"), Role("b"), Role("c")
+    m = Label("m")
+
+    def leaf(i):
+        return comm(a, b, Label(f"l{i}"), comm(b, c, m, end_()))
+
+    g = choice_at(a, [
+        comm(a, b, Label("l0"), choice_at(a, [leaf(1), leaf(2)])),
+        comm(a, b, Label("l3"), choice_at(a, [leaf(4), leaf(5)])),
+    ])
+    _, table = eval_global(g, "s0")
+    parent = table._parent
+
+    def depth(key):
+        d = 0
+        while parent[key] != key:
+            key, d = parent[key], d + 1
+        return d
+
+    m_slots = [n.key for n in table.names if n.label == m]
+    assert len(m_slots) == 4
+    assert max(depth(k) for k in m_slots) == 2
+    table.payload_env()
+    assert all(parent[parent[k]] == parent[k] for k in range(len(parent)))  # every parent is a root
+    assert [cls for cls in channel_classes(table) if cls[1] == "m"] == [(frozenset({"b", "c"}), "m", 0)]
+    ts = type_global(g)
+    for r in (a, b, c):
+        assert type_equiv(ts[r], project(g, r)), r
+
+
 def test_two_endpoint_property_on_corpus():
     for name, g in well_typed_corpus().items():
         vs, table = eval_global(g, "s0")
@@ -187,34 +219,6 @@ def test_fixv_rules():
     assert fixv("X", VarRef("X")) is UNIT_VAL
     body = OutRec(Q, ((Label("m"), _fresh_name(), VarRef("X")),))
     assert fixv("X", body) == RecVal("X", body)
-
-
-def test_nth():
-    vs, _ = eval_global(g_auth(), "s0")
-    assert nth(vs, 0) is vs[0]
-    assert nth(vs, 1) is vs[1]
-
-
-def test_proj_field_walk():
-    vs, _ = eval_global(g_auth(), "s0")
-    c_vec = vs[0]
-    inner = proj_field(c_vec, S)
-    name, cont = proj_field(inner, "auth")
-    assert name.label.name == "auth"
-    assert isinstance(cont, WrappedInp)
-    with pytest.raises(EvalError) as e:
-        proj_field(c_vec, Role("zz"))
-    assert e.value.kind is ErrorKind.MISSING_FIELD
-    with pytest.raises(EvalError):
-        proj_field(inner, "nope")
-
-
-def test_proj_field_unfolds_recursion():
-    vs, _ = eval_global(calc(), "s0")
-    c_vec = vs[0]
-    name, cont = proj_field(proj_field(c_vec, S), "loop")
-    assert name.label.name == "loop"
-    assert isinstance(cont, OutRec)  # the loop came back unfolded
 
 
 # --- merge on channel vectors ----------------------------------------------

@@ -1,4 +1,4 @@
-"""Channel semantics, select ordering, and the wire framing."""
+"""Channel semantics, framed links and the wire framing."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import pytest
 
 from mpst import transport
 from mpst.errors import ErrorKind, SessionRuntimeError
-from mpst.transport import Channel, encode_frame, read_frame, select
+from mpst.transport import Channel, encode_frame, read_frame
 
 
 def test_rendezvous_send_blocks_until_receive():
@@ -141,9 +141,7 @@ def test_send_into_a_buffer_with_room_builds_no_wake_lock():
     lambda: Channel(0).send("v", timeout=-0.5),
     lambda: Channel(1).receive(timeout=0),
     lambda: Channel(1).receive(timeout=-1),
-    lambda: select([Channel(0), Channel(1)], timeout=0),
-    lambda: select([Channel(0), Channel(1)], timeout=-2.5),
-], ids=["send-0", "send-neg1", "send-neg", "receive-0", "receive-neg1", "select-0", "select-neg"])
+], ids=["send-0", "send-neg1", "send-neg", "receive-0", "receive-neg1"])
 def test_non_positive_timeout_times_out_at_once(call):
     outcome = []
 
@@ -219,23 +217,15 @@ def _timeout_race(chans, receive, rounds=600):
     return sent, timed_out, got, errors
 
 
-@pytest.mark.parametrize("case", ["rendezvous", "buffered-blocked-sender", "select"])
+@pytest.mark.parametrize("case", ["rendezvous", "buffered-blocked-sender"])
 def test_handoff_is_exactly_once_under_timeouts(case):
     if case == "rendezvous":
         ch = Channel(0)
-        chans, receive = [ch], ch.receive
-    elif case == "buffered-blocked-sender":
-        ch = Channel(1)
-        chans, receive = [ch, ch], ch.receive  # the second sender blocks on the full buffer
+        chans = [ch]
     else:
-        chans = [Channel(0), Channel(0)]
-
-        def receive(timeout):
-            idx, value = select(chans, timeout)
-            assert value[0] == idx  # delivered on the arm it was sent on
-            return value
-
-    sent, timed_out, got, errors = _timeout_race(chans, receive)
+        ch = Channel(1)
+        chans = [ch, ch]  # the second sender blocks on the full buffer
+    sent, timed_out, got, errors = _timeout_race(chans, ch.receive)
     assert errors == []  # no release of an unlocked lock, on any thread
     assert sorted(got) == sorted(sent)  # every completed send is received exactly once
     assert not set(got) & set(timed_out)  # no timed-out send is ever received
@@ -245,7 +235,7 @@ def test_handoff_is_exactly_once_under_timeouts(case):
 @pytest.mark.parametrize("case", ["rendezvous-send", "promoted-send", "receive"])
 def test_wait_that_times_out_after_being_served_completes(monkeypatch, case):
     # The other side acts just as this side's wait times out: the re-check
-    # under the channel lock, or the failed claim, sees that it was served.
+    # under the channel lock sees that it was served.
     ch = Channel(1 if case == "promoted-send" else 0)
     if case == "promoted-send":
         ch.send("first", timeout=1)  # fills the buffer, so "v" blocks
@@ -267,8 +257,7 @@ def test_wait_that_times_out_after_being_served_completes(monkeypatch, case):
     if case == "promoted-send":
         got.append(ch.receive(timeout=1))
     assert got == (["first", "v"] if case == "promoted-send" else ["v"])
-    assert not ch._buf and not ch._blocked
-    assert not [w for w in ch._waiters if not w.claim.locked()]
+    assert not ch._buf and not ch._blocked and ch._receiver is None
 
 
 def test_send_timeout_is_timeout_kind():
@@ -285,47 +274,32 @@ def test_receive_timeout_is_timeout_kind():
     assert e.value.kind is ErrorKind.TIMEOUT
 
 
-def test_select_takes_pending_value():
-    a, b = Channel(1), Channel(1)
-    b.send("hello", timeout=1)
-    idx, value = select([a, b], timeout=1)
-    assert (idx, value) == (1, "hello")
+def test_second_concurrent_receive_is_refused():
+    ch = Channel(0)
+    got = []
+    first = threading.Thread(target=lambda: got.append(ch.receive(timeout=5)), daemon=True)
+    first.start()
+    deadline = time.monotonic() + 5
+    while ch._receiver is None and time.monotonic() < deadline:
+        time.sleep(0.001)
+    with pytest.raises(SessionRuntimeError) as e:
+        ch.receive(timeout=5)
+    assert e.value.kind is ErrorKind.TRANSPORT_ERROR
+    ch.send("v", timeout=1)  # the pending receive still gets it
+    first.join(5)
+    assert got == ["v"]
 
 
-def test_select_wakes_on_late_send():
-    a, b = Channel(0), Channel(0)
-    result = []
-
-    def receiver():
-        result.append(select([a, b], timeout=5))
-
-    t = threading.Thread(target=receiver, daemon=True)
-    t.start()
-    time.sleep(0.05)
-    b.send("late", timeout=5)
-    t.join(5)
-    assert result == [(1, "late")]
-
-
-def test_select_concurrent_senders_one_winner():
-    chans = [Channel(0) for _ in range(3)]
-    results = []
-
-    def sender(i):
-        try:
-            chans[i].send(i, timeout=2)
-            results.append(("sent", i))
-        except SessionRuntimeError:
-            results.append(("timeout", i))
-
-    threads = [threading.Thread(target=sender, args=(i,), daemon=True) for i in range(3)]
-    for t in threads:
-        t.start()
-    got = [select(chans, timeout=2)[1] for _ in range(3)]
-    for t in threads:
-        t.join(5)
-    assert sorted(got) == [0, 1, 2]
-    assert sorted(r for r, _ in results) == ["sent", "sent", "sent"]
+def test_receive_that_times_out_frees_the_receiver_slot():
+    ch = Channel(0)
+    with pytest.raises(SessionRuntimeError) as e:
+        ch.receive(timeout=0.01)
+    assert e.value.kind is ErrorKind.TIMEOUT
+    assert ch._receiver is None
+    sender = threading.Thread(target=lambda: ch.send("v", timeout=5), daemon=True)
+    sender.start()
+    assert ch.receive(timeout=5) == "v"
+    sender.join(5)
 
 
 def test_frame_encoding_is_bit_exact():
@@ -388,3 +362,42 @@ def test_frame_rejects_short_stream():
         assert e.value.kind is ErrorKind.TRANSPORT_ERROR
     finally:
         right.close()
+
+
+def test_framed_send_that_times_out_breaks_its_direction_only():
+    left, right = socket.socketpair()
+    link, back = transport.FramedLink(left, right), transport.FramedLink(right, left)
+    try:
+        with pytest.raises(SessionRuntimeError) as e:  # nobody reads: the frame stops part-way
+            link.send(("m", "x" * (4 << 20)), timeout=0.05)
+        assert e.value.kind is ErrorKind.TIMEOUT
+        start = time.monotonic()
+        with pytest.raises(SessionRuntimeError) as e:
+            link.receive(timeout=1)
+        assert e.value.kind is ErrorKind.TRANSPORT_ERROR
+        assert time.monotonic() - start < 0.5  # a broken link, not a wait for the rest of the frame
+        with pytest.raises(SessionRuntimeError) as e:
+            link.send(("m", 1), timeout=1)
+        assert e.value.kind is ErrorKind.TRANSPORT_ERROR
+        back.send(("m", 2), timeout=1)
+        assert back.receive(timeout=1) == ("m", 2)
+    finally:
+        link.close()
+
+
+def test_connect_pairs_refuses_a_connection_it_did_not_make(monkeypatch):
+    strangers = []
+    connect = socket.create_connection
+
+    def stranger_first(addr, *args, **kwargs):
+        strangers.append(connect(addr))  # queued at the listener before the real one
+        return connect(addr, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", stranger_first)
+    try:
+        with pytest.raises(SessionRuntimeError) as e:
+            transport.connect_pairs("127.0.0.1", [("a", "b"), ("b", "a")])
+        assert e.value.kind is ErrorKind.TRANSPORT_ERROR
+    finally:
+        for s in strangers:
+            s.close()
