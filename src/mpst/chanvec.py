@@ -169,6 +169,7 @@ def eval_global(
     n = len(tuple_roles)
     table = ChannelTable(session)
     namer = _Namer()
+    participants: set[str] = set()  # the names of the roles g uses, found on first need
 
     def go(
         node: GlobalProtocol,
@@ -206,7 +207,9 @@ def eval_global(
                 if isinstance(vs[i], VarT):
                     # the loop never touches this role
                     name = tuple_roles[i].name
-                    if name not in closed and name in {r.name for r in roles_of(g)}:
+                    if name not in closed and not participants:
+                        participants.update(r.name for r in roles_of(g))
+                    if name not in closed and name in participants:
                         raise ProtocolTypeError(
                             ErrorKind.UNCLOSED_ROLE,
                             f"role {name} takes no part in this loop; annotate it with closed_at",

@@ -176,22 +176,26 @@ def encode_frame(ch: object, payload: object) -> bytes:
     return _LEN.pack(len(body)) + body
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = b""
+def _fill(sock: socket.socket, buf: bytearray, n: int) -> None:
+    """Read until ``buf`` holds ``n`` bytes, keeping what a timeout cut short."""
     while len(buf) < n:
         chunk = sock.recv(n - len(buf))
         if not chunk:
             raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, "peer closed the connection")
         buf += chunk
-    return buf
 
 
-def read_frame(sock: socket.socket) -> tuple[object, object]:
-    raw = _recv_exact(sock, _LEN.size)
-    (length,) = _LEN.unpack(raw)
+def read_frame(sock: socket.socket, buf: Optional[bytearray] = None) -> tuple[object, object]:
+    """Read one frame, resuming the partial frame held in ``buf``."""
+    buf = bytearray() if buf is None else buf
+    _fill(sock, buf, _LEN.size)
+    (length,) = _LEN.unpack_from(buf)
     if length > _MAX_FRAME:
         raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"oversized frame: {length}")
-    body = json.loads(_recv_exact(sock, length).decode("utf-8"))
+    _fill(sock, buf, _LEN.size + length)
+    raw = buf[_LEN.size:]
+    del buf[:]
+    body = json.loads(raw.decode("utf-8"))
     return body["ch"], body["payload"]
 
 
@@ -199,16 +203,19 @@ class FramedLink:
     """One direction of a role pair's TCP connection: the sender writes
     frames on its end, and the receiver reads them from the other end.
 
-    Both operations wait at most their ``timeout``.  A send that times out
-    may have written part of its frame, so it shuts its end for writing: the
-    peer's receive and every later send raise ``TransportError``, and the
-    reverse direction, which shares the socket, keeps working."""
+    Both operations wait at most their ``timeout``.  A receive that times
+    out keeps the part of a frame it has read, and the next receive resumes
+    that frame.  A send that times out may have written part of its frame,
+    so it shuts its end for writing: the peer's receive and every later send
+    raise ``TransportError``, and the reverse direction, which shares the
+    socket, keeps working."""
 
     def __init__(self, out_sock: socket.socket, in_sock: socket.socket) -> None:
         self.out_sock = out_sock
         self.in_sock = in_sock
         self.write_lock = threading.Lock()
         self.read_lock = threading.Lock()
+        self.partial = bytearray()  # a frame's bytes read before a receive timed out
 
     def send(self, message: tuple[str, object], timeout: Optional[float] = None) -> None:
         frame = encode_frame(*message)
@@ -227,7 +234,7 @@ class FramedLink:
         with self.read_lock:
             self.in_sock.settimeout(timeout)
             try:
-                return read_frame(self.in_sock)
+                return read_frame(self.in_sock, self.partial)
             except socket.timeout:
                 raise _timeout_error("receive timed out on socket") from None
 

@@ -201,11 +201,12 @@ def test_corpus_failure_agreement():
         assert e1.value.kind in failed_at
 
 
-def _shadowed_rec_protocol(inner_name: str):
+def _shadowed_rec_protocol(inner_name: str, stop: bool = False):
     # outer loop Y; loop X in the middle; the innermost rec reuses Y's name
     # in the clashing variant, so unfolding X inserts a free outer variable
-    # beside a binder of the same name
-    l = {k: Label(k, UNIT) for k in ("l0", "l1", "l2", "l3", "l4")}
+    # beside a binder of the same name; ``stop`` adds a way out of X
+    l = {k: Label(k, UNIT) for k in ("l0", "l1", "l2", "l3", "l4", "stop")}
+    exits = [comm(P, Q, l["stop"], end_())] if stop else []
     return rec(
         "Y",
         comm(
@@ -233,6 +234,7 @@ def _shadowed_rec_protocol(inner_name: str):
                             ),
                         ),
                         comm(P, Q, l["l4"], var_("Y")),
+                        *exits,
                     ],
                 ),
             ),

@@ -583,3 +583,120 @@ def test_buffer_capacity_bounds_each_role_pair(capacity):
     t.join(5)
     assert not t.is_alive()
     assert (la.name, x, lb.name, y) == ("a", 1, "b", 2)
+
+
+def _positions(t) -> int:
+    """Select, Branch and End positions of a local type's syntax tree."""
+    from mpst.types import DirectedChoice, EndT, RecT
+
+    if isinstance(t, RecT):
+        return _positions(t.body)
+    if isinstance(t, DirectedChoice):
+        return 1 + sum(_positions(c) for _, c in t.branches)
+    return int(isinstance(t, EndT))
+
+
+def test_endpoints_loop_through_shadowed_recursion():
+    from test_projection import _shadowed_rec_protocol
+
+    sess = open_session(_shadowed_rec_protocol("Y", stop=True), AsyncBuffered(32), monitored=True)
+    path = ["l0", "l1", "l2", "l1", "l3", "l3", "l2", "l4", "l0", "l1", "l3", "l2", "l4", "l0", "stop"]
+    p, q = sess.endpoints[P], sess.endpoints[Q]
+    seen = []
+    for name in path:
+        p = p.send(Q, name)
+        seen.append(p.state)
+    p.close()
+    for name in path:
+        label, _, q = q.receive(P)
+        assert label.name == name
+    q.close()
+    assert sess.monitor.verdict() == (True, "conformant")
+    # each loop's head is one state, however often the loop is entered
+    assert seen[0] is seen[2] is seen[6] is seen[11]  # X, after l0 and after l2
+    assert seen[1] is seen[4] is seen[5] is seen[10]  # the inner loop
+    assert seen[7] is not seen[0] and seen[8] is seen[0]
+
+
+def test_state_table_has_one_state_per_position_at_most():
+    from corpus import well_typed_corpus
+    from test_projection import _shadowed_rec_protocol
+
+    from mpst.runtime import _compiled_for
+
+    protocols = [_shadowed_rec_protocol("Y"), _shadowed_rec_protocol("Z", stop=True)]
+    protocols += list(well_typed_corpus().values())
+    for g in protocols:
+        compiled = _compiled_for(g, None)
+        for r, t in compiled.local_types.items():
+            table = compiled.tables[r]
+            assert 1 <= len(table) <= _positions(t), r
+            states = set(map(id, table))
+            for state in table:
+                assert all(id(nxt) in states for _, _, nxt in state.steps.values())
+
+
+def test_warm_delegation_checks_its_subtype_once(monkeypatch):
+    from mpst import runtime
+
+    calls = []
+    subtype = runtime.subtype
+
+    def counted(*args):
+        calls.append(args)
+        return subtype(*args)
+
+    monkeypatch.setattr(runtime, "subtype", counted)
+    bye = Label("bye", UNIT)
+    inner_g, wrong_g = comm(P, Q, bye, end_()), comm(P, Q, Label("other", UNIT), end_())
+    handoff = comm(
+        Role("owner"), Role("taker"), Label("hand", SessionSort(project(inner_g, Q))), end_()
+    )
+    owner, taker = Role("owner"), Role("taker")
+    for _ in range(20):
+        inner = open_session(inner_g, AsyncBuffered(1))
+        outer = open_session(handoff, AsyncBuffered(1))
+        outer.endpoints[owner].send(taker, "hand", inner.endpoints[Q]).close()
+    assert len(calls) == 1
+    wrong = open_session(wrong_g, AsyncBuffered(1)).endpoints[Q]
+    for _ in range(5):
+        with pytest.raises(SessionRuntimeError) as e:
+            open_session(handoff, AsyncBuffered(1)).endpoints[owner].send(taker, "hand", wrong)
+        assert e.value.kind is ErrorKind.PAYLOAD_SORT_MISMATCH
+        assert not wrong.cell.used
+    assert len(calls) == 2
+
+
+def test_racing_delegations_share_one_subtype_answer(monkeypatch):
+    from mpst import runtime
+
+    calls = []
+    subtype = runtime.subtype
+
+    def counted(*args):
+        calls.append(args)
+        return subtype(*args)
+
+    monkeypatch.setattr(runtime, "subtype", counted)
+    inner_g = comm(P, Q, Label("bye", UNIT), end_())
+    handoff = comm(
+        Role("owner"), Role("taker"), Label("hand", SessionSort(project(inner_g, Q))), end_()
+    )
+    owner, taker = Role("owner"), Role("taker")
+    sent = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+
+    def delegate():
+        for _ in range(50):
+            inner = open_session(inner_g, AsyncBuffered(1))
+            outer = open_session(handoff, AsyncBuffered(1))
+            outer.endpoints[owner].send(taker, "hand", inner.endpoints[Q]).close()
+            sent.append(1)
+
+    try:
+        run_threads(*[delegate] * 8)
+    finally:
+        sys.setswitchinterval(old)
+    assert len(sent) == 400
+    assert 1 <= len(calls) <= 8  # a thread misses the cache at most once

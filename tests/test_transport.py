@@ -401,3 +401,20 @@ def test_connect_pairs_refuses_a_connection_it_did_not_make(monkeypatch):
     finally:
         for s in strangers:
             s.close()
+
+
+def test_framed_receive_that_times_out_mid_frame_resumes_it():
+    left, right = socket.socketpair()
+    link = transport.FramedLink(left, right)
+    try:
+        first, second = encode_frame("m", "x" * 70), encode_frame("n", 2)
+        assert len(first) == 100
+        left.sendall(first[:10])
+        with pytest.raises(SessionRuntimeError) as e:
+            link.receive(timeout=0.05)
+        assert e.value.kind is ErrorKind.TIMEOUT
+        left.sendall(first[10:] + second)
+        assert link.receive(timeout=0.5) == ("m", "x" * 70)
+        assert link.receive(timeout=0.5) == ("n", 2)
+    finally:
+        link.close()
