@@ -600,7 +600,8 @@ def test_endpoints_loop_through_shadowed_recursion():
     from test_projection import _shadowed_rec_protocol
 
     sess = open_session(_shadowed_rec_protocol("Y", stop=True), AsyncBuffered(32), monitored=True)
-    path = ["l0", "l1", "l2", "l1", "l3", "l3", "l2", "l4", "l0", "l1", "l3", "l2", "l4", "l0", "stop"]
+    path = ["l0", "l1", "l2", "l1", "l3", "l3", "l2", "l4"]
+    path += ["l0", "l1", "l3", "l2", "l4", "l0", "stop"]
     p, q = sess.endpoints[P], sess.endpoints[Q]
     seen = []
     for name in path:
@@ -647,23 +648,26 @@ def test_warm_delegation_checks_its_subtype_once(monkeypatch):
         return subtype(*args)
 
     monkeypatch.setattr(runtime, "subtype", counted)
-    bye = Label("bye", UNIT)
-    inner_g, wrong_g = comm(P, Q, bye, end_()), comm(P, Q, Label("other", UNIT), end_())
-    handoff = comm(
-        Role("owner"), Role("taker"), Label("hand", SessionSort(project(inner_g, Q))), end_()
-    )
+    inner_g = comm(P, Q, Label("bye", UNIT), end_())
+    other_g = comm(P, Q, Label("other", UNIT), end_())
     owner, taker = Role("owner"), Role("taker")
+
+    def handoff(g):
+        return comm(owner, taker, Label("hand", SessionSort(project(g, Q))), end_())
+
+    right, wrong = handoff(inner_g), handoff(other_g)
     for _ in range(20):
         inner = open_session(inner_g, AsyncBuffered(1))
-        outer = open_session(handoff, AsyncBuffered(1))
+        outer = open_session(right, AsyncBuffered(1))
         outer.endpoints[owner].send(taker, "hand", inner.endpoints[Q]).close()
     assert len(calls) == 1
-    wrong = open_session(wrong_g, AsyncBuffered(1)).endpoints[Q]
+    # the same state against another declared type: checked once, refused every time
+    delegated = open_session(inner_g, AsyncBuffered(1)).endpoints[Q]
     for _ in range(5):
         with pytest.raises(SessionRuntimeError) as e:
-            open_session(handoff, AsyncBuffered(1)).endpoints[owner].send(taker, "hand", wrong)
+            open_session(wrong, AsyncBuffered(1)).endpoints[owner].send(taker, "hand", delegated)
         assert e.value.kind is ErrorKind.PAYLOAD_SORT_MISMATCH
-        assert not wrong.cell.used
+        assert not delegated.cell.used
     assert len(calls) == 2
 
 
@@ -683,6 +687,8 @@ def test_racing_delegations_share_one_subtype_answer(monkeypatch):
         Role("owner"), Role("taker"), Label("hand", SessionSort(project(inner_g, Q))), end_()
     )
     owner, taker = Role("owner"), Role("taker")
+    for g in (inner_g, handoff):  # compile before the race, so every thread shares one table
+        open_session(g, AsyncBuffered(1))
     sent = []
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
