@@ -21,7 +21,6 @@ stage: choosing one output among alternatives uses the stage exactly once.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -52,7 +51,7 @@ from .transport import (
     connect_pairs,
     select,  # not called here; re-exported for callers that look up runtime.select
 )
-from .types import Branch, DirectedChoice, EndT, LocalType, RecT, Select, VarT, subtype, unfold_type
+from .types import END_T, DirectedChoice, LocalType, RecT, VarT, subtype, unfold_type
 
 DEFAULT_TIMEOUT = 5.0
 
@@ -84,58 +83,6 @@ class TraceEvent:
             self.peer.name if self.peer else "",
             self.label.name if self.label else "",
         )
-
-
-class SessionMonitor:
-    """Append-only event log checked against projected local types."""
-
-    def __init__(self, expected: dict[Role, LocalType]) -> None:
-        self.expected = {r.name: t for r, t in expected.items()}
-        self._events: list[TraceEvent] = []
-        self._lock = threading.Lock()
-        self._seq = itertools.count()
-
-    def record(self, kind: EventKind, role: Role, peer: Optional[Role], label: Optional[Label]) -> None:
-        with self._lock:  # seq is taken under the lock, so list order is seq order
-            self._events.append(TraceEvent(next(self._seq), kind, role, peer, label))
-
-    @property
-    def events(self) -> list[TraceEvent]:
-        with self._lock:
-            return list(self._events)
-
-    def verdict(self) -> tuple[bool, str]:
-        """Conformant iff every role's event subsequence walks its local type
-        from the start to End, finishing with a close."""
-        events = self.events
-        for role_name, t in self.expected.items():
-            cursor = unfold_type(t)
-            closed = False
-            for ev in events:
-                if ev.role.name != role_name:
-                    continue
-                if closed:
-                    return False, f"{role_name} acted after close"
-                if ev.kind is EventKind.CLOSE:
-                    if not isinstance(cursor, EndT):
-                        return False, f"{role_name} closed before finishing its protocol"
-                    closed = True
-                    continue
-                want = Select if ev.kind is EventKind.SEND else Branch
-                if not isinstance(cursor, want):
-                    return False, f"{role_name} performed {ev.kind} at a {type(cursor).__name__} stage"
-                if ev.peer is None or cursor.peer.name != ev.peer.name:
-                    return False, f"{role_name} talked to {ev.peer} instead of {cursor.peer}"
-                name = ev.label.name if ev.label is not None else None
-                nxt = next((c for l, c in cursor.branches if l.name == name), None)
-                if nxt is None:
-                    return False, f"{role_name} used unknown label {ev.label}"
-                cursor = unfold_type(nxt)
-            if not isinstance(cursor, EndT):
-                return False, f"{role_name} stopped before finishing its protocol"
-            if not closed:
-                return False, f"{role_name} never closed its endpoint"
-        return True, "conformant"
 
 
 class LinearityCell:
@@ -184,11 +131,12 @@ class _State:
     subtypes: dict = field(default_factory=dict)
 
 
-def _state_table(t: LocalType, role: str, pairs: tuple[tuple[str, str], ...]) -> list[_State]:
+def _state_table(t: LocalType, role: str, pairs: Optional[tuple[tuple[str, str], ...]]) -> list[_State]:
     """A role's states, the start first: one per Select, Branch or End
     position of its closed local type ``t``, a loop variable being an edge to
     its binder's state.  A stage is ``t`` unfolded along the path to it;
-    ``t`` is closed, so unfolding renames no binder and keeps the shape."""
+    ``t`` is closed, so unfolding renames no binder and keeps the shape.
+    Without ``pairs`` (a monitor built on its own) no state has a link."""
     table: list[_State] = []
 
     def build(pos: LocalType, stage: LocalType, env: dict[str, _State]) -> _State:
@@ -203,7 +151,9 @@ def _state_table(t: LocalType, role: str, pairs: tuple[tuple[str, str], ...]) ->
         if isinstance(pos, DirectedChoice):
             env = {**env, **dict.fromkeys(binders, state)}
             state.kind, state.peer = (_SEND if pos.output else _RECEIVE), pos.peer
-            state.link = pairs.index((role, pos.peer.name) if pos.output else (pos.peer.name, role))
+            if pairs is not None:
+                pair = (role, pos.peer.name) if pos.output else (pos.peer.name, role)
+                state.link = pairs.index(pair)
             state.steps = {
                 l.name: (l, _check(l.payload), build(cont, stage_cont, env))
                 for (l, cont), (_, stage_cont) in zip(pos.branches, state.stage.branches)
@@ -214,16 +164,114 @@ def _state_table(t: LocalType, role: str, pairs: tuple[tuple[str, str], ...]) ->
     return table
 
 
+_CLOSED = _State(END_T, kind=None)  # a role's cursor after its close; admits no event
+
+
+def _advance(name: str, state: _State, kind: EventKind, peer, label) -> _State | str:
+    """The state after role ``name`` at ``state`` performs the event, or the
+    reason it may not: the checks of a walk of its local type, in order."""
+    if state is _CLOSED:
+        return f"{name} acted after close"
+    if kind is _CLOSE:
+        return _CLOSED if state.kind is _CLOSE else f"{name} closed before finishing its protocol"
+    if state.kind is not (_SEND if kind is _SEND else _RECEIVE):
+        return f"{name} performed {kind} at a {type(state.stage).__name__} stage"
+    if peer is None or state.peer.name != peer.name:
+        return f"{name} talked to {peer} instead of {state.peer}"
+    step = state.steps.get(label.name if label is not None else None)
+    if step is None:
+        return f"{name} used unknown label {label}"
+    return step[2]
+
+
+class SessionMonitor:
+    """Online conformance monitor: one cursor per role on its state table
+    (Bocchi et al., *Monitoring Networks through Multiparty Session Types*,
+    FORTE 2013).
+
+    ``record`` appends the event to the log and steps the role's cursor; a
+    role's first violation is kept with its event's seq and stops its
+    cursor.  ``verdict`` reads the cursors, so it costs O(roles) however
+    long the trace.  ``events`` builds the :class:`TraceEvent` s on read.
+    ``starts`` maps each role name to its start state; a monitor built
+    without it compiles the state tables of ``expected``'s closed types.
+    """
+
+    def __init__(self, expected: dict[Role, LocalType], starts: Optional[dict[str, _State]] = None) -> None:
+        self.expected = {r.name: t for r, t in expected.items()}
+        if starts is None:
+            starts = {r.name: _state_table(t, r.name, None)[0] for r, t in expected.items()}
+        self._cursors: dict[str, Optional[_State]] = dict(starts)  # None: stopped
+        self._stops: dict[str, tuple[int, str, str]] = {}
+        self._log: list[tuple] = []
+        self._lock = threading.Lock()
+
+    def record(self, kind: EventKind, role: Role, peer: Optional[Role], label: Optional[Label]) -> None:
+        lock = self._lock
+        lock.acquire()  # log order is seq order, and a role's cursor steps in that order
+        try:  # not ``with``: its enter and exit calls cost twice the lock itself
+            self._log.append((kind, role, peer, label))
+            name = role.name
+            state = self._cursors.get(name)
+            if state is None:  # a role with no local type here, or one already stopped
+                return
+            nxt = None
+            if kind is state.kind and peer is state.peer:  # the expected event, as an endpoint records it
+                if kind is _CLOSE:
+                    nxt = _CLOSED
+                elif label is not None and (step := state.steps.get(label.name)) is not None:
+                    nxt = step[2]
+            if nxt is None:
+                nxt = _advance(name, state, kind, peer, label)
+                if nxt.__class__ is str:
+                    self._stops[name] = (len(self._log) - 1, name, nxt)
+                    nxt = None
+            self._cursors[name] = nxt
+        finally:
+            lock.release()
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        with self._lock:
+            log = self._log[:]
+        return [TraceEvent(seq, *event) for seq, event in enumerate(log)]
+
+    @property
+    def violation(self) -> Optional[tuple[int, str, str]]:
+        """The earliest event at which a role left its local type, as
+        ``(seq, role name, message)``, or None.  A role that only stopped
+        short of the end shows in ``verdict`` alone."""
+        with self._lock:
+            return min(self._stops.values(), default=None)
+
+    def verdict(self) -> tuple[bool, str]:
+        """Conformant iff every role's events walk its local type from the
+        start to End, finishing with a close; otherwise the first role, in
+        ``expected`` order, that did not, and why."""
+        with self._lock:
+            for name, state in self._cursors.items():
+                if state is None:
+                    return False, self._stops[name][2]
+                if state is not _CLOSED:
+                    if state.kind is _CLOSE:
+                        return False, f"{name} never closed its endpoint"
+                    return False, f"{name} stopped before finishing its protocol"
+        return True, "conformant"
+
+
 @dataclass(frozen=True)
 class CompiledProtocol:
     """One protocol compiled for one role tuple, shared by all its sessions.
     ``pairs`` are the directed (sender, receiver) role-name pairs that carry
-    messages; ``tables`` hold each role's states, its start state first."""
+    messages; ``tables`` hold each role's states, its start state first, and
+    ``starts`` map each role name to its start state, the cursors a
+    session's monitor starts from."""
 
     roles: tuple[Role, ...]
     local_types: dict[Role, LocalType]
     pairs: tuple[tuple[str, str], ...]
     tables: dict[Role, list[_State]]
+    starts: dict[str, _State]
 
 
 def _compile(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledProtocol:
@@ -236,7 +284,8 @@ def _compile(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledPr
     local = {r: typecheck_cv(v, env) for r, v in zip(tuple_roles, vectors)}
     pairs = tuple(dict.fromkeys((n.from_role.name, n.to_role.name) for n in table.names))
     tables = {r: _state_table(t, r.name, pairs) for r, t in local.items()}
-    return CompiledProtocol(tuple_roles, local, pairs, tables)
+    starts = {r.name: table[0] for r, table in tables.items()}
+    return CompiledProtocol(tuple_roles, local, pairs, tables, starts)
 
 
 def _compiled_for(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledProtocol:
@@ -435,7 +484,7 @@ def open_session(
     compiled = _compiled_for(g, tuple(roles) if roles is not None else None)
     channels = SessionChannels(transport, compiled)
     local = dict(compiled.local_types)
-    monitor = SessionMonitor(local) if monitored else None
+    monitor = SessionMonitor(local, compiled.starts) if monitored else None
     endpoints = {
         r: Endpoint(_Seat(r, channels.links, monitor, timeout), compiled.tables[r][0])
         for r in local

@@ -262,6 +262,10 @@ def connect_pairs(host: str, pairs: Sequence[tuple[str, str]]) -> list[FramedLin
                 raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"stray connection from {peer}")
             for end in (c, ends[(b, a)]):
                 end.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except BaseException:
+        for end in ends.values():  # no link owns them yet
+            end.close()
+        raise
     finally:
         listener.close()
     return [FramedLink(ends[(s, r)], ends[(r, s)]) for s, r in pairs]

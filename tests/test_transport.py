@@ -403,6 +403,33 @@ def test_connect_pairs_refuses_a_connection_it_did_not_make(monkeypatch):
             s.close()
 
 
+def test_connect_pairs_closes_its_sockets_when_it_refuses(monkeypatch):
+    strangers, made = [], []
+    connect, accept = socket.create_connection, socket.socket.accept
+
+    def stranger_first(addr, *args, **kwargs):
+        strangers.append(connect(addr))
+        made.append(connect(addr, *args, **kwargs))
+        return made[-1]
+
+    def recorded_accept(listener):
+        conn, peer = accept(listener)
+        made.append(conn)
+        return conn, peer
+
+    monkeypatch.setattr(socket, "create_connection", stranger_first)
+    monkeypatch.setattr(socket.socket, "accept", recorded_accept)
+    try:
+        with pytest.raises(SessionRuntimeError) as e:
+            transport.connect_pairs("127.0.0.1", [("a", "b"), ("b", "a")])
+        assert e.value.kind is ErrorKind.TRANSPORT_ERROR
+        assert len(made) == 2  # the pair's connected end and the stray's accepted end
+        assert [s.fileno() for s in made] == [-1, -1]
+    finally:
+        for s in strangers + made:
+            s.close()
+
+
 def test_framed_receive_that_times_out_mid_frame_resumes_it():
     left, right = socket.socketpair()
     link = transport.FramedLink(left, right)
