@@ -17,6 +17,10 @@ so exactly one caller wins it.  The first operation (send, receive, close,
 or being delegated away) consumes the cell, and any further use raises
 ``InvalidEndpoint``.  Consuming the cell covers all sibling labels of the
 stage: choosing one output among alternatives uses the stage exactly once.
+
+A monitored session's :class:`SessionMonitor` checks each event as it is
+recorded: it keeps one cursor per role on the same state tables, so a
+violation is found at the event that made it and the verdict costs O(roles).
 """
 
 from __future__ import annotations
@@ -192,7 +196,7 @@ class SessionMonitor:
     ``record`` appends the event to the log and steps the role's cursor; a
     role's first violation is kept with its event's seq and stops its
     cursor.  ``verdict`` reads the cursors, so it costs O(roles) however
-    long the trace.  ``events`` builds the :class:`TraceEvent` s on read.
+    long the trace.  ``events`` builds each :class:`TraceEvent` on read.
     ``starts`` maps each role name to its start state; a monitor built
     without it compiles the state tables of ``expected``'s closed types.
     """
