@@ -197,7 +197,7 @@ def run_chameleons(pairs: int, transport: Transport, monitored: bool = False,
 
     rng = random.Random(seed)
     samples: list[int] = []
-    assign = assignment_protocol()
+    assign, pairing = assignment_protocol(), p2p_protocol()  # each compiled once, on first open
 
     def peer(session) -> Callable[[], None]:
         def run() -> None:
@@ -227,7 +227,7 @@ def run_chameleons(pairs: int, transport: Transport, monitored: bool = False,
     delegated = []
     for k in range(pairs):
         t0 = time.perf_counter_ns()
-        p2p = open_session(p2p_protocol(), transport, monitored=monitored, timeout=timeout)
+        p2p = open_session(pairing, transport, monitored=monitored, timeout=timeout)
         sa = registrations[order[2 * k]]
         sb = registrations[order[2 * k + 1]]
         left_ep, right_ep = p2p.endpoints[L], p2p.endpoints[R]

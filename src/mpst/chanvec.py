@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .errors import ErrorKind, CvTypeError, Path, ProtocolTypeError
+from .errors import ErrorKind, CvTypeError, ProtocolTypeError
 from .protocol import (
     ClosedAt,
     Choice,
@@ -31,6 +31,8 @@ from .protocol import (
     Rec,
     Role,
     Var,
+    _front,
+    _path,
     roles_of,
 )
 from .types import (
@@ -169,25 +171,21 @@ def eval_global(
     n = len(tuple_roles)
     table = ChannelTable(session)
     namer = _Namer()
-    participants: set[str] = set()  # the names of the roles g uses, found on first need
 
-    def go(
-        node: GlobalProtocol,
-        env: dict[str, tuple[VarT, ...]],
-        path: Path,
-        closed: frozenset[str],
-    ) -> list[ChannelVector]:
+    def go(node: GlobalProtocol, env: dict[str, tuple[VarT, ...]], steps: object,
+           closed: frozenset[str]) -> list[ChannelVector]:
         if isinstance(node, End):
             return [END_T] * n
         if isinstance(node, Comm):
-            vs = go(node.cont, env, path + ("cont",), closed)
+            vs = go(node.cont, env, (steps, "cont"), closed)
             name = table.alloc(node.from_role, node.to_role, node.label)
             i, j = idx[node.from_role.name], idx[node.to_role.name]
             vs[i] = OutRec(node.to_role, ((node.label, name, vs[i]),))
             vs[j] = WrappedInp(node.from_role, ((node.label, name, vs[j]),))
             return vs
         if isinstance(node, Choice):
-            per_branch = [go(b, env, path + (step,), closed) for step, b in node.children()]
+            per_branch = [go(b, env, (steps, k), closed) for k, b in enumerate(node.branches)]
+            path = _path(steps)
             a = idx[node.at.name]
             result = list(per_branch[0])
             result[a] = _decider_output([vs[a] for vs in per_branch], node.at, path)
@@ -202,18 +200,16 @@ def eval_global(
         if isinstance(node, Rec):
             env2 = dict(env)
             env2[node.var] = tuple(VarT(f"{node.var}@{i}") for i in range(n))
-            vs = go(node.body, env2, path + ("body",), closed)
+            vs = go(node.body, env2, (steps, "body"), closed)
             for i in range(n):
                 if isinstance(vs[i], VarT):
                     # the loop never touches this role
                     name = tuple_roles[i].name
-                    if name not in closed and not participants:
-                        participants.update(r.name for r in roles_of(g))
-                    if name not in closed and name in participants:
+                    if name not in closed and any(r.name == name for r in _front(g)[1]):
                         raise ProtocolTypeError(
                             ErrorKind.UNCLOSED_ROLE,
                             f"role {name} takes no part in this loop; annotate it with closed_at",
-                            path,
+                            _path(steps),
                         )
                     vs[i] = END_T
                 else:
@@ -222,23 +218,23 @@ def eval_global(
         if isinstance(node, Var):
             if node.var not in env:
                 raise ProtocolTypeError(
-                    ErrorKind.UNBOUND_TYPE_VAR, f"recursion variable {node.var} is unbound", path
+                    ErrorKind.UNBOUND_TYPE_VAR, f"recursion variable {node.var} is unbound", _path(steps)
                 )
             return list(env[node.var])
         if isinstance(node, ClosedAt):
-            vs = go(node.cont, env, path + ("cont",), closed | {node.role.name})
+            vs = go(node.cont, env, (steps, "cont"), closed | {node.role.name})
             a = idx[node.role.name]
             if not isinstance(vs[a], (EndT, VarT)):
                 raise ProtocolTypeError(
                     ErrorKind.UNCLOSED_ROLE,
                     f"closed_at {node.role} contradicts the role's remaining behaviour",
-                    path,
+                    _path(steps),
                 )
             vs[a] = END_T
             return vs
         raise AssertionError(f"unknown node {node!r}")
 
-    vectors = go(g, {}, (), frozenset())
+    vectors = go(g, {}, None, frozenset())
     return tuple(vectors), table
 
 

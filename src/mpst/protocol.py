@@ -3,13 +3,14 @@
 A global protocol describes every interaction of a multiparty session from a
 bird's-eye view.  Values built here are immutable and carry no channels; the
 ``chanvec`` module compiles them to channel vectors, whose channel-erased
-view is the ``types`` module's local types.
+view is the ``types`` module's local types.  Shape findings and roles come
+from one walk, kept on the protocol (``_front``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import EmptyChoiceError, ErrorKind, Path, SelfSendError
 
@@ -230,78 +231,82 @@ class ValidationReport:
         return "ok" if self.ok else "; ".join(str(f) for f in self.findings)
 
 
-def validate_shape(g: GlobalProtocol) -> ValidationReport:
-    """Structural checks run before typing.
+def _path(steps: object) -> Path:
+    """The path of a ``(stack, step)`` step stack; a branch step is its index."""
+    out = []
+    while steps is not None:
+        steps, step = steps
+        out.append(step if isinstance(step, str) else f"branch[{step}]")
+    return tuple(reversed(out))
 
-    Finds unbound recursion variables, recursion variables not guarded by at
-    least one communication, self-sends, and empty choices.  Guardedness is
-    checked syntactically up front, before anything is evaluated.
-    """
+
+def _front(g: GlobalProtocol) -> tuple[ValidationReport, tuple[Role, ...]]:
+    """The shape findings and first-appearance roles of ``g`` from one walk,
+    kept on ``g`` as ``runtime._compiled_for`` keeps the compiled form: ``g``
+    is immutable, so the entry never goes stale, and two threads that miss at
+    once both walk and store the same value.  Bound variables live in one
+    dict, set and restored at each ``Rec``, mapped to the count of Comms on
+    the path at their binder: a use is unguarded where that count has not
+    grown.  The path is a step stack, made a tuple only for a finding."""
+    if (cached := g.__dict__.get("_front")) is not None:
+        return cached
     findings: list[Finding] = []
+    names: dict[str, None] = {}
+    bound: dict[str, Optional[int]] = {}  # None: out of scope again
 
-    def walk(node: GlobalProtocol, bound: dict[str, bool], path: Path) -> None:
-        # bound maps each in-scope rec var to "still unguarded on this path"
+    def walk(node: GlobalProtocol, comms: int, steps: object) -> None:
         if isinstance(node, Comm):
-            if node.from_role == node.to_role:
-                findings.append(
-                    Finding(ErrorKind.SELF_SEND, f"role {node.from_role} sends to itself", path)
-                )
-            walk(node.cont, {v: False for v in bound}, path + ("cont",))
+            a, b = node.from_role.name, node.to_role.name
+            names[a] = names[b] = None
+            if a == b:
+                findings.append(Finding(ErrorKind.SELF_SEND, f"role {a} sends to itself", _path(steps)))
+            walk(node.cont, comms + 1, (steps, "cont"))
         elif isinstance(node, Choice):
+            names[node.at.name] = None
             if not node.branches:
-                findings.append(Finding(ErrorKind.EMPTY_CHOICE, "choice with no branches", path))
-            for step, b in node.children():
-                walk(b, dict(bound), path + (step,))
+                findings.append(Finding(ErrorKind.EMPTY_CHOICE, "choice with no branches", _path(steps)))
+            for i, b in enumerate(node.branches):
+                walk(b, comms, (steps, i))
         elif isinstance(node, Rec):
-            inner = dict(bound)
-            inner[node.var] = True
-            walk(node.body, inner, path + ("body",))
+            outer, bound[node.var] = bound.get(node.var), comms
+            walk(node.body, comms, (steps, "body"))
+            bound[node.var] = outer
         elif isinstance(node, Var):
-            if node.var not in bound:
-                findings.append(
-                    Finding(ErrorKind.UNBOUND_VAR, f"recursion variable {node.var} is unbound", path)
-                )
-            elif bound[node.var]:
-                findings.append(
-                    Finding(
-                        ErrorKind.UNGUARDED_RECURSION,
-                        f"recursion variable {node.var} occurs with no communication since its binder",
-                        path,
-                    )
-                )
+            at = bound.get(node.var)
+            if at is None:
+                detail = f"recursion variable {node.var} is unbound"
+                findings.append(Finding(ErrorKind.UNBOUND_VAR, detail, _path(steps)))
+            elif at == comms:
+                detail = f"recursion variable {node.var} occurs with no communication since its binder"
+                findings.append(Finding(ErrorKind.UNGUARDED_RECURSION, detail, _path(steps)))
         elif isinstance(node, ClosedAt):
-            walk(node.cont, dict(bound), path + ("cont",))
+            names[node.role.name] = None
+            walk(node.cont, comms, (steps, "cont"))
         # End: nothing to check
 
-    walk(g, {}, ())
-    return ValidationReport(tuple(findings))
+    walk(g, 0, None)
+    roles = []
+    for i, name in enumerate(names):  # each name was checked when its Role was made
+        role = object.__new__(Role)
+        role.__dict__.update(name=name, index=i)
+        roles.append(role)
+    cached = g.__dict__["_front"] = (ValidationReport(tuple(findings)), tuple(roles))
+    return cached
+
+
+def validate_shape(g: GlobalProtocol) -> ValidationReport:
+    """Structural checks run before typing: unbound recursion variables,
+    variables not guarded by a communication since their binder, self-sends
+    and empty choices, in walk order.  Guardedness is syntactic, checked
+    before anything is evaluated; the walk is shared with :func:`roles_of`."""
+    return _front(g)[0]
 
 
 def roles_of(g: GlobalProtocol) -> tuple[Role, ...]:
-    """All roles of the protocol, in first-appearance order.
-
-    The returned roles carry their tuple index; this order is what every
-    downstream stage (typing, evaluation, the runtime) uses.
-    """
-    seen: dict[str, Role] = {}
-
-    def walk(node: GlobalProtocol) -> None:
-        if isinstance(node, Comm):
-            seen.setdefault(node.from_role.name, node.from_role)
-            seen.setdefault(node.to_role.name, node.to_role)
-            walk(node.cont)
-        elif isinstance(node, Choice):
-            seen.setdefault(node.at.name, node.at)
-            for _, b in node.children():
-                walk(b)
-        elif isinstance(node, Rec):
-            walk(node.body)
-        elif isinstance(node, ClosedAt):
-            seen.setdefault(node.role.name, node.role)
-            walk(node.cont)
-
-    walk(g)
-    return tuple(Role(name, index=i) for i, name in enumerate(seen))
+    """All roles of the protocol, in first-appearance order, each carrying its
+    tuple index: the order every downstream stage (typing, evaluation, the
+    runtime) uses.  The walk is shared with :func:`validate_shape`."""
+    return _front(g)[1]
 
 
 def bind_roles(declared: Iterable[Role], g: GlobalProtocol) -> tuple[Role, ...]:
@@ -311,8 +316,7 @@ def bind_roles(declared: Iterable[Role], g: GlobalProtocol) -> tuple[Role, ...]:
     missing = [r.name for r in roles_of(g) if r.name not in names]
     if missing:
         raise ValueError(f"declared roles do not cover protocol roles: missing {missing}")
-    dupes = len(out) != len(names)
-    if dupes:
+    if len(out) != len(names):
         raise ValueError("declared roles contain duplicates")
     return out
 

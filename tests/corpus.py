@@ -1,6 +1,9 @@
-"""Hand-written protocols shared across the test suite."""
+"""Protocols shared across the test suite: hand-written ones, and seeded
+generated candidates with and without shape faults."""
 
 from __future__ import annotations
+
+import random
 
 from mpst import (
     BOOL,
@@ -17,6 +20,8 @@ from mpst import (
     rec,
     var_,
 )
+from mpst.gen import ProtocolGenerator
+from mpst.protocol import Choice, ClosedAt, Comm, GlobalProtocol, Rec, Var
 
 S, C, A = Role("s"), Role("c"), Role("a")
 P, Q, R, T = Role("p"), Role("q"), Role("r"), Role("t")
@@ -156,4 +161,58 @@ def finite_corpus():
     out = well_typed_corpus()
     del out["infinite_loop"]
     del out["closed_loop"]  # p and q loop forever; only c is discharged
+    return out
+
+
+def shape_mutant(g: GlobalProtocol, rng: random.Random) -> GlobalProtocol:
+    """``g`` with one node, reached by a random descent of up to 9 steps,
+    given a shape fault or a scope change: an unbound or unguarded variable,
+    a self-send, an empty choice, a binder that shadows an outer one of the
+    same name, or a closed_at."""
+
+    def rebuild(node: GlobalProtocol, depth: int) -> GlobalProtocol:
+        if depth and isinstance(node, Comm):
+            return Comm(node.from_role, node.to_role, node.label, rebuild(node.cont, depth - 1))
+        if depth and isinstance(node, Choice) and node.branches:
+            branches = list(node.branches)
+            k = rng.randrange(len(branches))
+            branches[k] = rebuild(branches[k], depth - 1)
+            return Choice(node.at, tuple(branches))
+        if depth and isinstance(node, Rec):
+            return Rec(node.var, rebuild(node.body, depth - 1))
+        who = rng.choice((P, Q, S))
+        return rng.choice((
+            lambda: Var(rng.choice(("X", "Y"))),
+            lambda: Rec("X", node),
+            lambda: Rec("X", Var("X")),
+            lambda: Rec(rng.choice(("X", "Y")), Choice(who, (node, Var("X")))),
+            lambda: Comm(who, who, Label("self"), node),
+            lambda: Choice(who, ()),
+            lambda: ClosedAt(who, node),
+        ))()
+
+    return rebuild(g, rng.randrange(10))
+
+
+def hand_written() -> list[GlobalProtocol]:
+    """Every hand-written protocol above, well-typed or not, by name."""
+    return [
+        calc(), closed_loop(), delegation_protocol(), g_auth(), infinite_loop(),
+        nonparticipant_choice(), oauth(), oauth2(), oauth3(), oauth4(), oauth_cancel_branch(),
+        rec_merge(), unclosed_loop(),
+    ]
+
+
+def generated_candidates(n: int = 10_000) -> list[GlobalProtocol]:
+    """``n`` seeded generated candidates over four generator settings, about
+    a third of them with one mutation from :func:`shape_mutant`."""
+    rng = random.Random(11)
+    gens = [
+        ProtocolGenerator(random.Random(s), max_roles=r, max_labels=4, max_depth=d)
+        for s, (r, d) in enumerate(((4, 6), (3, 5), (2, 4), (4, 5)))
+    ]
+    out = []
+    for i in range(n):
+        g = gens[i % len(gens)].candidate()
+        out.append(shape_mutant(g, rng) if rng.random() < 0.35 else g)
     return out

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from corpus import A, C, P, Q, S, g_auth, oauth
+from corpus import A, C, P, Q, S, g_auth, generated_candidates, hand_written, oauth
 from mpst import (
     Choice,
     Comm,
@@ -15,6 +15,7 @@ from mpst import (
     Role,
     Var,
     choice_at,
+    closed_at,
     comm,
     end_,
     rec,
@@ -23,7 +24,7 @@ from mpst import (
     var_,
 )
 from mpst.errors import EmptyChoiceError, SelfSendError
-from mpst.protocol import END, Rec, bind_roles
+from mpst.protocol import END, ClosedAt, Rec, bind_roles
 
 
 def test_comm_builds_nested_chain():
@@ -143,7 +144,8 @@ def test_bind_roles_checks_coverage_and_dupes():
 
 
 def _paths_to_vars(g, path=()):
-    """Independent oracle: every binder-to-use path, with its Comm count."""
+    """Independent oracle: every binder-to-use path, with its Comm count
+    (``None`` for a use no binder scopes)."""
     out = []
 
     def walk(node, path, binders):
@@ -156,12 +158,25 @@ def _paths_to_vars(g, path=()):
             inner = dict(binders)
             inner[node.var] = 0
             walk(node.body, path + ("body",), inner)
+        elif isinstance(node, ClosedAt):
+            walk(node.cont, path + ("cont",), dict(binders))
         elif isinstance(node, Var):
-            if node.var in binders:
-                out.append((node.var, path, binders[node.var]))
+            out.append((node.var, path, binders.get(node.var)))
 
     walk(g, path, {})
     return out
+
+
+def _assert_scoping_matches_paths(g):
+    """validate_shape flags a use as unguarded exactly when its binder-to-use
+    path carries no communication, and as unbound exactly when no binder
+    scopes it, each at the use's path."""
+    uses = _paths_to_vars(g)
+    for kind, wanted in ((ErrorKind.UNGUARDED_RECURSION, lambda n: n == 0),
+                         (ErrorKind.UNBOUND_VAR, lambda n: n is None)):
+        expected = {(v, p) for v, p, n in uses if wanted(n)}
+        got = {(f.detail.split()[2], f.path) for f in validate_shape(g) if f.kind is kind}
+        assert got == expected, f"{kind} for {g!r}"
 
 
 def test_unguarded_matches_path_enumeration():
@@ -183,3 +198,40 @@ def test_unguarded_matches_path_enumeration():
             if f.kind is ErrorKind.UNGUARDED_RECURSION
         }
         assert got == expected, f"for {g!r}"
+        _assert_scoping_matches_paths(g)
+
+
+def test_scope_is_restored_after_each_binder():
+    """Hand cases for the one bound-variable dict, set and restored at each
+    Rec: shadowing, a sibling branch after an inner binder, and closed_at
+    between a binder and its use."""
+    a = Label("a")
+    guarded_x = rec("X", comm(P, Q, a, var_("X")))
+    cases = {
+        # a shadowed same-name Rec: the inner binder resets the count
+        "shadow": (rec("X", comm(P, Q, a, rec("X", var_("X")))), [("UnguardedRecursion", ("body", "cont", "body"))]),
+        "shadow_guarded": (rec("X", rec("X", comm(P, Q, a, var_("X")))), []),
+        # the sibling branch sees the outer X again once the inner one closes
+        "sibling_outer": (rec("X", Choice(P, (guarded_x, var_("X")))), [("UnguardedRecursion", ("body", "branch[1]"))]),
+        "sibling_outer_guarded": (rec("X", comm(P, Q, a, Choice(P, (rec("X", var_("X")), var_("X"))))),
+                                  [("UnguardedRecursion", ("body", "cont", "branch[0]", "body"))]),
+        "sibling_other_name": (rec("X", comm(P, Q, a, Choice(P, (rec("Y", var_("Y")), var_("X"))))),
+                               [("UnguardedRecursion", ("body", "cont", "branch[0]", "body"))]),
+        # no binder outside the branch: the sibling's X is unbound
+        "sibling_unbound": (Choice(P, (guarded_x, var_("X"))), [("UnboundVar", ("branch[1]",))]),
+        # closed_at is not a communication
+        "closed_at_unguarded": (rec("X", closed_at(Q, var_("X"))), [("UnguardedRecursion", ("body", "cont"))]),
+        "closed_at_guarded": (rec("X", comm(P, Q, a, closed_at(Q, var_("X")))), []),
+        "closed_at_shadow": (rec("X", comm(P, Q, a, closed_at(Q, rec("X", var_("X"))))),
+                             [("UnguardedRecursion", ("body", "cont", "cont", "body"))]),
+    }
+    for name, (g, want) in cases.items():
+        assert [(f.kind.value, f.path) for f in validate_shape(g)] == want, name
+        _assert_scoping_matches_paths(g)
+
+
+def test_scoping_matches_paths_on_corpus_and_generated():
+    protocols = hand_written() + generated_candidates(2500)
+    for g in protocols:
+        _assert_scoping_matches_paths(g)
+    assert sum(not validate_shape(g).ok for g in protocols) > 300

@@ -526,6 +526,24 @@ def test_each_role_order_gets_its_own_compiled_form(monkeypatch):
     assert len(compiles) == 2
 
 
+def test_chameleons_compiles_its_two_protocols_once_for_any_pairs(monkeypatch):
+    from mpst import runtime
+    from mpst.bench import run_chameleons
+
+    compiled = []
+    compile_ = runtime._compile
+
+    def counted(g, roles):
+        compiled.append(g)
+        return compile_(g, roles)
+
+    monkeypatch.setattr(runtime, "_compile", counted)
+    for pairs in (1, 4, 12):
+        compiled.clear()
+        assert len(run_chameleons(pairs, AsyncBuffered(1), monitored=True, seed=pairs)) == pairs
+        assert len(compiled) == 2, pairs  # the assignment protocol and the p2p one
+
+
 def test_compile_failures_are_raised_on_every_open():
     from corpus import oauth4
     from mpst import rec, var_
