@@ -285,12 +285,11 @@ def _front(g: GlobalProtocol) -> tuple[ValidationReport, tuple[Role, ...]]:
         # End: nothing to check
 
     walk(g, 0, None)
-    roles = []
-    for i, name in enumerate(names):  # each name was checked when its Role was made
-        role = object.__new__(Role)
-        role.__dict__.update(name=name, index=i)
-        roles.append(role)
-    cached = g.__dict__["_front"] = (ValidationReport(tuple(findings)), tuple(roles))
+    roles = tuple(object.__new__(Role) for _ in names)  # each name was checked when its Role was made
+    for i, (role, name) in enumerate(zip(roles, names)):
+        object.__setattr__(role, "name", name)  # as the dataclass __init__ sets it
+        object.__setattr__(role, "index", i)
+    cached = g.__dict__["_front"] = (ValidationReport(tuple(findings)), roles)
     return cached
 
 
