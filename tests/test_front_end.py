@@ -12,6 +12,8 @@ on the same inputs are pinned by a digest taken before the change.
 from __future__ import annotations
 
 import hashlib
+import sys
+import threading
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -198,3 +200,32 @@ def test_discovered_roles_are_ordinary_roles():
     with pytest.raises(ValueError):
         bind_roles([S, C], g)
 
+
+
+def test_threads_walking_one_protocol_at_once_agree():
+    """The entry is stored without a lock, so threads that miss at once
+    each walk; every one of them must still see the oracle's findings and
+    roles, and one entry stands afterwards."""
+    protocols = generated_candidates(300)
+    want = [(walk_validate_shape(g).findings, [(r.name, r.index) for r in walk_roles_of(g)]) for g in protocols]
+    barrier = threading.Barrier(4)
+    got: list[list] = [[] for _ in range(4)]
+
+    def walk_all(out: list) -> None:
+        barrier.wait()
+        for g in protocols:
+            out.append((validate_shape(g).findings, [(r.name, r.index) for r in roles_of(g)]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=walk_all, args=(out,)) for out in got]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(10.0)
+            assert not w.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(out == want for out in got)
+    assert all(validate_shape(g) is validate_shape(g) and roles_of(g) is roles_of(g) for g in protocols)
