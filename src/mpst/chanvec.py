@@ -9,9 +9,11 @@ is a vector with its channels erased (:func:`typecheck_cv`).  Choice branches
 are merged per role by ``types.merge``, which unifies the channel names of
 shared labels through a union-find kept in the :class:`ChannelTable`.  Vectors
 and the table live at compile time only: the table gives each class its
-payload sort (a name's key is its allocation slot) and the role pairs that
-carry messages, and the runtime walks the re-typed local types, binding one
-link per (sender, receiver) pair when a session opens.
+payload sort (a name's key is its allocation slot), and the runtime walks
+the re-typed local types that ``types.type_global`` returns.
+:func:`eval_global` is the one shape gate: every compile, typing and
+session open passes through it, so none evaluates a protocol with shape
+findings.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .errors import ErrorKind, CvTypeError, ProtocolTypeError
+from .errors import ErrorKind, CvTypeError, ProtocolTypeError, ShapeError
 from .protocol import (
     ClosedAt,
     Choice,
@@ -33,7 +35,6 @@ from .protocol import (
     Var,
     _front,
     _path,
-    roles_of,
 )
 from .types import (
     END_T,
@@ -162,11 +163,17 @@ def eval_global(
     """Compile a global protocol into one channel vector per role.
 
     This is the only traversal that derives the roles' behaviour:
-    ``types.type_global`` erases the channels of its result.  An ill-formed
+    ``types.type_global`` erases the channels of its result.  It is also the
+    shape gate of every compile: a protocol with shape findings (the kept
+    entry of ``protocol._front``) raises :class:`ShapeError` with all of
+    them before anything is evaluated.  A shape-valid but ill-formed
     protocol raises :class:`ProtocolTypeError`, with the kind and path that
     ``type_global`` reports for it.
     """
-    tuple_roles = tuple(roles) if roles is not None else roles_of(g)
+    report, found = _front(g)
+    if not report.ok:
+        raise ShapeError(report.findings)
+    tuple_roles = tuple(roles) if roles is not None else found
     idx = {r.name: i for i, r in enumerate(tuple_roles)}
     n = len(tuple_roles)
     table = ChannelTable(session)
@@ -205,7 +212,7 @@ def eval_global(
                 if isinstance(vs[i], VarT):
                     # the loop never touches this role
                     name = tuple_roles[i].name
-                    if name not in closed and any(r.name == name for r in _front(g)[1]):
+                    if name not in closed and any(r.name == name for r in found):
                         raise ProtocolTypeError(
                             ErrorKind.UNCLOSED_ROLE,
                             f"role {name} takes no part in this loop; annotate it with closed_at",
@@ -216,10 +223,6 @@ def eval_global(
                     vs[i] = fixv(f"{node.var}@{i}", vs[i])
             return vs
         if isinstance(node, Var):
-            if node.var not in env:
-                raise ProtocolTypeError(
-                    ErrorKind.UNBOUND_TYPE_VAR, f"recursion variable {node.var} is unbound", _path(steps)
-                )
             return list(env[node.var])
         if isinstance(node, ClosedAt):
             vs = go(node.cont, env, (steps, "cont"), closed | {node.role.name})

@@ -13,8 +13,7 @@ from typing import Optional
 
 from . import bench as bench_mod
 from .dsl import ProtocolFile, parse_protocol, parse_scenario, print_protocol
-from .errors import MpstError, ParseError
-from .protocol import validate_shape
+from .errors import MpstError, ParseError, ShapeError
 from .scripts import run_scripted
 from .transport import AsyncBuffered, FramedSocket, SyncRendezvous, Transport
 from .types import (
@@ -63,13 +62,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     except (OSError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    report = validate_shape(pf.body)
-    if not report.ok:
-        for f in report:
-            print(f"error[{f.kind}] at {'/'.join(f.path) or 'root'}: {f.detail}", file=sys.stderr)
-        return 1
     try:
         local = type_global(pf.body, pf.roles)
+    except ShapeError as e:
+        for f in e.findings:
+            print(f"error[{f.kind}] at {'/'.join(f.path) or 'root'}: {f.detail}", file=sys.stderr)
+        return 1
     except MpstError as e:
         print(_diag(pf, source, e), file=sys.stderr)
         return 1

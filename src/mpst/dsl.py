@@ -54,8 +54,6 @@ from .types import Branch, LocalType, RecT, Select, VarT, END_T, format_sort
 
 Span = tuple[int, int, int, int]  # line, col, end line, end col (1-based)
 
-_PUNCT = ("->", "(", ")", "{", "}", ",", ";", ":", ".", "|", "!", "?")
-
 
 @dataclass(frozen=True)
 class Token:

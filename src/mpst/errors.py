@@ -24,7 +24,6 @@ class ErrorKind(str, Enum):
     DUPLICATE_CHOICE_LABEL = "DuplicateChoiceLabel"
     PAYLOAD_MISMATCH = "PayloadMismatch"
     UNCLOSED_ROLE = "UnclosedRole"
-    UNBOUND_TYPE_VAR = "UnboundTypeVar"
 
     # runtime
     INVALID_ENDPOINT = "InvalidEndpoint"

@@ -1,13 +1,13 @@
 """Session runtime: affine endpoints that step compiled state tables.
 
-A protocol is compiled once per protocol object and role tuple, to one local
-type per role, the directed role pairs that carry messages, and each role's
-state table, the finite automaton of its local type (Deniélou & Yoshida,
-ESOP 2012); its channel vectors are not kept.  A session binds one link per
-directed role pair, a FIFO of ``(label name, payload)`` messages on every
-transport: a send puts its label and payload on the link to the peer, and a
-receive takes the head of the link from the peer and picks its branch by
-the label name.
+A protocol is compiled once per protocol object and role tuple by
+``types.type_global`` to one local type per role, then to each role's state
+table, the finite automaton of its local type (Deniélou & Yoshida, ESOP
+2012), whose states number each role pair they name as a link.  A session
+binds one link per directed role pair, a FIFO of ``(label name, payload)``
+messages on every transport: a send puts its label and payload on the link
+to the peer, and a receive takes the head of the link from the peer and
+picks its branch by the label name.
 
 An :class:`Endpoint` is one role's live handle into a session at one state:
 the role's seat (role, links, monitor and timeout, built once per session),
@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .chanvec import eval_global, typecheck_cv
-from .errors import ErrorKind, SessionRuntimeError, ShapeError
+from .errors import ErrorKind, SessionRuntimeError
 from .protocol import (
     BOOL,
     GlobalProtocol,
@@ -42,8 +41,6 @@ from .protocol import (
     SessionSort,
     STRING,
     UNIT,
-    roles_of,
-    validate_shape,
 )
 from .transport import (
     AsyncBuffered,
@@ -55,7 +52,7 @@ from .transport import (
     connect_pairs,
     select,  # not called here; re-exported for callers that look up runtime.select
 )
-from .types import END_T, DirectedChoice, LocalType, RecT, VarT, subtype, unfold_type
+from .types import END_T, DirectedChoice, LocalType, RecT, VarT, subtype, type_global, unfold_type
 
 DEFAULT_TIMEOUT = 5.0
 
@@ -135,12 +132,13 @@ class _State:
     subtypes: dict = field(default_factory=dict)
 
 
-def _state_table(t: LocalType, role: str, pairs: Optional[tuple[tuple[str, str], ...]]) -> list[_State]:
+def _state_table(t: LocalType, role: str, links: dict[tuple[str, str], int]) -> list[_State]:
     """A role's states, the start first: one per Select, Branch or End
     position of its closed local type ``t``, a loop variable being an edge to
     its binder's state.  A stage is ``t`` unfolded along the path to it;
     ``t`` is closed, so unfolding renames no binder and keeps the shape.
-    Without ``pairs`` (a monitor built on its own) no state has a link."""
+    ``links`` numbers each (sender, receiver) pair the first time a state
+    names it, across all the roles that share it."""
     table: list[_State] = []
 
     def build(pos: LocalType, stage: LocalType, env: dict[str, _State]) -> _State:
@@ -155,9 +153,8 @@ def _state_table(t: LocalType, role: str, pairs: Optional[tuple[tuple[str, str],
         if isinstance(pos, DirectedChoice):
             env = {**env, **dict.fromkeys(binders, state)}
             state.kind, state.peer = (_SEND if pos.output else _RECEIVE), pos.peer
-            if pairs is not None:
-                pair = (role, pos.peer.name) if pos.output else (pos.peer.name, role)
-                state.link = pairs.index(pair)
+            pair = (role, pos.peer.name) if pos.output else (pos.peer.name, role)
+            state.link = links.setdefault(pair, len(links))
             state.steps = {
                 l.name: (l, _check(l.payload), build(cont, stage_cont, env))
                 for (l, cont), (_, stage_cont) in zip(pos.branches, state.stage.branches)
@@ -204,7 +201,7 @@ class SessionMonitor:
     def __init__(self, expected: dict[Role, LocalType], starts: Optional[dict[str, _State]] = None) -> None:
         self.expected = {r.name: t for r, t in expected.items()}
         if starts is None:
-            starts = {r.name: _state_table(t, r.name, None)[0] for r, t in expected.items()}
+            starts = {r.name: _state_table(t, r.name, {})[0] for r, t in expected.items()}
         self._cursors: dict[str, Optional[_State]] = dict(starts)  # None: stopped
         self._stops: dict[str, tuple[int, str, str]] = {}
         self._log: list[tuple] = []
@@ -267,9 +264,9 @@ class SessionMonitor:
 class CompiledProtocol:
     """One protocol compiled for one role tuple, shared by all its sessions.
     ``pairs`` are the directed (sender, receiver) role-name pairs that carry
-    messages; ``tables`` hold each role's states, its start state first, and
-    ``starts`` map each role name to its start state, the cursors a
-    session's monitor starts from."""
+    messages, indexed by ``_State.link``; ``tables`` hold each role's states,
+    its start state first, and ``starts`` map each role name to its start
+    state, the cursors a session's monitor starts from."""
 
     roles: tuple[Role, ...]
     local_types: dict[Role, LocalType]
@@ -279,17 +276,11 @@ class CompiledProtocol:
 
 
 def _compile(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledProtocol:
-    report = validate_shape(g)
-    if not report.ok:
-        raise ShapeError(report.findings)
-    tuple_roles = roles if roles is not None else roles_of(g)
-    vectors, table = eval_global(g, None, tuple_roles)
-    env = table.payload_env()
-    local = {r: typecheck_cv(v, env) for r, v in zip(tuple_roles, vectors)}
-    pairs = tuple(dict.fromkeys((n.from_role.name, n.to_role.name) for n in table.names))
-    tables = {r: _state_table(t, r.name, pairs) for r, t in local.items()}
+    local = type_global(g, roles)
+    links: dict[tuple[str, str], int] = {}
+    tables = {r: _state_table(t, r.name, links) for r, t in local.items()}
     starts = {r.name: table[0] for r, table in tables.items()}
-    return CompiledProtocol(tuple_roles, local, pairs, tables, starts)
+    return CompiledProtocol(tuple(local), local, tuple(links), tables, starts)
 
 
 def _compiled_for(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledProtocol:

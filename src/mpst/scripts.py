@@ -243,8 +243,9 @@ def _scoped_nodes(g: GlobalProtocol):
     return nodes, bind_of
 
 
-def _min_steps(g: GlobalProtocol) -> dict[int, float]:
-    """Minimum number of communications from each node to End.
+def _min_steps(g: GlobalProtocol):
+    """Minimum number of communications from each node to End, plus the
+    scoped binders of :func:`_scoped_nodes` they were computed from.
 
     Computed by fixpoint relaxation over the node graph, where recursion
     variables point back at their binder's body.
@@ -274,7 +275,7 @@ def _min_steps(g: GlobalProtocol) -> dict[int, float]:
             if d < dist[id(n)]:
                 dist[id(n)] = d
                 changed = True
-    return dist
+    return dist, bind_of
 
 
 def global_trace(g: GlobalProtocol, rng, budget: int = 200) -> list[tuple[Role, Role, Label]]:
@@ -284,8 +285,7 @@ def global_trace(g: GlobalProtocol, rng, budget: int = 200) -> list[tuple[Role, 
     random branch to still terminate; once the budget tightens, the path
     follows the shortest way out.
     """
-    dist = _min_steps(g)
-    _, bind_of = _scoped_nodes(g)
+    dist, bind_of = _min_steps(g)
     events: list[tuple[Role, Role, Label]] = []
 
     node = g

@@ -9,10 +9,10 @@ one cached unfolding and one merge serve both.
 
 There is one compile route.  :func:`type_global` is the channel-erased view
 of the vectors that ``chanvec.eval_global`` computes, so typing and
-compiling accept the same protocols and fail with the same errors.
-:func:`project`, the classical per-role endpoint projection, is a separate
-traversal kept as the independent oracle that the test suite checks the
-route against.
+compiling accept the same protocols and fail with the same errors, shape
+findings first (:class:`ShapeError`).  :func:`project`, the classical
+per-role endpoint projection, is a separate traversal kept as the
+independent oracle that the test suite checks the route against.
 
 Subtyping is coinductive: :func:`subtype` carries a set of assumed pairs and
 answers positively on revisit, which is sound and complete for the regular
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import ErrorKind, Path, ProtocolTypeError
+from .errors import ErrorKind, Path, ProtocolTypeError, ShapeError
 from .protocol import (
     ClosedAt,
     Choice,
@@ -37,6 +37,7 @@ from .protocol import (
     Role,
     SessionSort,
     Var,
+    _front,
     roles_of,
 )
 
@@ -396,7 +397,8 @@ def type_global(g: GlobalProtocol, roles: Optional[Sequence[Role]] = None) -> di
     """Type a global protocol, returning one local type per role.
 
     The types are the channel-erased vectors of ``chanvec.eval_global``, so
-    an ill-formed protocol fails here exactly as it fails to compile.
+    an ill-formed protocol fails here exactly as it fails to compile, shape
+    findings first (:class:`ShapeError`).
     ``roles`` overrides the tuple order (defaulting to first-appearance
     order); roles listed but never used type as End.
     """
@@ -415,8 +417,12 @@ def project(g: GlobalProtocol, r: Role) -> LocalType:
     projections of all branches.  A recursion whose body projects to a bare
     variable collapses to End for roles outside the protocol and is an
     UnclosedRole error for participants (fixed by a closed_at annotation).
+    Shape findings raise :class:`ShapeError` first, as in ``type_global``.
     """
-    participating = r.name in {x.name for x in roles_of(g)}
+    report, found = _front(g)
+    if not report.ok:
+        raise ShapeError(report.findings)
+    participating = r.name in {x.name for x in found}
     namer = _Namer()
 
     def go(node: GlobalProtocol, path: Path, closed: bool) -> LocalType:

@@ -43,6 +43,38 @@ REUSE_SCENARIO = """scenario reuse for oAuth {
 """
 
 
+SELF_SEND = """protocol Loopback (roles a, b) {
+  a -> a : ping(unit);
+  a -> b : go(unit);
+  b -> b : pong(unit);
+  end;
+}
+"""
+
+UNBOUND = """protocol Stray (roles a, b) {
+  choice at a {
+    a -> b : more(unit);
+    continue X;
+  } or {
+    a -> b : stop(unit);
+    continue Y;
+  }
+}
+"""
+
+# Each shape-faulted file with every finding `check` prints for it.
+SHAPE_FAULTS = {
+    "self_send": (SELF_SEND, [
+        "error[SelfSend] at root: role a sends to itself",
+        "error[SelfSend] at cont/cont: role b sends to itself",
+    ]),
+    "unbound": (UNBOUND, [
+        "error[UnboundVar] at branch[0]/cont: recursion variable X is unbound",
+        "error[UnboundVar] at branch[1]/cont: recursion variable Y is unbound",
+    ]),
+}
+
+
 @pytest.fixture()
 def oauth_file(tmp_path):
     p = tmp_path / "oauth.mpst"
@@ -71,6 +103,27 @@ def test_check_ill_formed_exit_1(tmp_path, capsys):
     assert "ActiveRoleMismatch" in err
     assert "c" in err and "a" in err
     assert "^" in err  # caret block pointing at the choice
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_FAULTS))
+def test_check_lists_every_shape_finding(name, tmp_path, capsys):
+    text, findings = SHAPE_FAULTS[name]
+    p = tmp_path / f"{name}.mpst"
+    p.write_text(text)
+    assert main(["check", str(p)]) == 1
+    assert capsys.readouterr().err.splitlines() == findings
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_FAULTS))
+def test_project_reports_a_shape_fault(name, tmp_path, capsys):
+    text, findings = SHAPE_FAULTS[name]
+    p = tmp_path / f"{name}.mpst"
+    p.write_text(text)
+    for role in ("a", "b"):
+        assert main(["project", str(p), "--role", role]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(findings[0] + "\n"), err  # the first finding, then its caret block
+        assert "internal error" not in err
 
 
 def test_check_missing_file_exit_2(tmp_path, capsys):

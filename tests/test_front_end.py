@@ -6,7 +6,9 @@ extends its path tuple at every node, the other discovers roles in a walk of
 its own.  ``protocol._front`` finds both in one walk and keeps them on the
 protocol, and must give identical findings (kind, detail, path and order)
 and identical role tuples (names and indices).  ``type_global``'s results
-on the same inputs are pinned by a digest taken before the change.
+on the shape-valid inputs are pinned by a digest taken before the shape
+gate moved into ``eval_global``; on every shape-faulted input, each compile
+entry must raise ``ShapeError`` with the former walk's findings.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from corpus import (
     oauth2,
     oauth3,
 )
-from mpst import choice_at, comm, rec, roles_of, type_global, validate_shape, var_
-from mpst.errors import ErrorKind, MpstError
+from mpst import choice_at, comm, open_session, rec, roles_of, type_global, validate_shape, var_
+from mpst.chanvec import eval_global
+from mpst.errors import ErrorKind, MpstError, ShapeError
 from mpst.protocol import (
     END,
     Choice,
@@ -47,6 +50,7 @@ from mpst.protocol import (
     Var,
     bind_roles,
 )
+from mpst.types import project
 
 
 def walk_validate_shape(g: GlobalProtocol) -> ValidationReport:
@@ -115,44 +119,65 @@ def walk_roles_of(g: GlobalProtocol) -> tuple[Role, ...]:
 
 def typing_digest(protocols) -> str:
     """sha256 over ``type_global``'s result for each protocol: the ``repr``
-    of the role-to-type dict, or the rejection's kind, detail and path, or
-    the name of any other exception."""
+    of the role-to-type dict, or the rejection's kind, detail and path."""
     h = hashlib.sha256()
     for g in protocols:
         try:
             out = repr(type_global(g))
         except MpstError as e:
             out = f"{e.kind}|{e.detail}|{'/'.join(e.path)}"
-        except Exception as e:  # an empty choice fails outside the taxonomy
-            out = type(e).__name__
         h.update(out.encode())
         h.update(b"\n")
     return h.hexdigest()
 
 
-# typing_digest(hand_written() + generated_candidates()) at the commit
-# before the one-walk front end.
-PINNED_TYPING_DIGEST = "7208d017d642f7a30f732301af3602ccccf78d21d0f028e95c0fc306fbf9378f"
+# typing_digest over the shape-valid inputs of hand_written() +
+# generated_candidates(), at the commit before the shape gate moved into
+# eval_global (the same subset was pinned before the one-walk front end).
+PINNED_TYPING_DIGEST = "868186dcc6d3486bdf6b9d940cc866a1dd4bbd33b443095bab2995394616dcf1"
+
+
+def _entries(g: GlobalProtocol):
+    """Every compile entry, applied to ``g``."""
+    yield "type_global", lambda: type_global(g)
+    yield "eval_global", lambda: eval_global(g, None)
+    yield "project", lambda: project(g, (roles_of(g) or (P,))[0])
+    yield "open_session", lambda: open_session(g)
 
 
 def test_front_end_matches_the_former_walks_and_pinned_typing():
     protocols = hand_written() + generated_candidates()
     kinds = {k: 0 for k in ErrorKind}
-    clean = 0
+    clean = []
     for g in protocols:
         want = walk_validate_shape(g)
         assert validate_shape(g).findings == want.findings, repr(g)
         assert [(r.name, r.index) for r in roles_of(g)] == [
             (r.name, r.index) for r in walk_roles_of(g)
         ], repr(g)
-        clean += want.ok
+        if want.ok:
+            clean.append(g)
         for f in want:
             kinds[f.kind] += 1
     # every shape fault occurs, and most inputs are clean
     assert all(kinds[k] for k in (ErrorKind.UNBOUND_VAR, ErrorKind.UNGUARDED_RECURSION,
                                   ErrorKind.SELF_SEND, ErrorKind.EMPTY_CHOICE)), kinds
-    assert clean > len(protocols) // 2
-    assert typing_digest(protocols) == PINNED_TYPING_DIGEST
+    assert len(clean) > len(protocols) // 2
+    assert typing_digest(clean) == PINNED_TYPING_DIGEST
+
+
+def test_every_entry_rejects_a_shape_fault_with_all_its_findings():
+    faulted = 0
+    for g in hand_written() + generated_candidates():
+        want = walk_validate_shape(g)
+        if want.ok:
+            continue
+        faulted += 1
+        for name, run in _entries(g):
+            with pytest.raises(ShapeError) as e:
+                run()
+            assert tuple(e.value.findings) == want.findings, (name, repr(g))
+    assert faulted > 1000
 
 
 def test_front_end_is_kept_on_the_protocol():

@@ -174,11 +174,15 @@ def test_type_global_end_is_empty():
 
 
 def test_unbound_type_var_reported():
+    from mpst.chanvec import eval_global
+    from mpst.errors import ShapeError
     from mpst.protocol import Var
 
-    with pytest.raises(ProtocolTypeError) as e:
-        type_global(Var("Z"))
-    assert e.value.kind is ErrorKind.UNBOUND_TYPE_VAR
+    for derive in (type_global, lambda g: eval_global(g, None), lambda g: project(g, P)):
+        with pytest.raises(ShapeError) as e:
+            derive(Var("Z"))
+        assert e.value.kind is ErrorKind.UNBOUND_VAR
+        assert [(f.kind, f.path) for f in e.value.findings] == [(ErrorKind.UNBOUND_VAR, ())]
 
 
 def test_corpus_oracle_agreement():

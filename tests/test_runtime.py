@@ -285,7 +285,7 @@ def test_delegation_roundtrip():
 
 
 def test_warm_delegation_re_types_nothing(monkeypatch):
-    from mpst import runtime
+    from mpst import chanvec
 
     bye = Label("bye", UNIT)
     inner_g = comm(P, Q, bye, end_())
@@ -298,7 +298,7 @@ def test_warm_delegation_re_types_nothing(monkeypatch):
     def retyped(*args):
         raise AssertionError("a delegation re-typed its endpoint")
 
-    monkeypatch.setattr(runtime, "typecheck_cv", retyped)
+    monkeypatch.setattr(chanvec, "typecheck_cv", retyped)
     owner, taker = Role("owner"), Role("taker")
     delegated = inner.endpoints[Q]
     outer.endpoints[owner].send(taker, "hand", delegated).close()
@@ -470,16 +470,16 @@ def test_monitor_records_concurrently_in_seq_order():
 
 
 def _count_compiles(monkeypatch) -> list:
-    from mpst import runtime
+    from mpst import chanvec
 
     calls = []
-    eval_global = runtime.eval_global
+    eval_global = chanvec.eval_global
 
     def counted(*args):
         calls.append(args)
         return eval_global(*args)
 
-    monkeypatch.setattr(runtime, "eval_global", counted)
+    monkeypatch.setattr(chanvec, "eval_global", counted)
     return calls
 
 
@@ -524,6 +524,49 @@ def test_each_role_order_gets_its_own_compiled_form(monkeypatch):
     assert got == 7 and swapped.monitor.verdict() == (True, "conformant")
     open_session(g, AsyncBuffered(1), roles=(Q, P))
     assert len(compiles) == 2
+
+
+def test_links_are_numbered_by_sender_and_receiver():
+    """Each compiled link is one directed role pair that carries messages,
+    and every state's link is its own (sender, receiver) pair."""
+    from corpus import generated_candidates, hand_written
+    from mpst.chanvec import eval_global
+    from mpst.errors import MpstError
+    from mpst.runtime import _compiled_for
+
+    corpus = hand_written()
+    generated = 0
+    for i, g in enumerate(corpus + generated_candidates(6100)):
+        try:
+            compiled = _compiled_for(g, None)
+        except MpstError:
+            continue
+        generated += i >= len(corpus)
+        _, table = eval_global(g, None)
+        assert set(compiled.pairs) == {(n.from_role.name, n.to_role.name) for n in table.names}, repr(g)
+        assert len(set(compiled.pairs)) == len(compiled.pairs)
+        for role, states in compiled.tables.items():
+            for state in states:
+                if state.kind is EventKind.CLOSE:
+                    assert state.link == -1
+                    continue
+                own = (role.name, state.peer.name) if state.kind is EventKind.SEND else (
+                    state.peer.name, role.name)
+                assert compiled.pairs[state.link] == own, repr(g)
+    assert generated >= 2000
+
+
+def test_two_senders_to_one_receiver_use_two_links():
+    r = Role("r")
+    a, b = Label("a", INT), Label("b", INT)
+    sess = open_session(comm(Q, r, b, comm(P, r, a, end_())), AsyncBuffered(1), monitored=True)
+    sess.endpoints[P].send(r, a, 1).close()  # sent first, though r takes it second
+    sess.endpoints[Q].send(r, b, 2).close()
+    got_b, two, ep = sess.endpoints[r].receive(Q)
+    got_a, one, ep = ep.receive(P)
+    ep.close()
+    assert (got_b.name, two, got_a.name, one) == ("b", 2, "a", 1)
+    assert sess.monitor.verdict() == (True, "conformant")
 
 
 def test_chameleons_compiles_its_two_protocols_once_for_any_pairs(monkeypatch):
