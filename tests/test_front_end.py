@@ -133,16 +133,8 @@ def typing_digest(protocols) -> str:
 
 # typing_digest over the shape-valid inputs of hand_written() +
 # generated_candidates(), at the commit before the shape gate moved into
-# eval_global (the same subset was pinned before the one-walk front end).
+# eval_global.
 PINNED_TYPING_DIGEST = "868186dcc6d3486bdf6b9d940cc866a1dd4bbd33b443095bab2995394616dcf1"
-
-
-def _entries(g: GlobalProtocol):
-    """Every compile entry, applied to ``g``."""
-    yield "type_global", lambda: type_global(g)
-    yield "eval_global", lambda: eval_global(g, None)
-    yield "project", lambda: project(g, (roles_of(g) or (P,))[0])
-    yield "open_session", lambda: open_session(g)
 
 
 def test_front_end_matches_the_former_walks_and_pinned_typing():
@@ -173,7 +165,13 @@ def test_every_entry_rejects_a_shape_fault_with_all_its_findings():
         if want.ok:
             continue
         faulted += 1
-        for name, run in _entries(g):
+        entries = {
+            "type_global": lambda: type_global(g),
+            "eval_global": lambda: eval_global(g, None),
+            "project": lambda: project(g, (roles_of(g) or (P,))[0]),
+            "open_session": lambda: open_session(g),
+        }
+        for name, run in entries.items():
             with pytest.raises(ShapeError) as e:
                 run()
             assert tuple(e.value.findings) == want.findings, (name, repr(g))

@@ -544,7 +544,6 @@ def test_links_are_numbered_by_sender_and_receiver():
         generated += i >= len(corpus)
         _, table = eval_global(g, None)
         assert set(compiled.pairs) == {(n.from_role.name, n.to_role.name) for n in table.names}, repr(g)
-        assert len(set(compiled.pairs)) == len(compiled.pairs)
         for role, states in compiled.tables.items():
             for state in states:
                 if state.kind is EventKind.CLOSE:
