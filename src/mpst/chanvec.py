@@ -3,9 +3,11 @@
 Each role receives a nested record/variant value whose leaves are fresh
 binary channel names: outputs are records mapping labels to (name, cont)
 pairs, inputs are wrapped-name lists multiplexing several channels into one
-labelled receive.  Vectors are built from the node set of ``types``: only
-:class:`OutRec` and :class:`WrappedInp` are vector-specific, and a local type
-is a vector with its channels erased (:func:`typecheck_cv`).  Choice branches
+labelled receive.  Channel names are tuples (:class:`ChannelName`), vector
+nodes skip their dataclass ``__init__``, and a run of Comms is one loop.
+Vectors are built from the node set of ``types``: only :class:`OutRec` and
+:class:`WrappedInp` are vector-specific, and a local type is a vector with
+its channels erased (:func:`typecheck_cv`).  Choice branches
 are merged per role by ``types.merge``, which unifies the channel names of
 shared labels through a union-find kept in the :class:`ChannelTable`.  Vectors
 and the table live at compile time only: the table gives each class its
@@ -19,7 +21,8 @@ findings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from itertools import count
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ErrorKind, CvTypeError, ProtocolTypeError, ShapeError
 from .protocol import (
@@ -35,6 +38,7 @@ from .protocol import (
     Var,
     _front,
     _path,
+    bind_roles,
 )
 from .types import (
     END_T,
@@ -47,7 +51,6 @@ from .types import (
     VarT,
     _decider_output,
     _fix_unused,
-    _Namer,
     merge,
     unfold_type,
 )
@@ -69,8 +72,7 @@ class IoMode:
     OUT = "out"
 
 
-@dataclass(frozen=True)
-class ChannelName:
+class ChannelName(NamedTuple):
     """A fresh binary channel, shared by exactly one sender/receiver pair.
     ``index`` counts per (sender, receiver, label name); ``key`` is the
     name's allocation slot in its :class:`ChannelTable`."""
@@ -97,6 +99,14 @@ class WrappedInp(DirectedChoice):
     """Multiplexed input from ``peer``: branches of (label, channel, continuation)."""
 
 
+def _node(cls: type, peer: Role, branches: tuple) -> DirectedChoice:
+    """An OutRec or WrappedInp built without calling its dataclass ``__init__``, which checks nothing."""
+    node = object.__new__(cls)
+    fields = node.__dict__
+    fields["peer"], fields["branches"] = peer, branches
+    return node
+
+
 class ChannelTable:
     """Channel registry: allocation counters plus union-find over slots.
 
@@ -115,7 +125,7 @@ class ChannelTable:
         ckey = (from_role.name, to_role.name, label.name)
         i = self._counters.get(ckey, 0)
         self._counters[ckey] = i + 1
-        name = ChannelName(from_role, to_role, label, i, len(self.names))
+        name = tuple.__new__(ChannelName, (from_role, to_role, label, i, len(self.names)))
         self._parent.append(name.key)
         self.names.append(name)
         return name
@@ -168,45 +178,49 @@ def eval_global(
     entry of ``protocol._front``) raises :class:`ShapeError` with all of
     them before anything is evaluated.  A shape-valid but ill-formed
     protocol raises :class:`ProtocolTypeError`, with the kind and path that
-    ``type_global`` reports for it.
+    ``type_global`` reports for it.  ``roles``, when given, must name every
+    role of ``g`` once, or ``bind_roles``'s ``ValueError`` is raised.
     """
     report, found = _front(g)
     if not report.ok:
         raise ShapeError(report.findings)
-    tuple_roles = tuple(roles) if roles is not None else found
+    tuple_roles = found if roles is None else bind_roles(roles, g)
     idx = {r.name: i for i, r in enumerate(tuple_roles)}
     n = len(tuple_roles)
     table = ChannelTable(session)
-    namer = _Namer()
+    namer = count(1)
 
     def go(node: GlobalProtocol, env: dict[str, tuple[VarT, ...]], steps: object,
            closed: frozenset[str]) -> list[ChannelVector]:
         if isinstance(node, End):
             return [END_T] * n
         if isinstance(node, Comm):
-            vs = go(node.cont, env, (steps, "cont"), closed)
-            name = table.alloc(node.from_role, node.to_role, node.label)
-            i, j = idx[node.from_role.name], idx[node.to_role.name]
-            vs[i] = OutRec(node.to_role, ((node.label, name, vs[i]),))
-            vs[j] = WrappedInp(node.from_role, ((node.label, name, vs[j]),))
+            run = []  # a run of Comms in one loop, innermost first: slots are numbered in post-order
+            while isinstance(node, Comm):
+                run.append(node)
+                node, steps = node.cont, (steps, "cont")
+            vs = go(node, env, steps, closed)
+            for c in reversed(run):
+                name = table.alloc(c.from_role, c.to_role, c.label)
+                i, j = idx[c.from_role.name], idx[c.to_role.name]
+                vs[i] = _node(OutRec, c.to_role, ((c.label, name, vs[i]),))
+                vs[j] = _node(WrappedInp, c.from_role, ((c.label, name, vs[j]),))
             return vs
         if isinstance(node, Choice):
             per_branch = [go(b, env, (steps, k), closed) for k, b in enumerate(node.branches)]
-            path = _path(steps)
             a = idx[node.at.name]
-            result = list(per_branch[0])
-            result[a] = _decider_output([vs[a] for vs in per_branch], node.at, path)
-            for k in range(n):
-                if k == a:
-                    continue
-                acc = per_branch[0][k]
-                for vs in per_branch[1:]:
-                    acc = merge(acc, vs[k], path, namer, table)
-                result[k] = acc
+            result = per_branch[0]
+            try:  # with the empty path: the Choice's own path is built only on failure
+                result[a] = _decider_output([vs[a] for vs in per_branch], node.at, ())
+                for k in range(n):
+                    if k != a:
+                        for vs in per_branch[1:]:
+                            result[k] = merge(result[k], vs[k], (), namer, table)
+            except ProtocolTypeError as e:
+                raise ProtocolTypeError(e.kind, e.detail, _path(steps) + e.path) from None
             return result
         if isinstance(node, Rec):
-            env2 = dict(env)
-            env2[node.var] = tuple(VarT(f"{node.var}@{i}") for i in range(n))
+            env2 = {**env, node.var: tuple(VarT(f"{node.var}@{i}") for i in range(n))}
             vs = go(node.body, env2, (steps, "body"), closed)
             for i in range(n):
                 if isinstance(vs[i], VarT):

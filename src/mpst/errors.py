@@ -52,7 +52,7 @@ class MpstError(Exception):
         self.detail = detail
         self.path = path
         at = f" at {'/'.join(path) or 'root'}" if path else ""
-        super().__init__(f"{kind}: {detail}{at}")
+        super().__init__(f"{kind.value}: {detail}{at}")
 
 
 class SelfSendError(MpstError):

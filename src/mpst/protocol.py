@@ -255,13 +255,13 @@ def _front(g: GlobalProtocol) -> tuple[ValidationReport, tuple[Role, ...]]:
     bound: dict[str, Optional[int]] = {}  # None: out of scope again
 
     def walk(node: GlobalProtocol, comms: int, steps: object) -> None:
-        if isinstance(node, Comm):
+        while isinstance(node, Comm):  # a run of Comms in one loop
             a, b = node.from_role.name, node.to_role.name
             names[a] = names[b] = None
             if a == b:
                 findings.append(Finding(ErrorKind.SELF_SEND, f"role {a} sends to itself", _path(steps)))
-            walk(node.cont, comms + 1, (steps, "cont"))
-        elif isinstance(node, Choice):
+            node, comms, steps = node.cont, comms + 1, (steps, "cont")
+        if isinstance(node, Choice):
             names[node.at.name] = None
             if not node.branches:
                 findings.append(Finding(ErrorKind.EMPTY_CHOICE, "choice with no branches", _path(steps)))

@@ -22,7 +22,8 @@ trees denoted by closed guarded types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from itertools import count
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import ErrorKind, Path, ProtocolTypeError, ShapeError
 from .protocol import (
@@ -66,10 +67,9 @@ def _hash_once(cls):
 
 
 def _canon_branches(branches) -> tuple[tuple[Label, "LocalType"], ...]:
-    if isinstance(branches, Mapping):
-        items = list(branches.items())
-    else:
-        items = list(branches)
+    if not isinstance(branches, tuple) and isinstance(branches, Mapping):
+        branches = branches.items()
+    items = list(branches)
     items.sort(key=lambda kv: kv[0].name)
     names = [l.name for l, _ in items]
     if len(set(names)) != len(names):
@@ -268,22 +268,11 @@ def type_equiv(s: LocalType, t: LocalType) -> bool:
     return subtype(s, t) and subtype(t, s)
 
 
-class _Namer:
-    """Deterministic fresh names for recursion binders introduced by merge."""
-
-    def __init__(self) -> None:
-        self.n = 0
-
-    def fresh(self) -> str:
-        self.n += 1
-        return f"%{self.n}"
-
-
 def _fix_unused(var: str, body: LocalType) -> LocalType:
     return body if var not in _free_vars(body) else RecT(var, body)
 
 
-def merge(s: LocalType, t: LocalType, path: Path = (), _namer: Optional[_Namer] = None,
+def merge(s: LocalType, t: LocalType, path: Path = (), _namer: Optional[Iterator[int]] = None,
           table=None) -> LocalType:
     """Least upper bound of two mergeable local types (or channel vectors).
 
@@ -298,62 +287,59 @@ def merge(s: LocalType, t: LocalType, path: Path = (), _namer: Optional[_Namer] 
     Raises :class:`ProtocolTypeError` when the two behaviours cannot be
     reconciled.
     """
-    namer = _namer or _Namer()
-    memo: dict[tuple[LocalType, LocalType], str] = {}
+    return _merge(s, t, path, _namer or count(1), table, {})
 
-    def fail(kind: ErrorKind, detail: str):
-        raise ProtocolTypeError(kind, detail, path)
 
-    def go(a: LocalType, b: LocalType) -> LocalType:
-        if isinstance(a, RecT) or isinstance(b, RecT):
-            key = (a, b)
-            if key in memo:
-                return VarT(memo[key])
-            z = memo[key] = namer.fresh()
-            inner = go(_unfold_once(a), b) if isinstance(a, RecT) else go(a, _unfold_once(b))
-            del memo[key]
-            return _fix_unused(z, inner)
-        if isinstance(a, EndT) and isinstance(b, EndT):
+def _merge(a: LocalType, b: LocalType, path: Path, namer: Iterator[int], table,
+           memo: dict[tuple[LocalType, LocalType], str]) -> LocalType:
+    """:func:`merge`'s recursion; ``memo`` holds the pairs in progress."""
+    if isinstance(a, RecT) or isinstance(b, RecT):
+        key = (a, b)
+        if key in memo:
+            return VarT(memo[key])
+        z = memo[key] = f"%{next(namer)}"
+        a, b = (_unfold_once(a), b) if isinstance(a, RecT) else (a, _unfold_once(b))
+        inner = _merge(a, b, path, namer, table, memo)
+        del memo[key]
+        return _fix_unused(z, inner)
+    if isinstance(a, EndT) and isinstance(b, EndT):
+        return a
+    if isinstance(a, VarT) and isinstance(b, VarT):
+        if a.var == b.var:
             return a
-        if isinstance(a, VarT) and isinstance(b, VarT):
-            if a.var == b.var:
-                return a
-            fail(ErrorKind.OUTPUT_MERGE_MISMATCH,
-                 f"cannot merge distinct recursion variables {a.var} and {b.var}")
-        if isinstance(a, DirectedChoice) and type(a) is type(b):
-            if a.peer != b.peer:
-                if a.output:
-                    fail(ErrorKind.NON_DIRECTED_OUTPUT,
-                         f"outputs toward different peers {a.peer} and {b.peer} cannot be merged")
-                fail(ErrorKind.NON_DIRECTED_INPUT,
-                     f"inputs from different peers {a.peer} and {b.peer} cannot be merged")
-            right = {e[0].name: e for e in b.branches}
-            if a.output and ({e[0].name: e[0].payload for e in a.branches}
-                             != {n: e[0].payload for n, e in right.items()}):
-                fail(ErrorKind.OUTPUT_MERGE_MISMATCH,
-                     f"output choices toward {a.peer} differ: "
-                     f"{sorted(a.labels())} vs {sorted(b.labels())}")
-            out = []
-            for e in a.branches:
-                e2 = right.pop(e[0].name, None)
-                if e2 is None:
-                    out.append(e)
-                    continue
-                l, l2 = e[0], e2[0]
-                if l.payload != l2.payload:
-                    fail(ErrorKind.PAYLOAD_MISMATCH,
-                         f"label {l.name} carries {l.payload.sort_name()} in one branch "
-                         f"and {l2.payload.sort_name()} in another")
-                if len(e) == 3:  # (label, channel, cont): a channel vector
-                    table.unify(e[1], e2[1])
-                out.append(e[:-1] + (go(e[-1], e2[-1]),))
-            out.extend(right.values())
-            return type(a)(a.peer, tuple(out))
-        fail(ErrorKind.OUTPUT_MERGE_MISMATCH,
-             f"behaviours of different shapes cannot be merged: "
-             f"{type(a).__name__} vs {type(b).__name__}")
-
-    return go(s, t)
+        raise ProtocolTypeError(ErrorKind.OUTPUT_MERGE_MISMATCH,
+                                f"cannot merge distinct recursion variables {a.var} and {b.var}", path)
+    if isinstance(a, DirectedChoice) and type(a) is type(b):
+        if a.peer != b.peer:
+            if a.output:
+                raise ProtocolTypeError(ErrorKind.NON_DIRECTED_OUTPUT, f"outputs toward different "
+                                        f"peers {a.peer} and {b.peer} cannot be merged", path)
+            raise ProtocolTypeError(ErrorKind.NON_DIRECTED_INPUT, f"inputs from different "
+                                    f"peers {a.peer} and {b.peer} cannot be merged", path)
+        right = {e[0].name: e for e in b.branches}
+        if a.output and ({e[0].name: e[0].payload for e in a.branches}
+                         != {n: e[0].payload for n, e in right.items()}):
+            raise ProtocolTypeError(ErrorKind.OUTPUT_MERGE_MISMATCH,
+                                    f"output choices toward {a.peer} differ: "
+                                    f"{sorted(a.labels())} vs {sorted(b.labels())}", path)
+        out = []
+        for e in a.branches:
+            e2 = right.pop(e[0].name, None)
+            if e2 is None:
+                out.append(e)
+                continue
+            l, l2 = e[0], e2[0]
+            if l.payload != l2.payload:
+                raise ProtocolTypeError(ErrorKind.PAYLOAD_MISMATCH,
+                                        f"label {l.name} carries {l.payload.sort_name()} in one "
+                                        f"branch and {l2.payload.sort_name()} in another", path)
+            if len(e) == 3:  # (label, channel, cont): a channel vector
+                table.unify(e[1], e2[1])
+            out.append(e[:-1] + (_merge(e[-1], e2[-1], path, namer, table, memo),))
+        out.extend(right.values())
+        return type(a)(a.peer, tuple(out))
+    raise ProtocolTypeError(ErrorKind.OUTPUT_MERGE_MISMATCH, f"behaviours of different shapes "
+                            f"cannot be merged: {type(a).__name__} vs {type(b).__name__}", path)
 
 
 def _decider_output(parts: Sequence[LocalType], at: Role, path: Path) -> DirectedChoice:
@@ -361,7 +347,8 @@ def _decider_output(parts: Sequence[LocalType], at: Role, path: Path) -> Directe
     branch, concatenated into one output choice."""
     outs = []
     for k, t in enumerate(parts):
-        t = unfold_type(t)
+        if isinstance(t, RecT):
+            t = unfold_type(t)
         if not (isinstance(t, DirectedChoice) and t.output):
             raise ProtocolTypeError(
                 ErrorKind.ACTIVE_ROLE_MISMATCH,
@@ -378,19 +365,17 @@ def _decider_output(parts: Sequence[LocalType], at: Role, path: Path) -> Directe
                 f"branch {i} toward {p.peer}",
                 path,
             )
-    out = []
-    seen: set[str] = set()
+    out: dict[str, tuple] = {}  # by label name, in branch order
     for p in outs:
         for e in p.branches:
-            if e[0].name in seen:
+            if e[0].name in out:
                 raise ProtocolTypeError(
                     ErrorKind.DUPLICATE_CHOICE_LABEL,
                     f"label {e[0].name} is offered by more than one branch of the choice",
                     path,
                 )
-            seen.add(e[0].name)
-            out.append(e)
-    return type(outs[0])(peer, tuple(out))
+            out[e[0].name] = e
+    return type(outs[0])(peer, tuple(out.values()))
 
 
 def type_global(g: GlobalProtocol, roles: Optional[Sequence[Role]] = None) -> dict[Role, LocalType]:
@@ -400,14 +385,12 @@ def type_global(g: GlobalProtocol, roles: Optional[Sequence[Role]] = None) -> di
     an ill-formed protocol fails here exactly as it fails to compile, shape
     findings first (:class:`ShapeError`).
     ``roles`` overrides the tuple order (defaulting to first-appearance
-    order); roles listed but never used type as End.
+    order) and must name every role once; roles listed but never used type
+    as End.
     """
-    from .chanvec import eval_global, typecheck_cv  # chanvec builds on this module
-
-    tuple_roles = tuple(roles) if roles is not None else roles_of(g)
-    vectors, table = eval_global(g, None, tuple_roles)
-    env = table.payload_env()
-    return {r: typecheck_cv(v, env, table) for r, v in zip(tuple_roles, vectors)}
+    vectors, table = chanvec.eval_global(g, None, roles)
+    env = table.payload_env()  # every slot's sort, so the re-typing needs no table
+    return {r: chanvec.typecheck_cv(v, env) for r, v in zip(roles or roles_of(g), vectors)}
 
 
 def project(g: GlobalProtocol, r: Role) -> LocalType:
@@ -423,7 +406,7 @@ def project(g: GlobalProtocol, r: Role) -> LocalType:
     if not report.ok:
         raise ShapeError(report.findings)
     participating = r.name in {x.name for x in found}
-    namer = _Namer()
+    namer = count(1)
 
     def go(node: GlobalProtocol, path: Path, closed: bool) -> LocalType:
         if isinstance(node, End):
@@ -519,3 +502,6 @@ def format_local_type(t: LocalType) -> str:
         f"{l.name}({format_sort(l.payload)}): {format_local_type(c)}" for l, c in t.branches
     )
     return f"{mark}{t.peer.name}{{{inner}}}"
+
+
+from . import chanvec  # noqa: E402  chanvec builds on this module, so it comes last

@@ -29,6 +29,7 @@ from mpst import (
     roles_of,
 )
 from mpst.chanvec import (
+    ChannelName,
     ChannelTable,
     IoMode,
     OutRec,
@@ -86,6 +87,45 @@ def test_eval_nonparticipant_choice_merges_arms():
     assert sorted(a_vec.labels()) == ["cancel", "ok"]
     names = {(n.from_role.name, n.to_role.name, n.label.name, n.index) for _, n, _ in a_vec.branches}
     assert names == {("s", "a", "ok", 0), ("s", "a", "cancel", 0)}
+
+
+def _nodes(v, out):
+    """Every OutRec and WrappedInp of a vector, in walk order."""
+    if isinstance(v, RecVal):
+        _nodes(v.body, out)
+    elif isinstance(v, (OutRec, WrappedInp)):
+        out.append(v)
+        for e in v.branches:
+            _nodes(e[-1], out)
+    return out
+
+
+def test_evaluated_nodes_keep_the_public_constructors_contract():
+    """Names and vector nodes are made without their constructors, and must
+    still be frozen, equal to and hash like the constructors' nodes, and
+    print as before."""
+    vs, _ = eval_global(g_auth(), "s0")
+    name = vs[0].branches[0][1]
+    assert repr(name) == ("ChannelName(from_role=Role(name='c'), to_role=Role(name='s'), "
+                          "label=Label(name='auth', payload=string), index=0, key=2)")
+    assert str(name) == "<c,s,auth,0>"
+    assert repr(OutRec(S, ((Label("m"), name, UNIT_VAL),))) == (
+        f"OutRec(peer=Role(name='s'), branches=((Label(name='m', payload=unit), {name!r}, EndT()),))")
+    for g in well_typed_corpus().values():
+        vs, table = eval_global(g, "s0")
+        for name in table.names:
+            built = ChannelName(name.from_role, name.to_role, name.label, name.index, name.key)
+            assert type(name) is ChannelName and name == built and hash(name) == hash(built)
+            with pytest.raises(AttributeError):
+                name.index = 1
+        for v in vs:
+            for node in _nodes(v, []):
+                built = type(node)(node.peer, node.branches)
+                assert node == built and built == node and hash(node) == hash(built)
+                with pytest.raises(AttributeError):
+                    node.peer = P
+                with pytest.raises(AttributeError):
+                    node.branches = ()
 
 
 def test_eval_index_allocation_increments():

@@ -7,8 +7,11 @@ its own.  ``protocol._front`` finds both in one walk and keeps them on the
 protocol, and must give identical findings (kind, detail, path and order)
 and identical role tuples (names and indices).  ``type_global``'s results
 on the shape-valid inputs are pinned by a digest taken before the shape
-gate moved into ``eval_global``; on every shape-faulted input, each compile
-entry must raise ``ShapeError`` with the former walk's findings.
+gate moved into ``eval_global``, and ``eval_global``'s vectors, channel
+classes and payload sorts (or its and ``type_global``'s exact rejection) by
+a digest taken before the Comm-run loop and the cheap vector nodes; on every
+shape-faulted input, each compile entry must raise ``ShapeError`` with the
+former walk's findings.
 """
 
 from __future__ import annotations
@@ -34,8 +37,20 @@ from corpus import (
     oauth2,
     oauth3,
 )
-from mpst import choice_at, comm, open_session, rec, roles_of, type_global, validate_shape, var_
-from mpst.chanvec import eval_global
+from mpst import (
+    Label,
+    choice_at,
+    comm,
+    end_,
+    open_session,
+    rec,
+    roles_of,
+    type_global,
+    validate_shape,
+    var_,
+)
+from mpst.chanvec import channel_classes, dump_channel_vectors, eval_global
+from mpst.types import END_T
 from mpst.errors import ErrorKind, MpstError, ShapeError
 from mpst.protocol import (
     END,
@@ -137,6 +152,37 @@ def typing_digest(protocols) -> str:
 PINNED_TYPING_DIGEST = "868186dcc6d3486bdf6b9d940cc866a1dd4bbd33b443095bab2995394616dcf1"
 
 
+def compile_digest(protocols) -> str:
+    """sha256 over ``eval_global``'s result for each protocol: the dumped
+    vectors, the sorted channel classes and the sorted payload sorts of
+    every slot; or, on a rejection, the kind, detail, path and message that
+    ``eval_global`` and ``type_global`` each raise."""
+    h = hashlib.sha256()
+    for g in protocols:
+        try:
+            vectors, table = eval_global(g, None)
+        except MpstError:
+            outs = []
+            for entry in (lambda: eval_global(g, None), lambda: type_global(g)):
+                with pytest.raises(MpstError) as e:
+                    entry()
+                err = e.value
+                outs.append(f"{err.kind.value}|{err.detail}|{'/'.join(err.path)}|{err}")
+            out = "\n".join(outs)
+        else:
+            classes = sorted((sorted(pair), label, index) for pair, label, index in channel_classes(table))
+            env = sorted(table.payload_env().items())
+            out = f"{dump_channel_vectors(vectors, table, roles_of(g))}\n{classes}\n{env}"
+        h.update(out.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+# compile_digest over the same inputs, at the commit before the Comm-run loop,
+# the tuple channel names and the vector nodes built without __init__.
+PINNED_COMPILE_DIGEST = "2e2d55f9591c693ca2984664981c47613c0b9cb670bef3a05ef22334f9ed44f4"
+
+
 def test_front_end_matches_the_former_walks_and_pinned_typing():
     protocols = hand_written() + generated_candidates()
     kinds = {k: 0 for k in ErrorKind}
@@ -156,6 +202,7 @@ def test_front_end_matches_the_former_walks_and_pinned_typing():
                                   ErrorKind.SELF_SEND, ErrorKind.EMPTY_CHOICE)), kinds
     assert len(clean) > len(protocols) // 2
     assert typing_digest(clean) == PINNED_TYPING_DIGEST
+    assert compile_digest(clean) == PINNED_COMPILE_DIGEST
 
 
 def test_every_entry_rejects_a_shape_fault_with_all_its_findings():
@@ -252,3 +299,27 @@ def test_threads_walking_one_protocol_at_once_agree():
         sys.setswitchinterval(interval)
     assert all(out == want for out in got)
     assert all(validate_shape(g) is validate_shape(g) and roles_of(g) is roles_of(g) for g in protocols)
+
+
+def test_compile_entries_refuse_roles_that_miss_or_repeat_a_protocol_role():
+    """``roles`` must name every protocol role once, as ``bind_roles``
+    requires; each entry raises its ``ValueError`` before evaluating."""
+    g = comm(P, S, Label("m"), end_())
+    entries = {
+        "type_global": lambda roles: type_global(g, roles),
+        "eval_global": lambda roles: eval_global(g, None, roles),
+        "open_session": lambda roles: open_session(g, roles=roles),
+    }
+    for name, run in entries.items():
+        for roles, why in (((P,), r"missing \['s'\]"), ((P, S, P), "duplicates"), ((P, P), "missing")):
+            with pytest.raises(ValueError, match=why) as e:
+                run(roles)
+            with pytest.raises(ValueError) as want:
+                bind_roles(roles, g)
+            assert str(e.value) == str(want.value), (name, roles)
+    # a listed role the protocol never uses still types as End
+    local = type_global(g, (S, C, P))
+    assert list(local) == [S, C, P] and local[C] == END_T
+    vectors, _ = eval_global(g, None, (S, C, P))
+    assert vectors[1] is END_T
+    assert open_session(g, roles=(S, C, P)).local_types[C] == END_T
