@@ -50,7 +50,6 @@ from mpst import (
     var_,
 )
 from mpst.chanvec import channel_classes, dump_channel_vectors, eval_global
-from mpst.types import END_T
 from mpst.errors import ErrorKind, MpstError, ShapeError
 from mpst.protocol import (
     END,
@@ -65,7 +64,7 @@ from mpst.protocol import (
     Var,
     bind_roles,
 )
-from mpst.types import project
+from mpst.types import END_T, project
 
 
 def walk_validate_shape(g: GlobalProtocol) -> ValidationReport:
