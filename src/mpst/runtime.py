@@ -17,6 +17,11 @@ so exactly one caller wins it.  The first operation (send, receive, close,
 or being delegated away) consumes the cell, and any further use raises
 ``InvalidEndpoint``.  Consuming the cell covers all sibling labels of the
 stage: choosing one output among alternatives uses the stage exactly once.
+An operation makes its checks first and then takes the cell with one
+``use`` call, before it touches the link.  A used endpoint is refused with
+``InvalidEndpoint`` before any other error (wrong kind, peer, label or
+payload).  A delegating send checks that the sender is unused before it
+consumes the endpoint it carries, so a used sender never destroys it.
 
 A monitored session's :class:`SessionMonitor` checks each event as it is
 recorded: it keeps one cursor per role on the same state tables, so a
@@ -327,45 +332,40 @@ class _Seat:
 
 
 class Endpoint:
-    """A role's affine handle at one state of its table."""
+    """A role's affine handle at one state of its table, built by
+    :func:`_endpoint`."""
 
     __slots__ = ("seat", "state", "cell")
-
-    def __init__(self, seat: _Seat, state: _State) -> None:
-        self.seat = seat
-        self.state = state
-        self.cell = LinearityCell()
 
     @property
     def stage(self) -> LocalType:
         """The local type that remains at this endpoint's state."""
         return self.state.stage
 
-    def _consume(self) -> None:
-        if not self.cell.use():
-            raise SessionRuntimeError(
-                ErrorKind.INVALID_ENDPOINT, f"endpoint of {self.seat.role} was already used"
-            )
+    def _refusal(self, kind: ErrorKind, detail: str) -> SessionRuntimeError:
+        """The error for a refused operation: ``InvalidEndpoint`` when this
+        handle is used already, whatever else is wrong with the call."""
+        if self.cell.used:
+            return _already_used(self.seat.role)
+        return SessionRuntimeError(kind, detail)
 
     def send(self, peer: Role, label: Label | str, payload: object = None) -> "Endpoint":
         seat = self.seat
         state = self.state
-        if self.cell.used:
-            self._consume()  # raises InvalidEndpoint
         if state.kind is not _SEND:
-            raise SessionRuntimeError(
+            raise self._refusal(
                 ErrorKind.WRONG_PEER,
                 f"{seat.role} tried to send but the protocol expects "
                 f"{'a receive' if state.kind is _RECEIVE else 'close'} here",
             )
-        if state.peer.name != (peer.name if isinstance(peer, Role) else peer):
-            raise SessionRuntimeError(
+        if peer is not state.peer and state.peer.name != (peer.name if isinstance(peer, Role) else peer):
+            raise self._refusal(
                 ErrorKind.WRONG_PEER, f"{seat.role} must talk to {state.peer} here, not {peer}"
             )
-        label_name = label.name if isinstance(label, Label) else label
+        label_name = label.name if label.__class__ is Label or isinstance(label, Label) else label
         step = state.steps.get(label_name)
         if step is None:
-            raise SessionRuntimeError(
+            raise self._refusal(
                 ErrorKind.UNKNOWN_LABEL,
                 f"label {label_name} is not offered here (have {list(state.steps)})",
             )
@@ -373,56 +373,36 @@ class Endpoint:
         link = seat.links[state.link]
         wire = payload
         if check is None:
-            wire = self._prepare_delegation(l.payload, payload, link)
+            if self.cell.used:  # before the payload is consumed: a used sender must not destroy it
+                raise _already_used(seat.role)
+            wire = _prepare_delegation(l.payload, payload, link)
         elif not check(payload):
-            raise SessionRuntimeError(
+            raise self._refusal(
                 ErrorKind.PAYLOAD_SORT_MISMATCH,
                 f"label {l} expects {l.payload.sort_name()}, got {type(payload).__name__}",
             )
-        self._consume()
+        if not self.cell.use():
+            raise _already_used(seat.role)
         link.send((l.name, wire), seat.timeout)
         if seat.monitor:  # only a send that happened is traced
             seat.monitor.record(_SEND, seat.role, state.peer, l)
-        return Endpoint(seat, nxt)
-
-    def _prepare_delegation(self, sort: SessionSort, payload: object, link) -> "Endpoint":
-        if not isinstance(payload, Endpoint):
-            raise SessionRuntimeError(
-                ErrorKind.PAYLOAD_SORT_MISMATCH, "delegation payload must be an endpoint"
-            )
-        if isinstance(link, FramedLink):
-            raise SessionRuntimeError(
-                ErrorKind.DELEGATION_UNSUPPORTED,
-                "endpoints cannot be delegated across a framed socket",
-            )
-        state = payload.state
-        ok = state.subtypes.get(sort.local)
-        if ok is None:
-            ok = state.subtypes[sort.local] = subtype(state.stage, sort.local)
-        if not ok:
-            raise SessionRuntimeError(
-                ErrorKind.PAYLOAD_SORT_MISMATCH,
-                "delegated endpoint does not implement the declared session type",
-            )
-        payload._consume()  # the sender's handle dies; raises if already used
-        return Endpoint(payload.seat, state)
+        return _endpoint(seat, nxt)
 
     def receive(self, peer: Role) -> tuple[Label, object, "Endpoint"]:
         seat = self.seat
         state = self.state
-        if self.cell.used:
-            self._consume()
         if state.kind is not _RECEIVE:
-            raise SessionRuntimeError(
+            raise self._refusal(
                 ErrorKind.WRONG_PEER,
                 f"{seat.role} tried to receive but the protocol expects "
                 f"{'a send' if state.kind is _SEND else 'close'} here",
             )
-        if state.peer.name != (peer.name if isinstance(peer, Role) else peer):
-            raise SessionRuntimeError(
+        if peer is not state.peer and state.peer.name != (peer.name if isinstance(peer, Role) else peer):
+            raise self._refusal(
                 ErrorKind.WRONG_PEER, f"{seat.role} must listen to {state.peer} here, not {peer}"
             )
-        self._consume()
+        if not self.cell.use():
+            raise _already_used(seat.role)
         label_name, value = seat.links[state.link].receive(seat.timeout)
         step = state.steps.get(label_name)
         if step is None:
@@ -432,20 +412,63 @@ class Endpoint:
         label, _, nxt = step
         if seat.monitor:
             seat.monitor.record(_RECEIVE, seat.role, state.peer, label)
-        return label, value, Endpoint(seat, nxt)
+        return label, value, _endpoint(seat, nxt)
 
     def close(self) -> None:
         seat = self.seat
-        if self.cell.used:
-            self._consume()
         if self.state.kind is not _CLOSE:
-            raise SessionRuntimeError(
-                ErrorKind.PROTOCOL_NOT_FINISHED,
-                f"{seat.role} closed with protocol steps remaining",
+            raise self._refusal(
+                ErrorKind.PROTOCOL_NOT_FINISHED, f"{seat.role} closed with protocol steps remaining"
             )
-        self._consume()
+        if not self.cell.use():
+            raise _already_used(seat.role)
         if seat.monitor:
             seat.monitor.record(_CLOSE, seat.role, None, None)
+
+
+_new = object.__new__  # bound once: a global name is cheaper than an attribute lookup
+_Lock = threading.Lock
+
+
+def _endpoint(seat: _Seat, state: _State) -> Endpoint:
+    """A fresh handle at ``state``, with a fresh cell, built without the two
+    ``__init__`` calls: this runs once per endpoint operation."""
+    ep = _new(Endpoint)
+    ep.seat = seat
+    ep.state = state
+    cell = ep.cell = _new(LinearityCell)
+    cell._lock = _Lock()  # what LinearityCell.__init__ does
+    return ep
+
+
+def _already_used(role: Role) -> SessionRuntimeError:
+    return SessionRuntimeError(ErrorKind.INVALID_ENDPOINT, f"endpoint of {role} was already used")
+
+
+def _prepare_delegation(sort: SessionSort, payload: object, link) -> Endpoint:
+    """The handle a delegating send carries: ``payload``, checked against
+    ``sort`` and then consumed, moved to a fresh handle at its state."""
+    if not isinstance(payload, Endpoint):
+        raise SessionRuntimeError(
+            ErrorKind.PAYLOAD_SORT_MISMATCH, "delegation payload must be an endpoint"
+        )
+    if isinstance(link, FramedLink):
+        raise SessionRuntimeError(
+            ErrorKind.DELEGATION_UNSUPPORTED,
+            "endpoints cannot be delegated across a framed socket",
+        )
+    state = payload.state
+    ok = state.subtypes.get(sort.local)
+    if ok is None:
+        ok = state.subtypes[sort.local] = subtype(state.stage, sort.local)
+    if not ok:
+        raise SessionRuntimeError(
+            ErrorKind.PAYLOAD_SORT_MISMATCH,
+            "delegated endpoint does not implement the declared session type",
+        )
+    if not payload.cell.use():  # the sender's handle dies
+        raise _already_used(payload.seat.role)
+    return _endpoint(payload.seat, state)
 
 
 @dataclass
@@ -481,7 +504,7 @@ def open_session(
     local = dict(compiled.local_types)
     monitor = SessionMonitor(local, compiled.starts) if monitored else None
     endpoints = {
-        r: Endpoint(_Seat(r, channels.links, monitor, timeout), compiled.tables[r][0])
+        r: _endpoint(_Seat(r, channels.links, monitor, timeout), compiled.tables[r][0])
         for r in local
     }
     return Session(compiled.roles, endpoints, monitor, channels, local)

@@ -23,7 +23,10 @@ handoff completes as if the wait had not timed out.
 
 A channel has one receiving role, so it has one receiver slot, an operation
 takes no lock but its channel's, and a second concurrent receive raises
-``TransportError``.
+``TransportError``.  The send and receive that do not wait take that lock
+with ``acquire`` and release it in a ``finally``, not in a ``with`` block,
+whose enter and exit calls cost about as much as the lock itself; paths
+that wait or time out keep ``with``.
 """
 
 from __future__ import annotations
@@ -107,7 +110,9 @@ class Channel:
 
     def send(self, value: object, timeout: Optional[float] = None) -> None:
         """Deliver ``value``."""
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             r = self._receiver
             if r is not None:  # the receiver is parked, so the channel is empty
                 self._receiver = None
@@ -120,6 +125,8 @@ class Channel:
                 return
             b = _Parked(value)
             self._blocked.append(b)
+        finally:
+            lock.release()
         if not _wait(b.wake, timeout):
             with self._lock:
                 if not b.done:
@@ -146,12 +153,16 @@ def select(channels: Sequence[Channel], timeout: Optional[float] = None) -> tupl
     """Wait for the next value on the one channel in ``channels``; returns
     ``(0, value)``.  :meth:`Channel.receive` calls it through this module."""
     (ch,) = channels
-    with ch._lock:
+    lock = ch._lock
+    lock.acquire()
+    try:
         if ch._buf or ch._blocked:
             return 0, ch._take_locked()
         if ch._receiver is not None:
             raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, "a receive is already pending")
         r = ch._receiver = _Parked()
+    finally:
+        lock.release()
     if not _wait(r.wake, timeout):
         with ch._lock:
             if not r.done:

@@ -211,6 +211,158 @@ def test_concurrent_sends_on_one_stage_have_one_winner():
         sys.setswitchinterval(old)
 
 
+def _race(op, rounds: int = 500):
+    """Run ``op()`` in 8 threads released together, ``rounds`` times; ``op``
+    returns a fresh ``(attempt, check)`` per round, and ``check`` gets the
+    winners' results once every racer is done.  As in the send race above,
+    a check-then-set flag in place of the cell's lock would let two win."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            attempt, check = op()
+            start = threading.Barrier(8)
+            won, refused, other = [], [], []
+
+            def racer():
+                start.wait()
+                try:
+                    won.append(attempt())
+                except SessionRuntimeError as e:
+                    (refused if e.kind is ErrorKind.INVALID_ENDPOINT else other).append(e)
+
+            threads = [threading.Thread(target=racer, daemon=True) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+            assert other == [] and len(won) == 1 and len(refused) == 7
+            check(won[0])
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_concurrent_receives_on_one_stage_have_one_winner():
+    def op():
+        sess = open_session(comm(P, Q, Label("m", INT), end_()), AsyncBuffered(8), timeout=1.0)
+        sess.endpoints[P].send(Q, "m", 7)
+        ep = sess.endpoints[Q]
+
+        def check(result):
+            label, value, _ = result
+            assert (label.name, value) == ("m", 7)
+            (link,) = sess.channels.links
+            with pytest.raises(SessionRuntimeError) as e:
+                link.receive(timeout=0)  # the one message was taken once, and no loser parked
+            assert e.value.kind is ErrorKind.TIMEOUT
+
+        return (lambda: ep.receive(P)), check
+
+    _race(op)
+
+
+def test_concurrent_closes_on_one_stage_have_one_winner():
+    def op():
+        sess = open_session(end_(), AsyncBuffered(1), monitored=True, roles=(P, Q))
+        ep = sess.endpoints[P]
+
+        def check(_):
+            closes = [e for e in sess.monitor.events if e.kind is EventKind.CLOSE]
+            assert [e.role for e in closes] == [P]
+
+        return ep.close, check
+
+    _race(op)
+
+
+def _invalid_or(fn, kind: ErrorKind) -> None:
+    with pytest.raises(SessionRuntimeError) as e:
+        fn()
+    assert e.value.kind is kind, (e.value.kind, kind)
+
+
+def test_a_used_endpoint_is_refused_as_invalid_before_any_other_check():
+    """Each misuse raises its own kind on a fresh endpoint, and
+    ``InvalidEndpoint`` once the same endpoint has been used."""
+    inner_g = comm(P, Q, Label("bye", UNIT), end_())
+    owner, taker = Role("owner"), Role("taker")
+    handoff = comm(owner, taker, Label("hand", SessionSort(project(inner_g, Q))), end_())
+
+    def login_sender():  # s at its send stage, and a use of it
+        ep = open_session(oauth(), AsyncBuffered(2)).endpoints[S]
+        return ep, lambda: ep.send(C, "login", "Hi")
+
+    def login_receiver():  # c at its receive stage, and a use of it
+        sess = open_session(oauth(), AsyncBuffered(2))
+        sess.endpoints[S].send(C, "login", "Hi")
+        ep = sess.endpoints[C]
+        return ep, lambda: ep.receive(S)
+
+    def delegator():  # owner at its delegating stage, and a use of it
+        ep = open_session(handoff, AsyncBuffered(1)).endpoints[owner]
+        payload = open_session(inner_g, AsyncBuffered(1)).endpoints[Q]
+        return ep, lambda: ep.send(taker, "hand", payload)
+
+    misuses = [
+        (login_receiver, lambda ep: ep.send(S, "login", "x"), ErrorKind.WRONG_PEER),  # send: wrong kind
+        (login_sender, lambda ep: ep.send(A, "login", "Hi"), ErrorKind.WRONG_PEER),
+        (login_sender, lambda ep: ep.send(C, "nope", "Hi"), ErrorKind.UNKNOWN_LABEL),
+        (login_sender, lambda ep: ep.send(C, "login", 42), ErrorKind.PAYLOAD_SORT_MISMATCH),
+        (delegator, lambda ep: ep.send(taker, "hand", "not an endpoint"), ErrorKind.PAYLOAD_SORT_MISMATCH),
+        (login_sender, lambda ep: ep.receive(C), ErrorKind.WRONG_PEER),  # receive: wrong kind
+        (login_receiver, lambda ep: ep.receive(A), ErrorKind.WRONG_PEER),
+        (login_sender, lambda ep: ep.close(), ErrorKind.PROTOCOL_NOT_FINISHED),
+    ]
+    for stage, misuse, kind in misuses:
+        fresh, _ = stage()
+        _invalid_or(lambda: misuse(fresh), kind)
+        used, use = stage()
+        use()
+        _invalid_or(lambda: misuse(used), ErrorKind.INVALID_ENDPOINT)
+
+
+def test_a_used_sender_does_not_consume_the_endpoint_it_delegates():
+    inner_g = comm(P, Q, Label("bye", UNIT), end_())
+    owner, taker = Role("owner"), Role("taker")
+    handoff = comm(owner, taker, Label("hand", SessionSort(project(inner_g, Q))), end_())
+    inner = open_session(inner_g, AsyncBuffered(1))
+    sender = open_session(handoff, AsyncBuffered(1)).endpoints[owner]
+    sender.send(taker, "hand", open_session(inner_g, AsyncBuffered(1)).endpoints[Q])
+    payload = inner.endpoints[Q]
+    _invalid_or(lambda: sender.send(taker, "hand", payload), ErrorKind.INVALID_ENDPOINT)
+    assert not payload.cell.used
+    outer = open_session(handoff, AsyncBuffered(1))
+    outer.endpoints[owner].send(taker, "hand", payload).close()  # still whole, so still sendable
+    _, live, ep = outer.endpoints[taker].receive(owner)
+    ep.close()
+    inner.endpoints[P].send(Q, "bye", None).close()
+    label, _, live = live.receive(P)
+    assert label.name == "bye"
+    live.close()
+
+
+def test_peers_and_labels_may_be_given_as_names_or_equal_objects():
+    """The protocol's own ``Role`` and ``Label`` objects, equal ones built
+    apart and bare names all select the same peer and branch."""
+    m = Label("m", INT)
+    g = comm(P, Q, m, end_())
+    peers_of = {"sender": (Q, Role("q"), "q"), "receiver": (P, Role("p"), "p")}
+    labels = (m, Label("m", INT), "m")
+    for to_q, from_p in zip(peers_of["sender"], peers_of["receiver"]):
+        for label in labels:
+            sess = open_session(g, AsyncBuffered(1))
+            ep_p, ep_q = sess.endpoints[P], sess.endpoints[Q]
+            assert ep_p.state.peer is Q and ep_q.state.peer is P  # so Q and P take the identity test
+            ep_p.send(to_q, label, 5).close()
+            got, value, ep_q = ep_q.receive(from_p)
+            assert (got, value) == (m, 5)
+            ep_q.close()
+    sess = open_session(g, AsyncBuffered(1))
+    for other in (Role("r"), "r"):
+        _invalid_or(lambda: sess.endpoints[P].send(other, m, 5), ErrorKind.WRONG_PEER)
+        _invalid_or(lambda: sess.endpoints[Q].receive(other), ErrorKind.WRONG_PEER)
+
+
 def test_sibling_stage_exclusivity():
     sess = open_session(g_auth(), AsyncBuffered(2))
 
