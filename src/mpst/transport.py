@@ -23,10 +23,10 @@ handoff completes as if the wait had not timed out.
 
 A channel has one receiving role, so it has one receiver slot, an operation
 takes no lock but its channel's, and a second concurrent receive raises
-``TransportError``.  The send and receive that do not wait take that lock
-with ``acquire`` and release it in a ``finally``, not in a ``with`` block,
-whose enter and exit calls cost about as much as the lock itself; paths
-that wait or time out keep ``with``.
+``TransportError``.  ``Channel.send`` and ``select`` take that lock with
+``acquire`` and release it in a ``finally``, not in a ``with`` block, whose
+enter and exit calls cost about as much as the lock itself; only the
+re-checks after a timed-out wait use ``with``.
 """
 
 from __future__ import annotations

@@ -212,10 +212,10 @@ def test_concurrent_sends_on_one_stage_have_one_winner():
 
 
 def _race(op, rounds: int = 500):
-    """Run ``op()`` in 8 threads released together, ``rounds`` times; ``op``
-    returns a fresh ``(attempt, check)`` per round, and ``check`` gets the
-    winners' results once every racer is done.  As in the send race above,
-    a check-then-set flag in place of the cell's lock would let two win."""
+    """Race 8 threads, released together, on one stage, ``rounds`` times.
+    ``op`` returns a fresh ``(attempt, check)`` per round: every racer calls
+    ``attempt``, exactly one may succeed and the other 7 must get
+    ``InvalidEndpoint``, and ``check`` gets the winner's result."""
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -236,6 +236,7 @@ def _race(op, rounds: int = 500):
                 t.start()
             for t in threads:
                 t.join(10)
+            assert not any(t.is_alive() for t in threads)
             assert other == [] and len(won) == 1 and len(refused) == 7
             check(won[0])
     finally:
@@ -275,7 +276,7 @@ def test_concurrent_closes_on_one_stage_have_one_winner():
     _race(op)
 
 
-def _invalid_or(fn, kind: ErrorKind) -> None:
+def _raises_kind(fn, kind: ErrorKind) -> None:
     with pytest.raises(SessionRuntimeError) as e:
         fn()
     assert e.value.kind is kind, (e.value.kind, kind)
@@ -315,10 +316,10 @@ def test_a_used_endpoint_is_refused_as_invalid_before_any_other_check():
     ]
     for stage, misuse, kind in misuses:
         fresh, _ = stage()
-        _invalid_or(lambda: misuse(fresh), kind)
+        _raises_kind(lambda: misuse(fresh), kind)
         used, use = stage()
         use()
-        _invalid_or(lambda: misuse(used), ErrorKind.INVALID_ENDPOINT)
+        _raises_kind(lambda: misuse(used), ErrorKind.INVALID_ENDPOINT)
 
 
 def test_a_used_sender_does_not_consume_the_endpoint_it_delegates():
@@ -329,7 +330,7 @@ def test_a_used_sender_does_not_consume_the_endpoint_it_delegates():
     sender = open_session(handoff, AsyncBuffered(1)).endpoints[owner]
     sender.send(taker, "hand", open_session(inner_g, AsyncBuffered(1)).endpoints[Q])
     payload = inner.endpoints[Q]
-    _invalid_or(lambda: sender.send(taker, "hand", payload), ErrorKind.INVALID_ENDPOINT)
+    _raises_kind(lambda: sender.send(taker, "hand", payload), ErrorKind.INVALID_ENDPOINT)
     assert not payload.cell.used
     outer = open_session(handoff, AsyncBuffered(1))
     outer.endpoints[owner].send(taker, "hand", payload).close()  # still whole, so still sendable
@@ -359,8 +360,8 @@ def test_peers_and_labels_may_be_given_as_names_or_equal_objects():
             ep_q.close()
     sess = open_session(g, AsyncBuffered(1))
     for other in (Role("r"), "r"):
-        _invalid_or(lambda: sess.endpoints[P].send(other, m, 5), ErrorKind.WRONG_PEER)
-        _invalid_or(lambda: sess.endpoints[Q].receive(other), ErrorKind.WRONG_PEER)
+        _raises_kind(lambda: sess.endpoints[P].send(other, m, 5), ErrorKind.WRONG_PEER)
+        _raises_kind(lambda: sess.endpoints[Q].receive(other), ErrorKind.WRONG_PEER)
 
 
 def test_sibling_stage_exclusivity():
