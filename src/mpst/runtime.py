@@ -349,7 +349,7 @@ class Endpoint:
             return _already_used(self.seat.role)
         return SessionRuntimeError(kind, detail)
 
-    def send(self, peer: Role, label: Label | str, payload: object = None) -> "Endpoint":
+    def send(self, peer: Role | str, label: Label | str, payload: object = None) -> "Endpoint":
         seat = self.seat
         state = self.state
         if state.kind is not _SEND:
@@ -388,7 +388,7 @@ class Endpoint:
             seat.monitor.record(_SEND, seat.role, state.peer, l)
         return _endpoint(seat, nxt)
 
-    def receive(self, peer: Role) -> tuple[Label, object, "Endpoint"]:
+    def receive(self, peer: Role | str) -> tuple[Label, object, "Endpoint"]:
         seat = self.seat
         state = self.state
         if state.kind is not _RECEIVE:

@@ -3,13 +3,17 @@
 A script is a list of steps; receives carry one sub-script per label they
 are prepared to handle, so a script is a tree shaped like the role's local
 type.  ``run_scripted`` executes one worker thread per role and never
-panics: every failure lands in the :class:`RunReport`.
+panics: every failure lands in the :class:`RunReport`.  ``global_trace``
+draws one finite compliant run of a protocol, and ``compliant_scripts``
+turns it into per-role scripts; the walk carries its recursion scope, so a
+sub-protocol object shared under several binders is scope-correct.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import ErrorKind, MpstError, SessionRuntimeError
@@ -33,7 +37,6 @@ from .protocol import (
 from .runtime import (
     DEFAULT_TIMEOUT,
     Endpoint,
-    Session,
     SyncRendezvous,
     TraceEvent,
     Transport,
@@ -103,20 +106,13 @@ class RunReport:
         return {o.error_kind for o in self.outcomes.values() if o.error_kind is not None}
 
 
-def _resolve_role(session: Session, name: str) -> Role:
-    for r in session.roles:
-        if r.name == name:
-            return r
-    raise SessionRuntimeError(ErrorKind.WRONG_PEER, f"unknown role {name}")
-
-
-def _exec_step(session: Session, ep: Endpoint, step: Step) -> tuple[Optional[Endpoint], Optional[Script]]:
+def _exec_step(ep: Endpoint, step: Step) -> tuple[Optional[Endpoint], Optional[Script]]:
     """Run one step; returns the continuation endpoint and, for receives,
     the branch script to switch into."""
     if isinstance(step, SendStep):
-        return ep.send(_resolve_role(session, step.peer), step.label, step.payload), None
+        return ep.send(step.peer, step.label, step.payload), None
     if isinstance(step, ReceiveStep):
-        label, _payload, cont = ep.receive(_resolve_role(session, step.peer))
+        label, _payload, cont = ep.receive(step.peer)
         sub = step.script_for(label.name)
         if sub is None:
             raise SessionRuntimeError(
@@ -128,20 +124,19 @@ def _exec_step(session: Session, ep: Endpoint, step: Step) -> tuple[Optional[End
         ep.close()
         return None, None
     if isinstance(step, ReuseStep):
-        cont, sub = _exec_step(session, ep, step.inner)
-        _exec_step(session, ep, step.inner)  # must raise InvalidEndpoint
+        cont, sub = _exec_step(ep, step.inner)
+        _exec_step(ep, step.inner)  # must raise InvalidEndpoint
         return cont, sub
     raise AssertionError(f"unknown step {step!r}")
 
 
-def _run_role(session: Session, role: Role, script: Script, outcome: RoleOutcome) -> None:
-    ep: Optional[Endpoint] = session.endpoints[role]
+def _run_role(ep: Optional[Endpoint], script: Script, outcome: RoleOutcome) -> None:
     steps = list(script)
     try:
         i = 0
         while i < len(steps):
             assert ep is not None, "script continues after close"
-            ep, switched = _exec_step(session, ep, steps[i])
+            ep, switched = _exec_step(ep, steps[i])
             if switched is not None:
                 steps = list(switched)
                 i = 0
@@ -188,7 +183,7 @@ def run_scripted(
     workers = [
         threading.Thread(
             target=_run_role,
-            args=(session, r, scripts[r.name], outcomes[r.name]),
+            args=(session.endpoints[r], scripts[r.name], outcomes[r.name]),
             daemon=True,
             name=f"mpst-{r.name}",
         )
@@ -225,57 +220,25 @@ def default_payload(sort: PayloadSort) -> object:
     raise ValueError(f"no scripted literal for sort {sort.sort_name()}")
 
 
-def _scoped_nodes(g: GlobalProtocol):
-    """All nodes plus, per node, the in-scope binder bodies by variable name."""
-    nodes: list[GlobalProtocol] = []
-    bind_of: dict[int, dict[str, GlobalProtocol]] = {}
-
-    def collect(n: GlobalProtocol, env: dict[str, GlobalProtocol]) -> None:
-        nodes.append(n)
-        if isinstance(n, Rec):
-            env = dict(env)
-            env[n.var] = n.body
-        bind_of[id(n)] = env
-        for _, c in n.children():
-            collect(c, env)
-
-    collect(g, {})
-    return nodes, bind_of
+_INF = float("inf")
 
 
-def _min_steps(g: GlobalProtocol):
-    """Minimum number of communications from each node to End, plus the
-    scoped binders of :func:`_scoped_nodes` they were computed from.
-
-    Computed by fixpoint relaxation over the node graph, where recursion
-    variables point back at their binder's body.
-    """
-    nodes, bind_of = _scoped_nodes(g)
-    dist: dict[int, float] = {id(n): float("inf") for n in nodes}
-
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
-            if isinstance(n, End):
-                d = 0.0
-            elif isinstance(n, Comm):
-                d = 1.0 + dist[id(n.cont)]
-            elif isinstance(n, Choice):
-                d = min(dist[id(b)] for b in n.branches) if n.branches else float("inf")
-            elif isinstance(n, Rec):
-                d = dist[id(n.body)]
-            elif isinstance(n, ClosedAt):
-                d = dist[id(n.cont)]
-            elif isinstance(n, Var):
-                target = bind_of[id(n)].get(n.var)
-                d = dist[id(target)] if target is not None else float("inf")
-            else:
-                d = float("inf")
-            if d < dist[id(n)]:
-                dist[id(n)] = d
-                changed = True
-    return dist, bind_of
+def _distance(node: GlobalProtocol, scope: dict) -> float:
+    """Fewest communications from ``node`` to End, where ``scope`` maps each
+    bound variable to an entry whose first item is its loop head's distance."""
+    if isinstance(node, End):
+        return 0.0
+    if isinstance(node, Comm):
+        return 1.0 + _distance(node.cont, scope)
+    if isinstance(node, Choice):
+        return min((_distance(b, scope) for b in node.branches), default=_INF)
+    if isinstance(node, Rec):  # a shortest run never goes round the loop again
+        return _distance(node.body, {**scope, node.var: (_INF,)})
+    if isinstance(node, ClosedAt):
+        return _distance(node.cont, scope)
+    if isinstance(node, Var):
+        return scope[node.var][0] if node.var in scope else _INF
+    return _INF
 
 
 def global_trace(g: GlobalProtocol, rng, budget: int = 200) -> list[tuple[Role, Role, Label]]:
@@ -283,12 +246,14 @@ def global_trace(g: GlobalProtocol, rng, budget: int = 200) -> list[tuple[Role, 
 
     Choices are taken at random while the communication budget allows a
     random branch to still terminate; once the budget tightens, the path
-    follows the shortest way out.
+    follows the shortest way out.  The walk carries its scope: each ``Rec``
+    maps its variable to the loop head's distance, its body and the scope
+    inside it, so a ``Var`` goes back to its own binder even when one
+    sub-protocol object sits under several binders of the same name.
     """
-    dist, bind_of = _min_steps(g)
     events: list[tuple[Role, Role, Label]] = []
 
-    node = g
+    node, scope = g, {}
     remaining = float(budget)
     while not isinstance(node, End):
         if isinstance(node, Comm):
@@ -296,14 +261,15 @@ def global_trace(g: GlobalProtocol, rng, budget: int = 200) -> list[tuple[Role, 
             remaining -= 1
             node = node.cont
         elif isinstance(node, Choice):
-            viable = [b for b in node.branches if dist[id(b)] <= remaining]
-            if not viable:
-                viable = [min(node.branches, key=lambda b: dist[id(b)])]
-            node = rng.choice(viable) if remaining > 0 else min(viable, key=lambda b: dist[id(b)])
+            options = [(_distance(b, scope), b) for b in node.branches]
+            viable = [o for o in options if o[0] <= remaining] or [min(options, key=itemgetter(0))]
+            _, node = rng.choice(viable) if remaining > 0 else min(viable, key=itemgetter(0))
         elif isinstance(node, Rec):
-            node = node.body
+            inner = dict(scope)
+            inner[node.var] = (_distance(node, scope), node.body, inner)
+            node, scope = node.body, inner
         elif isinstance(node, Var):
-            node = bind_of[id(node)][node.var]  # scope-correct under shadowing
+            _, node, scope = scope[node.var]
         elif isinstance(node, ClosedAt):
             node = node.cont
         else:

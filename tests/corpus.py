@@ -112,6 +112,15 @@ def closed_loop():
     return comm(C, P, Label("init", UNIT), closed_at(C, rec("X", comm(P, Q, LOOP, var_("X")))))
 
 
+def closed_exit():
+    """Like :func:`closed_loop`, but finite: p tells c to start or quit,
+    c is discharged in either branch, and p then tells q."""
+    return choice_at(P, [
+        comm(P, C, Label("init", UNIT), closed_at(C, comm(P, Q, LOOP, end_()))),
+        comm(P, C, Label("quit", UNIT), closed_at(C, comm(P, Q, STOP, end_()))),
+    ])
+
+
 def unclosed_loop():
     """Same protocol without the annotation: rejected with UnclosedRole."""
     return comm(C, P, Label("init", UNIT), rec("X", comm(P, Q, LOOP, var_("X"))))
@@ -151,6 +160,7 @@ def well_typed_corpus():
         "calc": calc(),
         "nonparticipant_choice": nonparticipant_choice(),
         "closed_loop": closed_loop(),
+        "closed_exit": closed_exit(),
         "infinite_loop": infinite_loop(),
         "rec_merge": rec_merge(),
     }

@@ -95,6 +95,40 @@ def test_check_json(oauth_file, capsys):
     assert doc["s"]["select"]["peer"] == "c"
 
 
+def _check_json(tmp_path, capsys, name, g):
+    from mpst.dsl import print_protocol, protocol_file_for
+
+    f = tmp_path / f"{name}.mpst"
+    f.write_text(print_protocol(protocol_file_for(name, g)))
+    assert main(["check", str(f), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_check_json_of_a_recursive_protocol(tmp_path, capsys):
+    from corpus import calc
+
+    doc = _check_json(tmp_path, capsys, "calc", calc())
+    loop = doc["c"]["rec"]
+    select = loop["body"]["select"]
+    assert select["peer"] == "s" and set(select["branches"]) == {"loop", "stop"}
+    assert select["branches"]["loop"] == {"payload": "unit", "cont": {"var": loop["var"]}}
+    assert select["branches"]["stop"]["cont"] == {
+        "branch": {"peer": "s", "branches": {"bye": {"payload": "unit", "cont": "end"}}}
+    }
+    assert doc["s"]["rec"]["body"]["branch"]["peer"] == "c"
+
+
+def test_check_json_of_a_delegation_payload(tmp_path, capsys):
+    from corpus import delegation_protocol
+
+    doc = _check_json(tmp_path, capsys, "handoff", delegation_protocol())
+    session = {"session": {"branch": {"peer": "p", "branches": {"bye": {"payload": "unit", "cont": "end"}}}}}
+    assert doc == {
+        "p": {"select": {"peer": "q", "branches": {"hand": {"payload": session, "cont": "end"}}}},
+        "q": {"branch": {"peer": "p", "branches": {"hand": {"payload": session, "cont": "end"}}}},
+    }
+
+
 def test_check_ill_formed_exit_1(tmp_path, capsys):
     p = tmp_path / "oauth4.mpst"
     p.write_text(OAUTH4)

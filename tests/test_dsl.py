@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from corpus import finite_corpus, oauth
-from mpst import SessionSort, parse_protocol, parse_scenario, print_protocol
+from mpst import Label, Role, SessionSort, parse_protocol, parse_scenario, print_protocol
 from mpst.dsl import _Parser, protocol_file_for
 from mpst.errors import ParseError
 from mpst.protocol import Comm
 from mpst.scripts import CloseStep, ReceiveStep, ReuseStep, SendStep
-from mpst.types import format_local_type, type_global
+from mpst.types import END_T, RecT, Select, VarT, format_local_type, type_global
 
 OAUTH_TEXT = """protocol oAuth (roles s, c, a) {
   s -> c : login(string);
@@ -89,6 +89,40 @@ def test_session_sort_roundtrip():
         assert parser.parse_local() == t
         parser.expect("eof", "end of input")
     assert format_local_type(type_global(g)[P]) == "!q{hand(session(?p{bye(unit): end})): end}"
+
+
+def test_closed_statement_roundtrip():
+    from corpus import closed_exit
+
+    text = """protocol Discharged (roles p, c, q) {
+  choice at p {
+    p -> c : init(unit);
+    closed c;
+    p -> q : loop(unit);
+    end;
+  } or {
+    p -> c : quit(unit);
+    closed c;
+    p -> q : stop(unit);
+    end;
+  }
+}
+"""
+    pf = parse_protocol(text)
+    assert pf.body == closed_exit()
+    assert print_protocol(pf) == text
+
+
+def test_recursive_session_payload_roundtrip():
+    text = "protocol Stream (roles a, b) { a -> b : hand(session(rec X . !b{m: X, s: end})); }"
+    body = parse_protocol(text).body
+    b = Role("b")
+    assert body.label.payload == SessionSort(
+        RecT("X", Select(b, ((Label("m"), VarT("X")), (Label("s"), END_T))))
+    )
+    printed = print_protocol(protocol_file_for("Stream", body))
+    assert "hand(session(rec X . !b{m(unit): X, s(unit): end}))" in printed
+    assert parse_protocol(printed).body == body
 
 
 def test_implicit_end_at_block_close():

@@ -229,7 +229,7 @@ def _run_threads(sess, scripts, extra=None) -> dict[str, RoleOutcome]:
     """Each role's script in its own thread, plus ``extra`` if given."""
     outcomes = {r.name: RoleOutcome(r.name, False) for r in sess.roles}
     threads = [
-        threading.Thread(target=_run_role, args=(sess, r, scripts[r.name], outcomes[r.name]), daemon=True)
+        threading.Thread(target=_run_role, args=(sess.endpoints[r], scripts[r.name], outcomes[r.name]), daemon=True)
         for r in sess.roles
     ]
     threads += [threading.Thread(target=extra, daemon=True)] if extra else []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from mpst import (
     open_session,
     project,
 )
+from mpst import runtime
 from mpst.errors import SessionRuntimeError, ShapeError
 from mpst.protocol import INT, UNIT
 from mpst.runtime import EventKind
@@ -174,6 +176,21 @@ def test_receive_timeout_reports_deadlock_kind():
     assert e.value.kind is ErrorKind.TIMEOUT
 
 
+def test_a_message_with_an_unexpected_label_is_a_transport_error():
+    sess = open_session(comm(P, Q, Label("m", INT), end_()), AsyncBuffered(1), timeout=1.0)
+    (link,) = sess.channels.links
+    link.send(("zz", 1))  # raw, past the sender's endpoint
+    ep = sess.endpoints[Q]
+    with pytest.raises(SessionRuntimeError) as e:
+        ep.receive(P)
+    assert e.value.kind is ErrorKind.TRANSPORT_ERROR
+    assert e.value.detail == "message with unexpected label zz"
+    assert ep.cell.used
+    with pytest.raises(SessionRuntimeError) as e:
+        ep.receive(P)
+    assert e.value.kind is ErrorKind.INVALID_ENDPOINT
+
+
 def test_concurrent_sends_on_one_stage_have_one_winner():
     # A buffer of 8 has room for every racer, so only the linearity cell
     # stands between them and the link.  A check-then-set flag in place of
@@ -209,6 +226,54 @@ def test_concurrent_sends_on_one_stage_have_one_winner():
             assert e.value.kind is ErrorKind.TIMEOUT
     finally:
         sys.setswitchinterval(old)
+
+
+class _SlowCheckLock:
+    """A real lock whose ``locked`` sleeps after it reads, so a cell that
+    checks ``used`` and then sets it lets a second racer through the check
+    before the first one sets the flag."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+
+    def acquire(self, blocking: bool = True) -> bool:
+        return self._lock.acquire(blocking)
+
+    def locked(self) -> bool:
+        held = self._lock.locked()
+        time.sleep(0.005)
+        return held
+
+
+def test_concurrent_sends_have_one_winner_when_the_cell_check_is_slow(monkeypatch):
+    # Deterministic companion of the 8-racer gate above: every read of a
+    # cell's flag is held open long enough for the other racer to run.
+    monkeypatch.setattr(runtime, "_Lock", _SlowCheckLock)
+    for _ in range(20):
+        sess = open_session(comm(P, Q, Label("m", INT), end_()), AsyncBuffered(2))
+        ep = sess.endpoints[P]
+        start = threading.Barrier(2)
+        sent, refused, other = [], [], []
+
+        def racer(k):
+            start.wait()
+            try:
+                ep.send(Q, "m", k)
+                sent.append(k)
+            except SessionRuntimeError as e:
+                (refused if e.kind is ErrorKind.INVALID_ENDPOINT else other).append(e)
+
+        threads = [threading.Thread(target=racer, args=(k,), daemon=True) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert other == [] and len(sent) == 1 and len(refused) == 1
+        (link,) = sess.channels.links
+        assert link.receive(timeout=0) == ("m", sent[0])
+        with pytest.raises(SessionRuntimeError) as e:
+            link.receive(timeout=0)  # exactly one message reached the link
+        assert e.value.kind is ErrorKind.TIMEOUT
 
 
 def _race(op, rounds: int = 500):

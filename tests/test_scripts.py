@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 
-from corpus import P, Q, calc, finite_corpus, g_auth, oauth, oauth2
+from corpus import P, Q, calc, finite_corpus, g_auth, oauth, oauth2, well_typed_corpus
 from mpst import INT, STRING, ErrorKind, Label, Role, choice_at, comm, end_, rec, roles_of, var_
 from mpst.gen import random_protocols
 from mpst.scripts import (
@@ -156,6 +157,59 @@ def test_infinite_loop_has_no_finite_run():
 
     with pytest.raises(ValueError):
         global_trace(infinite_loop(), random.Random(0), budget=10)
+
+
+def trace_digest(protocols) -> str:
+    """sha256 over seeded ``global_trace`` draws: for each protocol, seeds 0
+    to 4 and budgets 5, 30 and 200, the trace's events, or the name of the
+    ``ValueError`` raised when there is no finite run."""
+    h = hashlib.sha256()
+    for g in protocols:
+        for seed in range(5):
+            for budget in (5, 30, 200):
+                try:
+                    events = global_trace(g, random.Random(seed), budget)
+                    out = " ".join(f"{a.name}>{b.name}:{l.name}" for a, b, l in events)
+                except ValueError as e:
+                    out = type(e).__name__
+                h.update(out.encode())
+                h.update(b"\n")
+    return h.hexdigest()
+
+
+# trace_digest over the well-typed corpus and the generated protocols below,
+# at the commit before global_trace carried its scope as it walked.
+PINNED_TRACE_DIGEST = "74ee814c7785166cf017130950991a9d9039fd04bad76fc54a13bae742e0a88e"
+
+
+def test_global_trace_draws_match_the_pinned_digest():
+    generated = [
+        g
+        for seed, (roles, depth) in enumerate(((4, 6), (3, 5), (2, 4), (4, 7)))
+        for g in random_protocols(300, seed=seed, max_roles=roles, max_labels=4, max_depth=depth)
+    ]
+    assert trace_digest(list(well_typed_corpus().values()) + generated) == PINNED_TRACE_DIGEST
+
+
+def test_a_shared_sub_protocol_continues_in_its_own_scope():
+    """One ``body`` object sits under an outer and an inner ``rec X``; after
+    ``l1 . m`` the trace must go round the outer loop, whose choice offers
+    ``l1`` and ``l2``, not the inner one's ``l3`` and ``l4``."""
+    a, b = Role("a"), Role("b")
+    body = comm(a, b, Label("m"), var_("X"))
+    g = rec("X", choice_at(a, [
+        comm(a, b, Label("l1"), body),
+        comm(a, b, Label("l2"), rec("X", choice_at(a, [
+            comm(a, b, Label("l3"), body),
+            comm(a, b, Label("l4"), end_()),
+        ]))),
+    ]))
+    rng = random.Random(15)
+    for _ in range(20):
+        scripts = compliant_scripts(g, rng, budget=30)
+        for transport in (SyncRendezvous(), AsyncBuffered(1)):
+            report = run_scripted(g, scripts, transport, timeout=2.0)
+            assert report.verdict == "conformant", (transport, report.detail, report.outcomes)
 
 
 def _has_choice_or_loop(g) -> bool:

@@ -364,6 +364,20 @@ def test_frame_rejects_short_stream():
         right.close()
 
 
+def test_frame_with_an_oversized_header_is_refused_before_its_body():
+    left, right = socket.socketpair()
+    try:
+        left.sendall(struct.pack(">I", transport._MAX_FRAME + 1) + b"body")
+        with pytest.raises(SessionRuntimeError) as e:
+            read_frame(right)
+        assert e.value.kind is ErrorKind.TRANSPORT_ERROR and "oversized frame" in e.value.detail
+        right.settimeout(1)
+        assert right.recv(16) == b"body"  # the reader stopped at the header
+    finally:
+        left.close()
+        right.close()
+
+
 def test_framed_send_that_times_out_breaks_its_direction_only():
     left, right = socket.socketpair()
     link, back = transport.FramedLink(left, right), transport.FramedLink(right, left)
