@@ -67,11 +67,7 @@ from .types import (
 from .chanvec import (
     ChannelName,
     ChannelTable,
-    ChannelVector,
     OutRec,
-    RecVal,
-    UnitVal,
-    VarRef,
     WrappedInp,
     dump_channel_vectors,
     eval_global,

@@ -240,7 +240,7 @@ def run_chameleons(pairs: int, transport: Transport, monitored: bool = False,
         if w.is_alive():
             raise TimeoutError("chameleons pairing did not finish")
     for p2p, left_ep, right_ep in delegated:
-        if not (left_ep.cell.used and right_ep.cell.used):
+        if not (left_ep.used and right_ep.used):
             raise AssertionError("a delegated endpoint was never consumed")
         if monitored:
             ok, why = p2p.monitor.verdict()

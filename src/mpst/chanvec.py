@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ErrorKind, CvTypeError, ProtocolTypeError, ShapeError
 from .protocol import (
@@ -55,21 +55,7 @@ from .types import (
     unfold_type,
 )
 
-# The node set is shared with local types; the vector calculus' names stay
-# as aliases.
-ChannelVector = LocalType
-RecVal = RecT
-VarRef = VarT
-UnitVal = EndT
-UNIT_VAL = END_T
-unfold_cv = unfold_type
-
-
-class IoMode:
-    """The side of a channel a vector reference uses."""
-
-    IN = "in"
-    OUT = "out"
+unfold_cv = unfold_type  # the node set is shared with local types
 
 
 class ChannelName(NamedTuple):
@@ -156,7 +142,7 @@ class ChannelTable:
         return {n.key: self.canonical(n).label.payload for n in self.names}
 
 
-def fixv(var: str, c: ChannelVector) -> ChannelVector:
+def fixv(var: str, c: LocalType) -> LocalType:
     """Close a recursion: a body that is exactly the bound variable means the
     role does not take part in the loop, so its vector is the finished one;
     a body that never loops back needs no binder."""
@@ -169,7 +155,7 @@ def eval_global(
     g: GlobalProtocol,
     session: object,
     roles: Optional[Sequence[Role]] = None,
-) -> tuple[tuple[ChannelVector, ...], ChannelTable]:
+) -> tuple[tuple[LocalType, ...], ChannelTable]:
     """Compile a global protocol into one channel vector per role.
 
     This is the only traversal that derives the roles' behaviour:
@@ -191,7 +177,7 @@ def eval_global(
     namer = count(1)
 
     def go(node: GlobalProtocol, env: dict[str, tuple[VarT, ...]], steps: object,
-           closed: frozenset[str]) -> list[ChannelVector]:
+           closed: frozenset[str]) -> list[LocalType]:
         if isinstance(node, End):
             return [END_T] * n
         if isinstance(node, Comm):
@@ -256,7 +242,7 @@ def eval_global(
 
 
 def typecheck_cv(
-    c: ChannelVector,
+    c: LocalType,
     env: dict[int, PayloadSort],
     table: Optional[ChannelTable] = None,
 ) -> LocalType:
@@ -267,7 +253,7 @@ def typecheck_cv(
     sort and the label it is used under is a :class:`CvTypeError`.
     """
 
-    def go(v: ChannelVector) -> LocalType:
+    def go(v: LocalType) -> LocalType:
         if isinstance(v, (EndT, VarT)):
             return v
         if isinstance(v, RecT):
@@ -295,13 +281,13 @@ def typecheck_cv(
 
 
 def dump_channel_vectors(
-    vectors: Sequence[ChannelVector],
+    vectors: Sequence[LocalType],
     table: ChannelTable,
     roles: Sequence[Role],
 ) -> str:
     """Deterministic textual rendering with find-normalized channel names."""
 
-    def render(v: ChannelVector) -> str:
+    def render(v: LocalType) -> str:
         if isinstance(v, EndT):
             return "unit"
         if isinstance(v, VarT):
@@ -328,24 +314,3 @@ def channel_classes(table: ChannelTable) -> set[tuple[frozenset[str], str, int]]
         for c in table.classes()
     }
 
-
-def reachable_names(v: ChannelVector) -> Iterator[tuple[ChannelName, str]]:
-    """Every channel reference in a vector, with the side it occurs on.
-
-    Recursion bodies are visited once (loop variables stop the walk).
-    """
-    seen: set[int] = set()
-
-    def walk(c: ChannelVector) -> Iterator[tuple[ChannelName, str]]:
-        if isinstance(c, RecT):
-            if id(c) in seen:
-                return
-            seen.add(id(c))
-            yield from walk(c.body)
-        elif isinstance(c, (OutRec, WrappedInp)):
-            side = IoMode.OUT if isinstance(c, OutRec) else IoMode.IN
-            for _, s, k in c.branches:
-                yield s, side
-                yield from walk(k)
-
-    return walk(v)

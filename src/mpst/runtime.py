@@ -3,11 +3,15 @@
 A protocol is compiled once per protocol object and role tuple by
 ``types.type_global`` to one local type per role, then to each role's state
 table, the finite automaton of its local type (Deniélou & Yoshida, ESOP
-2012), whose states number each role pair they name as a link.  A session
-binds one link per directed role pair, a FIFO of ``(label name, payload)``
-messages on every transport: a send puts its label and payload on the link
-to the peer, and a receive takes the head of the link from the peer and
-picks its branch by the label name.
+2012), whose states number each role pair they name as a link.  The
+compiled form is the template of all the protocol's sessions: its tables,
+start states and local types are shared and never change.  An open builds
+only the session's own: one link per directed role pair, a FIFO of ``(label
+name, payload)`` messages on every transport; one seat and one start
+endpoint per role; a copy of the local types; and, when monitored, a
+monitor on copies of the expected types and start cursors.  A send puts its
+label and payload on the link to the peer, and a receive takes the head of
+the link from the peer and picks its branch by the label name.
 
 An :class:`Endpoint` is one role's live handle into a session at one state:
 the role's seat (role, links, monitor and timeout, built once per session),
@@ -15,8 +19,9 @@ the state, and a fresh :class:`LinearityCell`.  The cell is one
 ``threading.Lock`` taken with a non-blocking ``acquire`` and never released,
 so exactly one caller wins it.  The first operation (send, receive, close,
 or being delegated away) consumes the cell, and any further use raises
-``InvalidEndpoint``.  Consuming the cell covers all sibling labels of the
-stage: choosing one output among alternatives uses the stage exactly once.
+``InvalidEndpoint``; ``Endpoint.used`` reads the cell.  Consuming the cell
+covers all sibling labels of the stage: choosing one output among
+alternatives uses the stage exactly once.
 An operation makes its checks first and then takes the cell with one
 ``use`` call, before it touches the link.  A used endpoint is refused with
 ``InvalidEndpoint`` before any other error (wrong kind, peer, label or
@@ -199,18 +204,15 @@ class SessionMonitor:
     role's first violation is kept with its event's seq and stops its
     cursor.  ``verdict`` reads the cursors, so it costs O(roles) however
     long the trace.  ``events`` builds each :class:`TraceEvent` on read.
-    ``starts`` maps each role name to its start state; a monitor built
-    without it compiles the state tables of ``expected``'s closed types.
+    A session's monitor starts from its compiled protocol's template; one
+    built here compiles the state tables of ``expected``'s closed types.
     """
 
-    def __init__(self, expected: dict[Role, LocalType], starts: Optional[dict[str, _State]] = None) -> None:
-        self.expected = {r.name: t for r, t in expected.items()}
-        if starts is None:
-            starts = {r.name: _state_table(t, r.name, {})[0] for r, t in expected.items()}
-        self._cursors: dict[str, Optional[_State]] = dict(starts)  # None: stopped
-        self._stops: dict[str, tuple[int, str, str]] = {}
-        self._log: list[tuple] = []
-        self._lock = threading.Lock()
+    __slots__ = ("expected", "_cursors", "_stops", "_log", "_lock")
+
+    def __init__(self, expected: dict[Role, LocalType]) -> None:
+        named = {r.name: t for r, t in expected.items()}
+        _start_monitor(self, named, {n: _state_table(t, n, {})[0] for n, t in named.items()})
 
     def record(self, kind: EventKind, role: Role, peer: Optional[Role], label: Optional[Label]) -> None:
         lock = self._lock
@@ -265,19 +267,33 @@ class SessionMonitor:
         return True, "conformant"
 
 
+def _start_monitor(monitor: SessionMonitor, expected: dict[str, LocalType],
+                   starts: dict[str, _State]) -> SessionMonitor:
+    """Set ``monitor`` at the start: its own copies of ``expected`` and of the
+    start cursors, an empty log and no stops."""
+    monitor.expected = expected.copy()
+    monitor._cursors = starts.copy()  # None: stopped
+    monitor._stops = {}
+    monitor._log = []
+    monitor._lock = threading.Lock()
+    return monitor
+
+
 @dataclass(frozen=True)
 class CompiledProtocol:
-    """One protocol compiled for one role tuple, shared by all its sessions.
-    ``pairs`` are the directed (sender, receiver) role-name pairs that carry
-    messages, indexed by ``_State.link``; ``tables`` hold each role's states,
-    its start state first, and ``starts`` map each role name to its start
-    state, the cursors a session's monitor starts from."""
+    """One protocol compiled for one role tuple, the template of all its
+    sessions.  ``pairs`` are the directed (sender, receiver) role-name pairs
+    that carry messages, indexed by ``_State.link``; ``tables`` hold each
+    role's states, its start state first; ``starts`` and ``expected`` map
+    each role name, in ``roles`` order, to its start state and its local
+    type, which a session's monitor copies."""
 
     roles: tuple[Role, ...]
     local_types: dict[Role, LocalType]
     pairs: tuple[tuple[str, str], ...]
     tables: dict[Role, list[_State]]
     starts: dict[str, _State]
+    expected: dict[str, LocalType]
 
 
 def _compile(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledProtocol:
@@ -285,27 +301,33 @@ def _compile(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledPr
     links: dict[tuple[str, str], int] = {}
     tables = {r: _state_table(t, r.name, links) for r, t in local.items()}
     starts = {r.name: table[0] for r, table in tables.items()}
-    return CompiledProtocol(tuple(local), local, tuple(links), tables, starts)
+    expected = {r.name: t for r, t in local.items()}
+    return CompiledProtocol(tuple(local), local, tuple(links), tables, starts, expected)
 
 
 def _compiled_for(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledProtocol:
     """The compiled form of ``g`` for ``roles`` (``None``: the discovered
     roles), kept on ``g`` like the unfolding kept on a ``RecT``.  Failures are
     raised, not kept; two threads compiling at once both compile."""
-    cache = g.__dict__.setdefault("_compiled", {})
-    if roles not in cache:
-        cache[roles] = _compile(g, roles)
-    return cache[roles]
+    try:
+        return g._compiled[roles]
+    except (AttributeError, KeyError):  # the first open of g, or of g with these roles
+        pass
+    compiled = g.__dict__.setdefault("_compiled", {})[roles] = _compile(g, roles)
+    return compiled
 
 
 class SessionChannels:
     """One session's links, one per directed role pair: a :class:`Channel`
     in process or a :class:`FramedLink` over TCP."""
 
+    __slots__ = ("links", "pairs")
+
     def __init__(self, transport: Transport, compiled: CompiledProtocol) -> None:
-        if isinstance(transport, (SyncRendezvous, AsyncBuffered)):
-            cap = transport.capacity if isinstance(transport, AsyncBuffered) else 0
-            self.links = [Channel(cap) for _ in compiled.pairs]
+        if isinstance(transport, AsyncBuffered):
+            self.links = [Channel(transport.capacity) for _ in compiled.pairs]
+        elif isinstance(transport, SyncRendezvous):
+            self.links = [Channel(0) for _ in compiled.pairs]
         elif isinstance(transport, FramedSocket):
             self.links = connect_pairs(transport.host, compiled.pairs)
         else:
@@ -321,14 +343,12 @@ class SessionChannels:
                 link.close()
 
 
-@dataclass(slots=True)
 class _Seat:
-    """What a role's endpoints share across the stages of one session."""
+    """What a role's endpoints share across the stages of one session: its
+    role, the session's links (indexed by ``_State.link``), its monitor and
+    its timeout.  :func:`open_session` sets them."""
 
-    role: Role
-    links: list  # SessionChannels.links, indexed by _State.link
-    monitor: Optional[SessionMonitor]
-    timeout: float
+    __slots__ = ("role", "links", "monitor", "timeout")
 
 
 class Endpoint:
@@ -341,6 +361,12 @@ class Endpoint:
     def stage(self) -> LocalType:
         """The local type that remains at this endpoint's state."""
         return self.state.stage
+
+    @property
+    def used(self) -> bool:
+        """Whether this handle has been consumed: by a send, receive or
+        close, or by being delegated away."""
+        return self.cell.used
 
     def _refusal(self, kind: ErrorKind, detail: str) -> SessionRuntimeError:
         """The error for a refused operation: ``InvalidEndpoint`` when this
@@ -495,16 +521,27 @@ def open_session(
     """Check a protocol, compile it, bind a transport, and hand out endpoints.
 
     ``g`` is compiled on its first open with these ``roles``; shape and
-    typing failures are raised before any transport is bound.  Each
-    endpoint starts at its role's start state, whose stage is the unfolded
-    local type that the monitor and ``Session.local_types`` hold.
+    typing failures are raised before any transport is bound.  An open then
+    builds only what is the session's own from the compiled template: its
+    links, one seat and start endpoint per role, a copy of the local types,
+    and, when monitored, a monitor on copies of the template's expected
+    types and start cursors.  Each endpoint starts at its role's start
+    state, whose stage is the unfolded local type that the monitor and
+    ``Session.local_types`` hold.
     """
     compiled = _compiled_for(g, tuple(roles) if roles is not None else None)
     channels = SessionChannels(transport, compiled)
-    local = dict(compiled.local_types)
-    monitor = SessionMonitor(local, compiled.starts) if monitored else None
-    endpoints = {
-        r: _endpoint(_Seat(r, channels.links, monitor, timeout), compiled.tables[r][0])
-        for r in local
-    }
-    return Session(compiled.roles, endpoints, monitor, channels, local)
+    monitor = _start_monitor(_new(SessionMonitor), compiled.expected, compiled.starts) if monitored else None
+    links = channels.links
+    endpoints = {}
+    for r, start in zip(compiled.roles, compiled.starts.values()):  # as _endpoint does, without calls
+        seat = _new(_Seat)
+        seat.role, seat.links, seat.monitor, seat.timeout = r, links, monitor, timeout
+        ep = endpoints[r] = _new(Endpoint)
+        ep.seat, ep.state = seat, start
+        ep.cell = cell = _new(LinearityCell)
+        cell._lock = _Lock()
+    session = _new(Session)  # the dataclass __init__ would only set the five fields
+    session.roles, session.endpoints, session.monitor = compiled.roles, endpoints, monitor
+    session.channels, session.local_types = channels, compiled.local_types.copy()
+    return session

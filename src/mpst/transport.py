@@ -101,6 +101,8 @@ class Channel:
     FIFO otherwise.  At most one receive may be pending; a second concurrent
     receive raises ``TransportError``."""
 
+    __slots__ = ("capacity", "_lock", "_buf", "_blocked", "_receiver")
+
     def __init__(self, capacity: int = 0) -> None:
         self.capacity = capacity
         self._lock = threading.Lock()

@@ -31,22 +31,17 @@ from mpst import (
 from mpst.chanvec import (
     ChannelName,
     ChannelTable,
-    IoMode,
     OutRec,
-    RecVal,
-    UNIT_VAL,
-    VarRef,
     WrappedInp,
     channel_classes,
     dump_channel_vectors,
     eval_global,
     fixv,
-    reachable_names,
     typecheck_cv,
     unfold_cv,
 )
 from mpst.errors import ErrorKind, ProtocolTypeError
-from mpst.types import merge, project, type_equiv, type_global
+from mpst.types import END_T, LocalType, RecT, VarT, merge, project, type_equiv, type_global
 
 
 def test_eval_g_auth_structure():
@@ -76,7 +71,7 @@ def test_eval_g_auth_channel_classes():
 def test_eval_end_all_unit():
     g = comm(P, Q, Label("m"), end_())
     vs, _ = eval_global(end_(), "s0", roles_of(g))
-    assert vs == (UNIT_VAL, UNIT_VAL)
+    assert vs == (END_T, END_T)
 
 
 def test_eval_nonparticipant_choice_merges_arms():
@@ -91,7 +86,7 @@ def test_eval_nonparticipant_choice_merges_arms():
 
 def _nodes(v, out):
     """Every OutRec and WrappedInp of a vector, in walk order."""
-    if isinstance(v, RecVal):
+    if isinstance(v, RecT):
         _nodes(v.body, out)
     elif isinstance(v, (OutRec, WrappedInp)):
         out.append(v)
@@ -109,7 +104,7 @@ def test_evaluated_nodes_keep_the_public_constructors_contract():
     assert repr(name) == ("ChannelName(from_role=Role(name='c'), to_role=Role(name='s'), "
                           "label=Label(name='auth', payload=string), index=0, key=2)")
     assert str(name) == "<c,s,auth,0>"
-    assert repr(OutRec(S, ((Label("m"), name, UNIT_VAL),))) == (
+    assert repr(OutRec(S, ((Label("m"), name, END_T),))) == (
         f"OutRec(peer=Role(name='s'), branches=((Label(name='m', payload=unit), {name!r}, EndT()),))")
     for g in well_typed_corpus().values():
         vs, table = eval_global(g, "s0")
@@ -227,24 +222,45 @@ def test_nested_merges_chain_one_class_and_payload_env_compresses_it():
         assert type_equiv(ts[r], project(g, r)), r
 
 
+def _reachable_names(v: LocalType):
+    """Every channel reference in a vector, with the side it occurs on
+    ("in" or "out").  Recursion bodies are visited once (loop variables stop
+    the walk)."""
+    seen: set[int] = set()
+
+    def walk(c: LocalType):
+        if isinstance(c, RecT):
+            if id(c) in seen:
+                return
+            seen.add(id(c))
+            yield from walk(c.body)
+        elif isinstance(c, (OutRec, WrappedInp)):
+            side = "out" if isinstance(c, OutRec) else "in"
+            for _, s, k in c.branches:
+                yield s, side
+                yield from walk(k)
+
+    return walk(v)
+
+
 def test_two_endpoint_property_on_corpus():
     for name, g in well_typed_corpus().items():
         vs, table = eval_global(g, "s0")
         sides: dict = {}
         for v in vs:
-            for chan, side in reachable_names(v):
+            for chan, side in _reachable_names(v):
                 key = table.find(chan.key)
                 sides.setdefault(key, []).append(side)
         for key, uses in sides.items():
-            assert sorted(set(uses)) == [IoMode.IN, IoMode.OUT], (name, key, uses)
+            assert sorted(set(uses)) == ["in", "out"], (name, key, uses)
 
 
 # --- the operations of the value calculus ------------------------------------
 
 
 def test_unfold_cv_trivia():
-    assert unfold_cv(UNIT_VAL) is UNIT_VAL
-    loop = RecVal("X", OutRec(Q, ((Label("m"), _fresh_name(), VarRef("X")),)))
+    assert unfold_cv(END_T) is END_T
+    loop = RecT("X", OutRec(Q, ((Label("m"), _fresh_name(), VarT("X")),)))
     u = unfold_cv(loop)
     assert isinstance(u, OutRec)
     assert unfold_cv(u) is u  # idempotent
@@ -256,9 +272,9 @@ def _fresh_name():
 
 
 def test_fixv_rules():
-    assert fixv("X", VarRef("X")) is UNIT_VAL
-    body = OutRec(Q, ((Label("m"), _fresh_name(), VarRef("X")),))
-    assert fixv("X", body) == RecVal("X", body)
+    assert fixv("X", VarT("X")) is END_T
+    body = OutRec(Q, ((Label("m"), _fresh_name(), VarT("X")),))
+    assert fixv("X", body) == RecT("X", body)
 
 
 # --- merge on channel vectors ----------------------------------------------
@@ -278,20 +294,20 @@ def _cv_trees_equal(a, b, depth: int) -> bool:
         if [(l.name, s.key) for l, s, _ in ia] != [(l.name, s.key) for l, s, _ in ib]:
             return False
         return all(_cv_trees_equal(x, y, depth - 1) for (_, _, x), (_, _, y) in zip(ia, ib))
-    if isinstance(a, VarRef):
+    if isinstance(a, VarT):
         return a == b
-    return True  # UnitVal
+    return True  # EndT
 
 
 def test_merge_cv_unit():
-    assert merge(UNIT_VAL, UNIT_VAL, table=ChannelTable("t")) is UNIT_VAL
+    assert merge(END_T, END_T, table=ChannelTable("t")) is END_T
 
 
 def test_merge_cv_input_union():
     t = ChannelTable("t")
     n1, n2 = t.alloc(S, A, Label("ok")), t.alloc(S, A, Label("cancel"))
-    left = WrappedInp(S, ((Label("ok"), n1, UNIT_VAL),))
-    right = WrappedInp(S, ((Label("cancel"), n2, UNIT_VAL),))
+    left = WrappedInp(S, ((Label("ok"), n1, END_T),))
+    right = WrappedInp(S, ((Label("cancel"), n2, END_T),))
     got = merge(left, right, table=t)
     assert isinstance(got, WrappedInp)
     assert sorted(got.labels()) == ["cancel", "ok"]
@@ -300,8 +316,8 @@ def test_merge_cv_input_union():
 def test_merge_cv_output_intersection_and_unification():
     t = ChannelTable("t")
     n1, n2 = t.alloc(S, A, Label("m")), t.alloc(S, A, Label("m"))
-    left = OutRec(A, ((Label("m"), n1, UNIT_VAL),))
-    right = OutRec(A, ((Label("m"), n2, UNIT_VAL),))
+    left = OutRec(A, ((Label("m"), n1, END_T),))
+    right = OutRec(A, ((Label("m"), n2, END_T),))
     got = merge(left, right, table=t)
     assert isinstance(got, OutRec)
     assert t.find(n1.key) == t.find(n2.key)
@@ -311,8 +327,8 @@ def test_merge_cv_output_intersection_and_unification():
 def test_merge_cv_output_menus_must_be_equal():
     t = ChannelTable("t")
     x1, y1, x2 = t.alloc(S, A, Label("x")), t.alloc(S, A, Label("y")), t.alloc(S, A, Label("x"))
-    both = OutRec(A, ((Label("x"), x1, UNIT_VAL), (Label("y"), y1, UNIT_VAL)))
-    only_x = OutRec(A, ((Label("x"), x2, UNIT_VAL),))
+    both = OutRec(A, ((Label("x"), x1, END_T), (Label("y"), y1, END_T)))
+    only_x = OutRec(A, ((Label("x"), x2, END_T),))
     for left, right in ((both, only_x), (only_x, both)):
         with pytest.raises(ProtocolTypeError) as e:
             merge(left, right, table=t)
@@ -323,23 +339,23 @@ def test_merge_cv_output_menus_must_be_equal():
 def test_merge_cv_shape_and_peer_mismatch():
     t = ChannelTable("t")
     n1 = t.alloc(S, A, Label("m"))
-    out, inp = OutRec(A, ((Label("m"), n1, UNIT_VAL),)), WrappedInp(S, ((Label("m"), n1, UNIT_VAL),))
-    for left, right in ((out, UNIT_VAL), (inp, VarRef("X")), (out, inp)):
+    out, inp = OutRec(A, ((Label("m"), n1, END_T),)), WrappedInp(S, ((Label("m"), n1, END_T),))
+    for left, right in ((out, END_T), (inp, VarT("X")), (out, inp)):
         with pytest.raises(ProtocolTypeError) as e:
             merge(left, right, table=t)
         assert e.value.kind is ErrorKind.OUTPUT_MERGE_MISMATCH
     with pytest.raises(ProtocolTypeError) as e:
-        merge(out, OutRec(C, ((Label("m"), n1, UNIT_VAL),)), table=t)
+        merge(out, OutRec(C, ((Label("m"), n1, END_T),)), table=t)
     assert e.value.kind is ErrorKind.NON_DIRECTED_OUTPUT
     with pytest.raises(ProtocolTypeError) as e:
-        merge(inp, WrappedInp(C, ((Label("m"), n1, UNIT_VAL),)), table=t)
+        merge(inp, WrappedInp(C, ((Label("m"), n1, END_T),)), table=t)
     assert e.value.kind is ErrorKind.NON_DIRECTED_INPUT
 
 
 def test_merge_cv_recursive_self_merge_terminates_alpha_equal():
     t = ChannelTable("t")
     n = t.alloc(P, Q, Label("m"))
-    loop = RecVal("X", OutRec(Q, ((Label("m"), n, VarRef("X")),)))
+    loop = RecT("X", OutRec(Q, ((Label("m"), n, VarT("X")),)))
     got = merge(loop, loop, table=t)
     assert _cv_trees_equal(got, loop, 10)
 
@@ -348,8 +364,8 @@ def test_merge_cv_asymmetric_recursion():
     t = ChannelTable("t")
     n1 = t.alloc(P, Q, Label("go"))
     n2 = t.alloc(P, Q, Label("halt"))
-    loop = RecVal("X", WrappedInp(P, ((Label("go"), n1, VarRef("X")),)))
-    fin = WrappedInp(P, ((Label("halt"), n2, UNIT_VAL),))
+    loop = RecT("X", WrappedInp(P, ((Label("go"), n1, VarT("X")),)))
+    fin = WrappedInp(P, ((Label("halt"), n2, END_T),))
     got = merge(loop, fin, table=t)
     u = unfold_cv(got)
     assert isinstance(u, WrappedInp)
@@ -362,7 +378,7 @@ def test_merge_cv_asymmetric_recursion():
 def test_typecheck_unit_is_end():
     from mpst.types import END_T
 
-    assert typecheck_cv(UNIT_VAL, {}) == END_T
+    assert typecheck_cv(END_T, {}) == END_T
 
 
 def test_typecheck_payload_disagreement():
@@ -371,7 +387,7 @@ def test_typecheck_payload_disagreement():
 
     t = ChannelTable("t")
     n = t.alloc(P, Q, Label("m", INT))
-    vec = OutRec(Q, ((Label("m", UNIT), n, UNIT_VAL),))
+    vec = OutRec(Q, ((Label("m", UNIT), n, END_T),))
     with pytest.raises(CvTypeError):
         typecheck_cv(vec, t.payload_env(), t)
 

@@ -829,6 +829,88 @@ def test_local_types_are_per_session():
     assert second.monitor.expected == {r.name: t for r, t in want.items()}
 
 
+def test_sessions_of_one_template_share_no_mutable_state():
+    """Two monitored opens of one compiled protocol share its states and
+    nothing a session changes: links, seats, expected types, local types,
+    cursors and logs are each session's own."""
+    ping, pong = Label("ping", INT), Label("pong", INT)
+    g = comm(P, Q, ping, comm(Q, P, pong, end_()))
+    s1 = open_session(g, AsyncBuffered(1), monitored=True, timeout=1.0)
+    s2 = open_session(g, AsyncBuffered(1), monitored=True, timeout=1.0)
+    assert not {id(link) for link in s1.channels.links} & {id(link) for link in s2.channels.links}
+    for r in (P, Q):
+        one, two = s1.endpoints[r], s2.endpoints[r]
+        assert one.seat is not two.seat and one.state is two.state
+        assert (one.seat.links, one.seat.monitor) == (s1.channels.links, s1.monitor)
+        assert (two.seat.links, two.seat.monitor) == (s2.channels.links, s2.monitor)
+    expected, local = dict(s2.monitor.expected), dict(s2.local_types)
+    s1.monitor.expected.clear()
+    s1.local_types[P] = s1.local_types[Q]
+    assert (s2.monitor.expected, s2.local_types) == (expected, local)
+    s3 = open_session(g, AsyncBuffered(1), monitored=True)
+    assert (s3.monitor.expected, s3.local_types) == (expected, local)  # the template is untouched
+    s1.monitor.record(EventKind.SEND, Q, P, pong)  # q sends before it has received
+    assert s1.monitor.violation == (0, "q", "q performed send at a Branch stage")
+    assert s1.monitor._cursors["q"] is None and s1.monitor._cursors["p"] is s1.endpoints[P].state
+    assert s2.monitor.events == [] and s2.monitor.violation is None
+    assert s2.monitor._cursors == {"p": s2.endpoints[P].state, "q": s2.endpoints[Q].state}
+    p = s2.endpoints[P].send(Q, ping, 1)
+    _, got, q = s2.endpoints[Q].receive(P)
+    q.send(P, pong, got + 1).close()
+    _, back, p = p.receive(Q)
+    p.close()
+    assert back == 2 and s2.monitor.verdict() == (True, "conformant")
+    assert s1.monitor.verdict() == (False, "p stopped before finishing its protocol")
+    assert len(s1.monitor.events) == 1 and len(s2.monitor.events) == 6
+
+
+def test_an_unknown_transport_is_refused_and_subclasses_keep_their_capacity():
+    m = Label("m", INT)
+    g = comm(P, Q, m, end_())
+    with pytest.raises(SessionRuntimeError) as e:
+        open_session(g, object())
+    assert e.value.kind is ErrorKind.TRANSPORT_ERROR
+
+    class Roomy(AsyncBuffered):
+        pass
+
+    class Strict(SyncRendezvous):
+        pass
+
+    sess = open_session(g, Roomy(3), timeout=1.0)
+    assert [link.capacity for link in sess.channels.links] == [3]
+    sess.endpoints[P].send(Q, m, 5).close()  # buffered: completes before any receive
+    _, got, ep = sess.endpoints[Q].receive(P)
+    ep.close()
+    assert got == 5
+    assert [link.capacity for link in open_session(g, Strict()).channels.links] == [0]
+
+
+def test_used_reads_whether_the_handle_was_consumed():
+    """``used`` is False on a fresh handle and True once a send, a receive,
+    a close or a delegation has consumed it; it cannot be set."""
+    inner_g = comm(P, Q, Label("bye", UNIT), end_())
+    owner, taker = Role("owner"), Role("taker")
+    handoff = comm(owner, taker, Label("hand", SessionSort(project(inner_g, Q))), end_())
+    inner = open_session(inner_g, AsyncBuffered(1))
+    outer = open_session(handoff, AsyncBuffered(1))
+    sender, payload, receiver = outer.endpoints[owner], inner.endpoints[Q], outer.endpoints[taker]
+    assert not (sender.used or payload.used or receiver.used)
+    sent = sender.send(taker, "hand", payload)
+    assert sender.used and payload.used and not sent.used  # a send, and a delegation
+    _, live, received = receiver.receive(owner)
+    assert receiver.used and not live.used and not received.used  # a receive
+    for ep in (sent, received):
+        ep.close()
+        assert ep.used  # a close
+    inner.endpoints[P].send(Q, "bye", None).close()
+    _, _, live = live.receive(P)
+    live.close()
+    assert live.used
+    with pytest.raises(AttributeError):
+        live.used = False
+
+
 def test_timed_out_send_is_not_traced():
     sess = open_session(comm(P, Q, Label("m"), end_()), SyncRendezvous(), monitored=True, timeout=0.2)
     with pytest.raises(SessionRuntimeError) as e:
