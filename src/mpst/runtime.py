@@ -15,18 +15,22 @@ the link from the peer and picks its branch by the label name.
 
 An :class:`Endpoint` is one role's live handle into a session at one state:
 the role's seat (role, links, monitor and timeout, built once per session),
-the state, and a fresh :class:`LinearityCell`.  The cell is one
-``threading.Lock`` taken with a non-blocking ``acquire`` and never released,
-so exactly one caller wins it.  The first operation (send, receive, close,
-or being delegated away) consumes the cell, and any further use raises
-``InvalidEndpoint``; ``Endpoint.used`` reads the cell.  Consuming the cell
-covers all sibling labels of the stage: choosing one output among
-alternatives uses the stage exactly once.
+the state, and a fresh :class:`LinearityCell`.  The cell's flag is a
+one-item list, and taking it is one ``pop``, so exactly one caller wins it;
+``LinearityCell.give_back`` puts it back with one ``append``.
+The first operation (send, receive, close, or being delegated away)
+consumes the cell, and any further use raises ``InvalidEndpoint``;
+``Endpoint.used`` reads the cell.  Consuming the cell covers all sibling
+labels of the stage: choosing one output among alternatives uses the stage
+exactly once.
 An operation makes its checks first and then takes the cell with one
 ``use`` call, before it touches the link.  A used endpoint is refused with
 ``InvalidEndpoint`` before any other error (wrong kind, peer, label or
-payload).  A delegating send checks that the sender is unused before it
-consumes the endpoint it carries, so a used sender never destroys it.
+payload).  A delegating send from a used sender is refused before it
+touches the endpoint it carries.  Otherwise it takes the carried endpoint's
+flag and then its own; if a racing use of the sender won its own in
+between, it gives the carried endpoint's flag back and is refused.  So a
+refused sender never destroys the endpoint it carries.
 
 A monitored session's :class:`SessionMonitor` checks each event as it is
 recorded: it keeps one cursor per role on the same state tables, so a
@@ -97,19 +101,35 @@ class TraceEvent:
 
 
 class LinearityCell:
-    """A once-settable flag: ``use`` returns True to exactly one caller."""
+    """A once-settable flag that can be given back: ``use`` returns True to
+    exactly one caller, and ``give_back`` re-arms it for exactly one more.
 
-    __slots__ = ("_lock",)
+    The flag is a one-item list, ``[True]``.  ``use`` pops it without
+    looking first: ``list.pop`` is one C call, made atomic by the GIL and, on
+    free-threaded builds, by the list's own lock, so of any number of racing
+    callers one gets the item and every other gets ``IndexError``.  Only the
+    caller whose ``use`` returned True may call ``give_back``, which appends
+    the item again, so the list never holds more than one.
+    """
+
+    __slots__ = ("_flag",)
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._flag = [True]
 
     def use(self) -> bool:
-        return self._lock.acquire(False)
+        try:
+            self._flag.pop()
+        except IndexError:
+            return False
+        return True
+
+    def give_back(self) -> None:
+        self._flag.append(True)
 
     @property
     def used(self) -> bool:
-        return self._lock.locked()
+        return not self._flag
 
 
 # The payload check of each base sort; a label gets its check at compile time.
@@ -399,7 +419,7 @@ class Endpoint:
         link = seat.links[state.link]
         wire = payload
         if check is None:
-            if self.cell.used:  # before the payload is consumed: a used sender must not destroy it
+            if self.cell.used:  # refused as invalid before the payload's own errors
                 raise _already_used(seat.role)
             wire = _prepare_delegation(l.payload, payload, link)
         elif not check(payload):
@@ -408,6 +428,8 @@ class Endpoint:
                 f"label {l} expects {l.payload.sort_name()}, got {type(payload).__name__}",
             )
         if not self.cell.use():
+            if check is None:  # a racer took the sender after the payload: the payload stays whole
+                payload.cell.give_back()
             raise _already_used(seat.role)
         link.send((l.name, wire), seat.timeout)
         if seat.monitor:  # only a send that happened is traced
@@ -453,7 +475,6 @@ class Endpoint:
 
 
 _new = object.__new__  # bound once: a global name is cheaper than an attribute lookup
-_Lock = threading.Lock
 
 
 def _endpoint(seat: _Seat, state: _State) -> Endpoint:
@@ -463,7 +484,7 @@ def _endpoint(seat: _Seat, state: _State) -> Endpoint:
     ep.seat = seat
     ep.state = state
     cell = ep.cell = _new(LinearityCell)
-    cell._lock = _Lock()  # what LinearityCell.__init__ does
+    cell._flag = [True]  # what LinearityCell.__init__ does
     return ep
 
 
@@ -473,7 +494,12 @@ def _already_used(role: Role) -> SessionRuntimeError:
 
 def _prepare_delegation(sort: SessionSort, payload: object, link) -> Endpoint:
     """The handle a delegating send carries: ``payload``, checked against
-    ``sort`` and then consumed, moved to a fresh handle at its state."""
+    ``sort`` and then consumed, moved to a fresh handle at its state.
+
+    The caller takes its own cell next, and gives ``payload``'s flag back if
+    that fails.  In the window between the two steps a concurrent use of
+    ``payload`` is refused with ``InvalidEndpoint``, even though ``payload``
+    stays live when the send is refused."""
     if not isinstance(payload, Endpoint):
         raise SessionRuntimeError(
             ErrorKind.PAYLOAD_SORT_MISMATCH, "delegation payload must be an endpoint"
@@ -540,7 +566,7 @@ def open_session(
         ep = endpoints[r] = _new(Endpoint)
         ep.seat, ep.state = seat, start
         ep.cell = cell = _new(LinearityCell)
-        cell._lock = _Lock()
+        cell._flag = [True]
     session = _new(Session)  # the dataclass __init__ would only set the five fields
     session.roles, session.endpoints, session.monitor = compiled.roles, endpoints, monitor
     session.channels, session.local_types = channels, compiled.local_types.copy()

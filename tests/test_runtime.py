@@ -192,10 +192,10 @@ def test_a_message_with_an_unexpected_label_is_a_transport_error():
 
 
 def test_concurrent_sends_on_one_stage_have_one_winner():
-    # A buffer of 8 has room for every racer, so only the linearity cell
-    # stands between them and the link.  A check-then-set flag in place of
-    # the lock lost 2 rounds in 500 when tried, so 1000 rounds are likely to
-    # show such a race.
+    # A buffer of 8 has room for every racer, so only the linearity cell's
+    # flag stands between them and the link.  Real threads under a 1 us
+    # switch interval catch a check-then-pop flag only by chance; the
+    # slow-check gate below forces that race in every round.
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -228,30 +228,24 @@ def test_concurrent_sends_on_one_stage_have_one_winner():
         sys.setswitchinterval(old)
 
 
-class _SlowCheckLock:
-    """A real lock whose ``locked`` sleeps after it reads, so a cell that
-    checks ``used`` and then sets it lets a second racer through the check
-    before the first one sets the flag."""
+class _SlowCheckFlag(list):
+    """A cell flag whose truth test sleeps after it reads, so a cell that
+    checks the flag and then pops it lets a second racer through the check
+    before the first one pops.  ``list.pop`` does not call ``__len__``."""
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def acquire(self, blocking: bool = True) -> bool:
-        return self._lock.acquire(blocking)
-
-    def locked(self) -> bool:
-        held = self._lock.locked()
+    def __len__(self) -> int:
+        n = super().__len__()
         time.sleep(0.005)
-        return held
+        return n
 
 
-def test_concurrent_sends_have_one_winner_when_the_cell_check_is_slow(monkeypatch):
-    # Deterministic companion of the 8-racer gate above: every read of a
-    # cell's flag is held open long enough for the other racer to run.
-    monkeypatch.setattr(runtime, "_Lock", _SlowCheckLock)
+def test_concurrent_sends_have_one_winner_when_the_cell_check_is_slow():
+    # Deterministic companion of the 8-racer gate above: every truth test of
+    # the cell's flag is held open long enough for the other racer to run.
     for _ in range(20):
         sess = open_session(comm(P, Q, Label("m", INT), end_()), AsyncBuffered(2))
         ep = sess.endpoints[P]
+        ep.cell._flag = _SlowCheckFlag([True])
         start = threading.Barrier(2)
         sent, refused, other = [], [], []
 
@@ -405,6 +399,79 @@ def test_a_used_sender_does_not_consume_the_endpoint_it_delegates():
     label, _, live = live.receive(P)
     assert label.name == "bye"
     live.close()
+
+
+class _MeetingCell(runtime.LinearityCell):
+    """A payload's cell whose first ``use`` waits, after it takes the flag,
+    until the other racer has taken its own payload's flag: both delegations
+    then hold their payloads before either reaches the sender's flag."""
+
+    def __init__(self, meet: threading.Barrier) -> None:
+        super().__init__()
+        self.meet = meet
+
+    def use(self) -> bool:
+        won = super().use()
+        meet, self.meet = self.meet, None
+        if meet is not None:
+            meet.wait(5)
+        return won
+
+
+def test_a_sender_lost_to_a_racer_does_not_consume_the_endpoint_it_delegates():
+    inner_g = comm(P, Q, Label("bye", UNIT), end_())
+    owner, taker = Role("owner"), Role("taker")
+    handoff = comm(owner, taker, Label("hand", SessionSort(project(inner_g, Q))), end_())
+    for _ in range(20):
+        outer = open_session(handoff, AsyncBuffered(2))
+        sender = outer.endpoints[owner]
+        inners = [open_session(inner_g, AsyncBuffered(1)) for _ in range(2)]
+        meet = threading.Barrier(2)
+        payloads = [inner.endpoints[Q] for inner in inners]
+        for payload in payloads:
+            payload.cell = _MeetingCell(meet)
+        sent, refused, other = [], [], []
+
+        def racer(k):
+            try:
+                sender.send(taker, "hand", payloads[k]).close()
+                sent.append(k)
+            except SessionRuntimeError as e:
+                (refused if e.kind is ErrorKind.INVALID_ENDPOINT else other).append(k)
+
+        threads = [threading.Thread(target=racer, args=(k,), daemon=True) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert not any(t.is_alive() for t in threads)
+        assert other == [] and len(sent) == 1 and len(refused) == 1
+        (won,), (lost,) = sent, refused
+        assert payloads[won].used
+        assert not payloads[lost].used  # refused, yet whole
+        _, live, ep = outer.endpoints[taker].receive(owner)
+        ep.close()
+        inners[won].endpoints[P].send(Q, "bye", None).close()
+        live.receive(P)[2].close()
+        again = open_session(handoff, AsyncBuffered(1))  # the loser's payload is still sendable
+        again.endpoints[owner].send(taker, "hand", payloads[lost]).close()
+        _, live, ep = again.endpoints[taker].receive(owner)
+        ep.close()
+        inners[lost].endpoints[P].send(Q, "bye", None).close()
+        label, _, live = live.receive(P)
+        assert label.name == "bye"
+        live.close()
+
+
+def test_a_linearity_cell_admits_one_use_until_it_is_given_back():
+    cell = runtime.LinearityCell()
+    assert not cell.used
+    assert cell.use() and cell.used
+    assert not cell.use() and cell.used
+    cell.give_back()
+    assert not cell.used
+    assert cell.use() and cell.used
+    assert not cell.use()
 
 
 def test_peers_and_labels_may_be_given_as_names_or_equal_objects():
