@@ -1,9 +1,10 @@
 """Micro-benchmarks: session runtime against a bare-channel baseline.
 
 Both variants run the same message pattern over the same transport
-machinery; the session rows therefore isolate the cost of walking local types,
-linearity cells, and endpoint bookkeeping.  Absolute numbers are machine
-noise; the interesting column is the ratio.
+machinery, item for item, with every thread started outside the clock; the
+session rows therefore isolate the cost of walking local types, linearity
+cells, and endpoint bookkeeping.  Absolute numbers are machine noise; the
+interesting column is the ratio.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 from .protocol import INT, Label, Role, SessionSort, UNIT, choice_at, comm, end_, rec, var_
 from .runtime import open_session
-from .transport import AsyncBuffered, Channel, FramedSocket, SyncRendezvous, Transport
+from .transport import AsyncBuffered, Channel, FramedSocket, Transport
 from .types import project
 
 CSV_HEADER = "suite,transport,variant,iters,median_ns,p95_ns,ratio"
@@ -50,12 +51,27 @@ def _percentiles(samples: list[int]) -> tuple[int, int]:
     return median, p95
 
 
-def _transport_name(t: Transport) -> str:
-    if isinstance(t, SyncRendezvous):
-        return "sync"
-    if isinstance(t, AsyncBuffered):
-        return f"async:{t.capacity}"
-    return "framed"
+def _compare(suite: str, transport: Transport, iters: int,
+             bare: list[int], session: list[int]) -> list[BenchRow]:
+    """The bare and session rows of one suite; the session row's ratio is its
+    median over the bare median."""
+    bm, bp = _percentiles(bare)
+    sm, sp = _percentiles(session)
+    name = f"async:{transport.capacity}" if isinstance(transport, AsyncBuffered) else "sync"
+    return [
+        BenchRow(suite, name, "bare", iters, bm, bp, 1.0),
+        BenchRow(suite, name, "session", iters, sm, sp, sm / max(bm, 1)),
+    ]
+
+
+def _bare_capacity(transport: Transport) -> int:
+    """The capacity of a bare baseline's channels on ``transport``: 0 for a
+    rendezvous, the buffer's for a buffered one.  Framed TCP has no bare
+    baseline, and a chameleons session cannot delegate across it, so every
+    suite refuses it here, before any thread starts."""
+    if isinstance(transport, FramedSocket):
+        raise ValueError("bench baselines are defined for in-process transports")
+    return transport.capacity if isinstance(transport, AsyncBuffered) else 0
 
 
 def _in_thread(fn: Callable[[], None]) -> threading.Thread:
@@ -114,8 +130,7 @@ def _bench_session_pingpong(n: int, iters: int, transport: Transport) -> list[in
     return samples
 
 
-def _bench_bare_pingpong(n: int, iters: int, transport: Transport) -> list[int]:
-    cap = transport.capacity if isinstance(transport, AsyncBuffered) else 0
+def _bench_bare_pingpong(n: int, iters: int, cap: int) -> list[int]:
     ctrl, ab, ba = Channel(cap), Channel(cap), Channel(cap)
     samples: list[int] = []
 
@@ -140,17 +155,8 @@ def _bench_bare_pingpong(n: int, iters: int, transport: Transport) -> list[int]:
 
 
 def bench_pingpong(iters: int, transport: Transport, n: int = 1, suite: str = "pingpong") -> list[BenchRow]:
-    if isinstance(transport, FramedSocket):
-        raise ValueError("pingpong baseline is defined for in-process transports")
-    bare = _bench_bare_pingpong(n, iters, transport)
-    sess = _bench_session_pingpong(n, iters, transport)
-    bm, bp = _percentiles(bare)
-    sm, sp = _percentiles(sess)
-    name = _transport_name(transport)
-    return [
-        BenchRow(suite, name, "bare", iters, bm, bp, 1.0),
-        BenchRow(suite, name, "session", iters, sm, sp, sm / max(bm, 1)),
-    ]
+    bare = _bench_bare_pingpong(n, iters, _bare_capacity(transport))
+    return _compare(suite, transport, iters, bare, _bench_session_pingpong(n, iters, transport))
 
 
 def bench_nping(iters: int, transport: Transport, sizes: tuple[int, ...] = (1, 5, 10, 20)) -> list[BenchRow]:
@@ -187,11 +193,15 @@ def assignment_protocol():
 
 def run_chameleons(pairs: int, transport: Transport, monitored: bool = False,
                    timeout: float = 30.0, seed: int = 0) -> list[int]:
-    """One broker pairs up 2*pairs peers; each pairing gets a fresh p2p
-    session whose two endpoints the broker delegates away.
+    """One broker pairs up 2*pairs peers, one pairing at a time.  Each
+    pairing registers two peers, each through its own assignment session,
+    and starts their threads; the seeded rng picks which of the two plays
+    left of a fresh p2p session, whose two endpoints the broker delegates
+    away.
 
-    Returns per-pairing completion times.  Raises on any protocol error, so
-    a clean return means every delegated endpoint was used exactly once.
+    Returns per-pairing times, from the p2p open to both peers' joins, so no
+    thread start is timed.  Raises on any protocol error, so a clean return
+    means every delegated endpoint was used exactly once.
     """
     import random
 
@@ -215,65 +225,53 @@ def run_chameleons(pairs: int, transport: Transport, monitored: bool = False,
 
         return run
 
-    # every peer connects to the broker through its own assignment session
-    registrations = [
-        open_session(assign, transport, monitored=monitored, timeout=timeout)
-        for _ in range(2 * pairs)
-    ]
-    workers = [_in_thread(peer(s)) for s in registrations]
-    order = list(range(2 * pairs))
-    rng.shuffle(order)
-
-    delegated = []
-    for k in range(pairs):
+    for _ in range(pairs):
+        sides = [open_session(assign, transport, monitored=monitored, timeout=timeout) for _ in range(2)]
+        workers = [_in_thread(peer(s)) for s in sides]
+        rng.shuffle(sides)
         t0 = time.perf_counter_ns()
         p2p = open_session(pairing, transport, monitored=monitored, timeout=timeout)
-        sa = registrations[order[2 * k]]
-        sb = registrations[order[2 * k + 1]]
         left_ep, right_ep = p2p.endpoints[L], p2p.endpoints[R]
-        sa.endpoints[BROKER].send(PEER_ROLE, "left", left_ep).close()
-        sb.endpoints[BROKER].send(PEER_ROLE, "right", right_ep).close()
-        delegated.append((p2p, left_ep, right_ep))
+        sides[0].endpoints[BROKER].send(PEER_ROLE, "left", left_ep).close()
+        sides[1].endpoints[BROKER].send(PEER_ROLE, "right", right_ep).close()
+        for w in workers:
+            w.join(timeout)
         samples.append(time.perf_counter_ns() - t0)
-    for w in workers:
-        w.join(timeout)
-        if w.is_alive():
+        if any(w.is_alive() for w in workers):
             raise TimeoutError("chameleons pairing did not finish")
-    for p2p, left_ep, right_ep in delegated:
         if not (left_ep.used and right_ep.used):
             raise AssertionError("a delegated endpoint was never consumed")
         if monitored:
-            ok, why = p2p.monitor.verdict()
-            if not ok:
-                raise AssertionError(f"pairing not conformant: {why}")
-    if monitored:
-        for s in registrations:
-            ok, why = s.monitor.verdict()
-            if not ok:
-                raise AssertionError(f"registration not conformant: {why}")
+            for s in (p2p, *sides):
+                ok, why = s.monitor.verdict()
+                if not ok:
+                    raise AssertionError(f"chameleons session not conformant: {why}")
     return samples
 
 
-def _bench_bare_chameleons(pairs: int, transport: Transport) -> list[int]:
-    cap = transport.capacity if isinstance(transport, AsyncBuffered) else 0
+def _bench_bare_chameleons(pairs: int, cap: int) -> list[int]:
+    """The chameleons pairing on bare channels: two assignment channels and
+    their peers' threads before the clock, then the chat/bye channels, both
+    assignments and both joins inside it, as a session pairing is timed."""
     samples: list[int] = []
     for _ in range(pairs):
-        t0 = time.perf_counter_ns()
-        chat, bye, assign_a, assign_b = (Channel(cap) for _ in range(4))
+        assign_a, assign_b = Channel(cap), Channel(cap)
 
         def left() -> None:
-            side = assign_a.receive()
-            side.send(7, 30.0)
+            chat, bye = assign_a.receive()
+            chat.send(7, 30.0)
             bye.receive()
 
         def right() -> None:
-            side = assign_b.receive()
-            side.receive()
+            chat, bye = assign_b.receive()
+            chat.receive()
             bye.send(None, 30.0)
 
         ws = [_in_thread(left), _in_thread(right)]
-        assign_a.send(chat, 30.0)
-        assign_b.send(chat, 30.0)
+        t0 = time.perf_counter_ns()
+        p2p = Channel(cap), Channel(cap)
+        assign_a.send(p2p, 30.0)
+        assign_b.send(p2p, 30.0)
         for w in ws:
             w.join(30.0)
         samples.append(time.perf_counter_ns() - t0)
@@ -281,15 +279,8 @@ def _bench_bare_chameleons(pairs: int, transport: Transport) -> list[int]:
 
 
 def bench_chameleons(pairs: int, transport: Transport) -> list[BenchRow]:
-    bare = _bench_bare_chameleons(pairs, transport)
-    sess = run_chameleons(pairs, transport)
-    bm, bp = _percentiles(bare)
-    sm, sp = _percentiles(sess)
-    name = _transport_name(transport)
-    return [
-        BenchRow("chameleons", name, "bare", pairs, bm, bp, 1.0),
-        BenchRow("chameleons", name, "session", pairs, sm, sp, sm / max(bm, 1)),
-    ]
+    bare = _bench_bare_chameleons(pairs, _bare_capacity(transport))
+    return _compare("chameleons", transport, pairs, bare, run_chameleons(pairs, transport))
 
 
 def run_suite(suite: str, iters: int, transport: Transport) -> list[BenchRow]:

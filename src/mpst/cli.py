@@ -1,6 +1,7 @@
 """Command-line front-end: check, project, simulate, bench.
 
-Exit codes: 0 success, 1 protocol/role errors, 2 I/O or parse errors.
+Exit codes: 0 success, 1 protocol/role errors or a failed bench suite, 2 I/O
+or parse errors.
 All JSON output is canonical (sorted keys, LF line endings).
 """
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from . import bench as bench_mod
 from .dsl import ProtocolFile, parse_protocol, parse_scenario, print_protocol
@@ -24,10 +25,22 @@ from .types import (
     type_global,
 )
 
+T = TypeVar("T")
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+
+class _InputError(Exception):
+    """A file, scenario or transport the command cannot use: ``main`` prints
+    ``error: <why>`` and exits 2."""
+
+
+def _load(path: str, parse: Callable[[str], T]) -> tuple[T, str]:
+    """``parse`` of the file at ``path``, and its source."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            source = f.read()
+        return parse(source), source
+    except (OSError, ParseError) as e:
+        raise _InputError(e) from e
 
 
 def _caret_block(pf: ProtocolFile, source: str, path) -> str:
@@ -51,17 +64,8 @@ def _diag(pf: ProtocolFile, source: str, err: MpstError) -> str:
     return f"{out}\n{block}" if block else out
 
 
-def _load_protocol(path: str) -> tuple[ProtocolFile, str]:
-    source = _read(path)
-    return parse_protocol(source), source
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        pf, source = _load_protocol(args.path)
-    except (OSError, ParseError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    pf, source = _load(args.path, parse_protocol)
     try:
         local = type_global(pf.body, pf.roles)
     except ShapeError as e:
@@ -82,11 +86,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    try:
-        pf, source = _load_protocol(args.path)
-    except (OSError, ParseError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    pf, source = _load(args.path, parse_protocol)
     if args.role not in {r.name for r in pf.roles}:
         print(f"error: role {args.role} is not declared by {pf.name}", file=sys.stderr)
         return 1
@@ -110,31 +110,25 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 
 def _parse_transport(text: str) -> Transport:
+    """The ``--transport`` value: sync, async[:N] or framed."""
     if text == "sync":
         return SyncRendezvous()
     if text.startswith("async"):
-        cap = int(text.split(":", 1)[1]) if ":" in text else 1
-        return AsyncBuffered(cap)
+        try:
+            return AsyncBuffered(int(text.split(":", 1)[1]) if ":" in text else 1)
+        except ValueError as e:
+            raise _InputError(e) from e
     if text == "framed":
         return FramedSocket()
-    raise ValueError(f"unknown transport {text!r} (use sync, async[:N], or framed)")
+    raise _InputError(f"unknown transport {text!r} (use sync, async[:N], or framed)")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        pf, _source = _load_protocol(args.protocol)
-        scenario = parse_scenario(_read(args.scenario))
-    except (OSError, ParseError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    pf, _ = _load(args.protocol, parse_protocol)
+    scenario, _ = _load(args.scenario, parse_scenario)
     if scenario.protocol != pf.name:
-        print(f"error: scenario is for {scenario.protocol}, not {pf.name}", file=sys.stderr)
-        return 2
-    try:
-        transport = _parse_transport(args.transport)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise _InputError(f"scenario is for {scenario.protocol}, not {pf.name}")
+    transport = _parse_transport(args.transport)
     report = run_scripted(pf.body, scenario.scripts, transport, roles=pf.roles)
     for name, outcome in sorted(report.outcomes.items()):
         status = "ok" if outcome.ok else f"{outcome.error_kind or 'failed'}: {outcome.detail}"
@@ -157,24 +151,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        transport = _parse_transport(args.transport)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    rows = []
+    transport = _parse_transport(args.transport)
+    rows, failed = [], False
     for suite in args.suite:
         try:
             rows.extend(bench_mod.run_suite(suite, args.iters, transport))
-        except Exception as e:  # best effort: record and continue
+        except Exception as e:  # best effort: record, run the other suites, exit 1
             print(f"bench {suite} failed: {e}", file=sys.stderr)
+            failed = True
     csv = bench_mod.rows_to_csv(rows)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as f:
             f.write(csv)
     else:
         sys.stdout.write(csv)
-    return 0
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,18 +205,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_format(args: argparse.Namespace) -> int:
-    try:
-        pf, _ = _load_protocol(args.path)
-    except (OSError, ParseError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    pf, _ = _load(args.path, parse_protocol)
     sys.stdout.write(print_protocol(pf))
     return 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _InputError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

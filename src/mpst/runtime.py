@@ -17,7 +17,8 @@ An :class:`Endpoint` is one role's live handle into a session at one state:
 the role's seat (role, links, monitor and timeout, built once per session),
 the state, and a fresh :class:`LinearityCell`.  The cell's flag is a
 one-item list, and taking it is one ``pop``, so exactly one caller wins it;
-``LinearityCell.give_back`` puts it back with one ``append``.
+only a refused delegating send puts a flag back, the one it took from the
+endpoint it carries, and no public call can.
 The first operation (send, receive, close, or being delegated away)
 consumes the cell, and any further use raises ``InvalidEndpoint``;
 ``Endpoint.used`` reads the cell.  Consuming the cell covers all sibling
@@ -101,15 +102,15 @@ class TraceEvent:
 
 
 class LinearityCell:
-    """A once-settable flag that can be given back: ``use`` returns True to
-    exactly one caller, and ``give_back`` re-arms it for exactly one more.
+    """A once-settable flag: ``use`` returns True to exactly one caller.
 
     The flag is a one-item list, ``[True]``.  ``use`` pops it without
     looking first: ``list.pop`` is one C call, made atomic by the GIL and, on
     free-threaded builds, by the list's own lock, so of any number of racing
-    callers one gets the item and every other gets ``IndexError``.  Only the
-    caller whose ``use`` returned True may call ``give_back``, which appends
-    the item again, so the list never holds more than one.
+    callers one gets the item and every other gets ``IndexError``.  The only
+    re-arm is internal: a delegating send whose sender a racer won appends
+    the item it popped from the carried endpoint's flag, so the list never
+    holds more than one.
     """
 
     __slots__ = ("_flag",)
@@ -123,9 +124,6 @@ class LinearityCell:
         except IndexError:
             return False
         return True
-
-    def give_back(self) -> None:
-        self._flag.append(True)
 
     @property
     def used(self) -> bool:
@@ -429,7 +427,7 @@ class Endpoint:
             )
         if not self.cell.use():
             if check is None:  # a racer took the sender after the payload: the payload stays whole
-                payload.cell.give_back()
+                payload.cell._flag.append(True)
             raise _already_used(seat.role)
         link.send((l.name, wire), seat.timeout)
         if seat.monitor:  # only a send that happened is traced

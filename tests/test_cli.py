@@ -275,6 +275,25 @@ def test_bench_chameleons_small(capsys):
     assert "chameleons" in out
 
 
+def test_bench_exits_1_when_a_suite_fails_and_keeps_the_rows_that_ran(monkeypatch, capsys):
+    from mpst import bench
+
+    assert main(["bench", "--suite", "pingpong", "--iters", "20", "--transport", "framed"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "suite,transport,variant,iters,median_ns,p95_ns,ratio\n"
+    assert "bench pingpong failed: " in err
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken suite")
+
+    monkeypatch.setattr(bench, "bench_nping", broken)
+    assert main(["bench", "--suite", "pingpong", "--suite", "nping", "--iters", "20"]) == 1
+    out, err = capsys.readouterr()
+    assert [line.split(",")[:3] for line in out.splitlines()[1:]] == [
+        ["pingpong", "sync", "bare"], ["pingpong", "sync", "session"]]
+    assert "bench nping failed: broken suite" in err
+
+
 def test_format_roundtrip(oauth_file, capsys):
     assert main(["format", str(oauth_file)]) == 0
     assert capsys.readouterr().out == OAUTH

@@ -185,7 +185,7 @@ def test_a_message_with_an_unexpected_label_is_a_transport_error():
         ep.receive(P)
     assert e.value.kind is ErrorKind.TRANSPORT_ERROR
     assert e.value.detail == "message with unexpected label zz"
-    assert ep.cell.used
+    assert ep.used
     with pytest.raises(SessionRuntimeError) as e:
         ep.receive(P)
     assert e.value.kind is ErrorKind.INVALID_ENDPOINT
@@ -390,7 +390,7 @@ def test_a_used_sender_does_not_consume_the_endpoint_it_delegates():
     sender.send(taker, "hand", open_session(inner_g, AsyncBuffered(1)).endpoints[Q])
     payload = inner.endpoints[Q]
     _raises_kind(lambda: sender.send(taker, "hand", payload), ErrorKind.INVALID_ENDPOINT)
-    assert not payload.cell.used
+    assert not payload.used
     outer = open_session(handoff, AsyncBuffered(1))
     outer.endpoints[owner].send(taker, "hand", payload).close()  # still whole, so still sendable
     _, live, ep = outer.endpoints[taker].receive(owner)
@@ -463,15 +463,14 @@ def test_a_sender_lost_to_a_racer_does_not_consume_the_endpoint_it_delegates():
         live.close()
 
 
-def test_a_linearity_cell_admits_one_use_until_it_is_given_back():
+def test_a_linearity_cell_admits_one_use_and_no_public_re_arm():
     cell = runtime.LinearityCell()
     assert not cell.used
     assert cell.use() and cell.used
     assert not cell.use() and cell.used
-    cell.give_back()
-    assert not cell.used
-    assert cell.use() and cell.used
-    assert not cell.use()
+    # only a refused delegating send re-arms a flag; no public name can
+    assert [n for n in dir(cell) if not n.startswith("_")] == ["use", "used"]
+    assert not cell.use() and cell.used
 
 
 def test_peers_and_labels_may_be_given_as_names_or_equal_objects():
@@ -871,6 +870,36 @@ def test_chameleons_compiles_its_two_protocols_once_for_any_pairs(monkeypatch):
         assert len(compiled) == 2, pairs  # the assignment protocol and the p2p one
 
 
+def test_chameleons_keeps_one_pairing_of_peer_threads_alive(monkeypatch):
+    from mpst import bench
+
+    started, most_alive = [], []
+    in_thread = bench._in_thread
+
+    def counted(fn):
+        started.append(in_thread(fn))
+        most_alive.append(sum(t.is_alive() for t in started))
+        return started[-1]
+
+    monkeypatch.setattr(bench, "_in_thread", counted)
+    assert len(bench.run_chameleons(12, AsyncBuffered(1), monitored=True)) == 12
+    assert len(started) == 24
+    assert max(most_alive) <= 2
+    assert not any(t.is_alive() for t in started)
+
+
+def test_bench_refuses_a_framed_transport_before_it_starts_a_thread(monkeypatch):
+    from mpst import bench
+
+    started = []
+    in_thread = bench._in_thread
+    monkeypatch.setattr(bench, "_in_thread", lambda fn: started.append(fn) or in_thread(fn))
+    for suite in (bench.bench_chameleons, bench.bench_pingpong, bench.bench_nping):
+        with pytest.raises(ValueError, match="in-process transports"):
+            suite(3, FramedSocket())
+    assert started == []
+
+
 def test_compile_failures_are_raised_on_every_open():
     from corpus import oauth4
     from mpst import rec, var_
@@ -1094,7 +1123,7 @@ def test_warm_delegation_checks_its_subtype_once(monkeypatch):
         with pytest.raises(SessionRuntimeError) as e:
             open_session(wrong, AsyncBuffered(1)).endpoints[owner].send(taker, "hand", delegated)
         assert e.value.kind is ErrorKind.PAYLOAD_SORT_MISMATCH
-        assert not delegated.cell.used
+        assert not delegated.used
     assert len(calls) == 2
 
 
