@@ -168,7 +168,7 @@ def bench_nping(iters: int, transport: Transport, sizes: tuple[int, ...] = (1, 5
 
 # --- chameleons: delegation through a broker ---------------------------------
 
-L, R = Role("left", 0), Role("right", 1)
+L, R = Role("left"), Role("right")
 CHAT, BYE = Label("chat", INT), Label("bye", UNIT)
 PEER_ROLE, BROKER = Role("peer"), Role("broker")
 

@@ -49,6 +49,7 @@ from .types import (
     RecT,
     Select,
     VarT,
+    _contradicts,
     _decider_output,
     _fix_unused,
     merge,
@@ -103,12 +104,12 @@ class ChannelTable:
 
     def __init__(self, session: object) -> None:
         self.session = session
-        self._counters: dict[tuple[str, str, str], int] = {}
+        self._counters: dict[tuple[Role, Role, str], int] = {}
         self._parent: list[int] = []
         self.names: list[ChannelName] = []
 
     def alloc(self, from_role: Role, to_role: Role, label: Label) -> ChannelName:
-        ckey = (from_role.name, to_role.name, label.name)
+        ckey = (from_role, to_role, label.name)
         i = self._counters.get(ckey, 0)
         self._counters[ckey] = i + 1
         name = tuple.__new__(ChannelName, (from_role, to_role, label, i, len(self.names)))
@@ -135,7 +136,7 @@ class ChannelTable:
     def classes(self) -> list[ChannelName]:
         """One representative per class, in (sender, receiver, label, index) order."""
         roots = [n for n in self.names if self.find(n.key) == n.key]
-        return sorted(roots, key=lambda n: (n.from_role.name, n.to_role.name, n.label.name, n.index))
+        return sorted(roots, key=lambda n: (n.from_role, n.to_role, n.label.name, n.index))
 
     def payload_env(self) -> dict[int, PayloadSort]:
         """Every slot's payload sort, which is that of its class representative."""
@@ -171,13 +172,13 @@ def eval_global(
     if not report.ok:
         raise ShapeError(report.findings)
     tuple_roles = found if roles is None else bind_roles(roles, g)
-    idx = {r.name: i for i, r in enumerate(tuple_roles)}
+    idx = {r: i for i, r in enumerate(tuple_roles)}
     n = len(tuple_roles)
     table = ChannelTable(session)
     namer = count(1)
 
     def go(node: GlobalProtocol, env: dict[str, tuple[VarT, ...]], steps: object,
-           closed: frozenset[str]) -> list[LocalType]:
+           closed: dict[Role, object]) -> list[LocalType]:
         if isinstance(node, End):
             return [END_T] * n
         if isinstance(node, Comm):
@@ -188,13 +189,20 @@ def eval_global(
             vs = go(node, env, steps, closed)
             for c in reversed(run):
                 name = table.alloc(c.from_role, c.to_role, c.label)
-                i, j = idx[c.from_role.name], idx[c.to_role.name]
+                i, j = idx[c.from_role], idx[c.to_role]
                 vs[i] = _node(OutRec, c.to_role, ((c.label, name, vs[i]),))
                 vs[j] = _node(WrappedInp, c.from_role, ((c.label, name, vs[j]),))
             return vs
         if isinstance(node, Choice):
             per_branch = [go(b, env, (steps, k), closed) for k, b in enumerate(node.branches)]
-            a = idx[node.at.name]
+            a = idx[node.at]
+            for r, at in closed.items():  # below closed_at(r), r is End in every branch
+                k = idx[r]
+                if k != a:
+                    if not all(isinstance(vs[k], (EndT, VarT)) for vs in per_branch):
+                        raise _contradicts(r, _path(at))
+                    for vs in per_branch:
+                        vs[k] = END_T
             result = per_branch[0]
             try:  # with the empty path: the Choice's own path is built only on failure
                 result[a] = _decider_output([vs[a] for vs in per_branch], node.at, ())
@@ -211,11 +219,11 @@ def eval_global(
             for i in range(n):
                 if isinstance(vs[i], VarT):
                     # the loop never touches this role
-                    name = tuple_roles[i].name
-                    if name not in closed and any(r.name == name for r in found):
+                    r = tuple_roles[i]
+                    if r not in closed and r in found:
                         raise ProtocolTypeError(
                             ErrorKind.UNCLOSED_ROLE,
-                            f"role {name} takes no part in this loop; annotate it with closed_at",
+                            f"role {r} takes no part in this loop; annotate it with closed_at",
                             _path(steps),
                         )
                     vs[i] = END_T
@@ -225,19 +233,15 @@ def eval_global(
         if isinstance(node, Var):
             return list(env[node.var])
         if isinstance(node, ClosedAt):
-            vs = go(node.cont, env, (steps, "cont"), closed | {node.role.name})
-            a = idx[node.role.name]
+            vs = go(node.cont, env, (steps, "cont"), {**closed, node.role: steps})
+            a = idx[node.role]
             if not isinstance(vs[a], (EndT, VarT)):
-                raise ProtocolTypeError(
-                    ErrorKind.UNCLOSED_ROLE,
-                    f"closed_at {node.role} contradicts the role's remaining behaviour",
-                    _path(steps),
-                )
+                raise _contradicts(node.role, _path(steps))
             vs[a] = END_T
             return vs
         raise AssertionError(f"unknown node {node!r}")
 
-    vectors = go(g, {}, None, frozenset())
+    vectors = go(g, {}, None, {})
     return tuple(vectors), table
 
 

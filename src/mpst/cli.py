@@ -43,6 +43,15 @@ def _load(path: str, parse: Callable[[str], T]) -> tuple[T, str]:
         raise _InputError(e) from e
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to the file at ``path``, with LF line endings."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+    except OSError as e:
+        raise _InputError(e) from e
+
+
 def _caret_block(pf: ProtocolFile, source: str, path) -> str:
     span = pf.span_at(tuple(path))
     if span is None:
@@ -76,34 +85,32 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(_diag(pf, source, e), file=sys.stderr)
         return 1
     if args.json:
-        doc = {r.name: local_type_to_json(t) for r, t in local.items()}
+        doc = {r: local_type_to_json(t) for r, t in local.items()}
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         print(f"protocol {pf.name}: well-formed")
         for r in pf.roles:
-            print(f"  {r.name}: {format_local_type(local[r])}")
+            print(f"  {r}: {format_local_type(local[r])}")
     return 0
 
 
 def cmd_project(args: argparse.Namespace) -> int:
     pf, source = _load(args.path, parse_protocol)
-    if args.role not in {r.name for r in pf.roles}:
+    if args.role not in pf.roles:
         print(f"error: role {args.role} is not declared by {pf.name}", file=sys.stderr)
         return 1
-    role = next(r for r in pf.roles if r.name == args.role)
     try:
-        projected = project(pf.body, role)
+        projected = project(pf.body, args.role)  # a role is its name
         whole = type_global(pf.body, pf.roles)
     except MpstError as e:
         print(_diag(pf, source, e), file=sys.stderr)
         return 1
-    if not type_equiv(projected, whole[role]):  # the two derivations must agree
+    if not type_equiv(projected, whole[args.role]):  # the two derivations must agree
         print("internal error: projection disagrees with the typing derivation", file=sys.stderr)
         return 1
     doc = json.dumps(local_type_to_json(projected), sort_keys=True, indent=2) + "\n"
     if args.json:
-        with open(args.json, "w", encoding="utf-8", newline="\n") as f:
-            f.write(doc)
+        _write(args.json, doc)
     else:
         sys.stdout.write(doc)
     return 0
@@ -135,18 +142,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"  {name}: {status}")
     print(f"verdict: {report.verdict}")
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8", newline="\n") as f:
-            for ev in report.trace:
-                f.write(json.dumps(
-                    {
-                        "seq": ev.seq,
-                        "kind": ev.kind.value,
-                        "role": ev.role.name,
-                        "peer": ev.peer.name if ev.peer else None,
-                        "label": ev.label.name if ev.label else None,
-                    },
-                    sort_keys=True,
-                ) + "\n")
+        _write(args.trace, "".join(
+            json.dumps(
+                {
+                    "seq": ev.seq,
+                    "kind": ev.kind.value,
+                    "role": ev.role,
+                    "peer": ev.peer,
+                    "label": ev.label.name if ev.label else None,
+                },
+                sort_keys=True,
+            ) + "\n"
+            for ev in report.trace
+        ))
     return 0 if report.ok else 1
 
 
@@ -161,8 +169,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             failed = True
     csv = bench_mod.rows_to_csv(rows)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as f:
-            f.write(csv)
+        _write(args.csv, csv)
     else:
         sys.stdout.write(csv)
     return 1 if failed else 0

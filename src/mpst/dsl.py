@@ -10,9 +10,10 @@ Protocol grammar::
            | closed R;
            | end;
     SORT ::= unit | bool | int | string | session(LOCAL)
-    LOCAL ::= end | X | rec X . LOCAL
+    LOCAL ::= end | VAR | rec VAR . LOCAL
             | !R{ l(SORT): LOCAL, ... }     (internal choice)
             | ?R{ l(SORT): LOCAL, ... }     (external choice)
+    VAR ::= X | X@N | %N                    (N: the binders compiling and merging make)
 
 A block ends at its first terminal statement (``end``, ``continue``, a
 ``choice``, or a ``rec``); a block that just closes gets an implicit
@@ -87,7 +88,7 @@ def _tokenize(src: str) -> list[Token]:
             i += 2
             col += 2
             continue
-        if c in "(){},;:.|!?":
+        if c in "(){},;:.|!?@%":
             toks.append(Token(c, c, line, col))
             i += 1
             col += 1
@@ -204,13 +205,24 @@ class _Parser:
             return END_T
         if t.kind == "ident" and t.text == "rec":
             self.next()
-            var = self.expect("ident", "a recursion variable").text
+            var = self.parse_local_var()
             self.expect(".")
             return RecT(var, self.parse_local())
-        if t.kind == "ident":
-            self.next()
-            return VarT(t.text)
+        if t.kind in ("ident", "%"):
+            return VarT(self.parse_local_var())
         self.fail("expected a local type")
+
+    def parse_local_var(self) -> str:
+        """A local type's recursion variable: a name, or one of the binders
+        that compiling and merging make, ``X@0`` and ``%2``."""
+        if self.peek().kind == "%":
+            self.next()
+            return "%" + self.expect("int", "a binder number").text
+        var = self.expect("ident", "a recursion variable").text
+        if self.peek().kind == "@":
+            self.next()
+            var += "@" + self.expect("int", "a role position").text
+        return var
 
     # --- protocol files ------------------------------------------------------
 
@@ -407,7 +419,7 @@ def parse_scenario(text: str) -> ScenarioFile:
 def print_protocol(pf: ProtocolFile) -> str:
     """Canonical pretty-printer; parsing its output reproduces the AST."""
     out: list[str] = []
-    role_list = ", ".join(r.name for r in pf.roles)
+    role_list = ", ".join(pf.roles)
     out.append(f"protocol {pf.name} (roles {role_list}) {{")
 
     def stmt(node: GlobalProtocol, depth: int) -> None:
@@ -417,18 +429,18 @@ def print_protocol(pf: ProtocolFile) -> str:
         elif isinstance(node, Var):
             out.append(f"{pad}continue {node.var};")
         elif isinstance(node, Comm):
-            out.append(f"{pad}{node.from_role.name} -> {node.to_role.name} : "
+            out.append(f"{pad}{node.from_role} -> {node.to_role} : "
                        f"{node.label.name}({format_sort(node.label.payload)});")
             stmt(node.cont, depth)
         elif isinstance(node, ClosedAt):
-            out.append(f"{pad}closed {node.role.name};")
+            out.append(f"{pad}closed {node.role};")
             stmt(node.cont, depth)
         elif isinstance(node, Rec):
             out.append(f"{pad}rec {node.var} {{")
             stmt(node.body, depth + 1)
             out.append(f"{pad}}}")
         elif isinstance(node, Choice):
-            out.append(f"{pad}choice at {node.at.name} {{")
+            out.append(f"{pad}choice at {node.at} {{")
             for i, b in enumerate(node.branches):
                 if i:
                     out.append(f"{pad}}} or {{")

@@ -56,9 +56,8 @@ class MpstError(Exception):
 
 
 class SelfSendError(MpstError):
-    def __init__(self, role_name: str) -> None:
-        super().__init__(ErrorKind.SELF_SEND, f"role {role_name} sends to itself")
-        self.role_name = role_name
+    def __init__(self, role: str) -> None:
+        super().__init__(ErrorKind.SELF_SEND, f"role {role} sends to itself")
 
 
 class EmptyChoiceError(MpstError):

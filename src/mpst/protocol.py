@@ -9,30 +9,32 @@ from one walk, kept on the protocol (``_front``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import EmptyChoiceError, ErrorKind, Path, SelfSendError
 
 
-@dataclass(frozen=True)
-class Role:
-    """A session participant.
+class Role(str):
+    """A session participant, which is its name: ``Role("c") == "c"``, and
+    both hash alike, so a role and its name are one dict key.  A role is
+    immutable and has no other state; its position in a session is the
+    position of the role in that session's role tuple."""
 
-    ``index`` is the role's position in the session's role tuple.  It is
-    informational (bound by :func:`roles_of`) and excluded from equality so
-    that an unbound ``Role("c")`` compares equal to the bound one.
-    """
+    __slots__ = ()
 
-    name: str
-    index: int = field(default=-1, compare=False, repr=False)
+    def __new__(cls, name: str) -> "Role":
+        if not name or not all(c.isalnum() or c == "_" for c in name):
+            raise ValueError(f"role name must be a nonempty word: {name!r}")
+        return str.__new__(cls, name)
 
-    def __post_init__(self) -> None:
-        if not self.name or not all(c.isalnum() or c == "_" for c in self.name):
-            raise ValueError(f"role name must be a nonempty word: {self.name!r}")
+    @property
+    def name(self) -> str:
+        """The name as a plain string."""
+        return str(self)
 
-    def __str__(self) -> str:
-        return self.name
+    def __repr__(self) -> str:
+        return f"Role(name={str.__repr__(self)})"
 
 
 class PayloadSort:
@@ -173,7 +175,7 @@ END = End()
 def comm(from_role: Role, to_role: Role, label: Label, cont: GlobalProtocol) -> GlobalProtocol:
     """Point-to-point message followed by ``cont``.  Self-sends are rejected."""
     if from_role == to_role:
-        raise SelfSendError(from_role.name)
+        raise SelfSendError(from_role)
     return Comm(from_role, to_role, label, cont)
 
 
@@ -251,18 +253,18 @@ def _front(g: GlobalProtocol) -> tuple[ValidationReport, tuple[Role, ...]]:
     if (cached := g.__dict__.get("_front")) is not None:
         return cached
     findings: list[Finding] = []
-    names: dict[str, None] = {}
+    roles: dict[Role, None] = {}  # an equal role met later keeps the first one's key
     bound: dict[str, Optional[int]] = {}  # None: out of scope again
 
     def walk(node: GlobalProtocol, comms: int, steps: object) -> None:
         while isinstance(node, Comm):  # a run of Comms in one loop
-            a, b = node.from_role.name, node.to_role.name
-            names[a] = names[b] = None
-            if a == b:
+            a = node.from_role
+            roles[a] = roles[node.to_role] = None
+            if a == node.to_role:
                 findings.append(Finding(ErrorKind.SELF_SEND, f"role {a} sends to itself", _path(steps)))
             node, comms, steps = node.cont, comms + 1, (steps, "cont")
         if isinstance(node, Choice):
-            names[node.at.name] = None
+            roles[node.at] = None
             if not node.branches:
                 findings.append(Finding(ErrorKind.EMPTY_CHOICE, "choice with no branches", _path(steps)))
             for i, b in enumerate(node.branches):
@@ -280,16 +282,12 @@ def _front(g: GlobalProtocol) -> tuple[ValidationReport, tuple[Role, ...]]:
                 detail = f"recursion variable {node.var} occurs with no communication since its binder"
                 findings.append(Finding(ErrorKind.UNGUARDED_RECURSION, detail, _path(steps)))
         elif isinstance(node, ClosedAt):
-            names[node.role.name] = None
+            roles[node.role] = None
             walk(node.cont, comms, (steps, "cont"))
         # End: nothing to check
 
     walk(g, 0, None)
-    roles = tuple(object.__new__(Role) for _ in names)  # each name was checked when its Role was made
-    for i, (role, name) in enumerate(zip(roles, names)):
-        object.__setattr__(role, "name", name)  # as the dataclass __init__ sets it
-        object.__setattr__(role, "index", i)
-    cached = g.__dict__["_front"] = (ValidationReport(tuple(findings)), roles)
+    cached = g.__dict__["_front"] = (ValidationReport(tuple(findings)), tuple(roles))
     return cached
 
 
@@ -302,20 +300,22 @@ def validate_shape(g: GlobalProtocol) -> ValidationReport:
 
 
 def roles_of(g: GlobalProtocol) -> tuple[Role, ...]:
-    """All roles of the protocol, in first-appearance order, each carrying its
-    tuple index: the order every downstream stage (typing, evaluation, the
-    runtime) uses.  The walk is shared with :func:`validate_shape`."""
+    """All roles of the protocol, in first-appearance order: the protocol's
+    own role objects, the first met of each name, in the order every
+    downstream stage (typing, evaluation, the runtime) uses.  The walk is
+    shared with :func:`validate_shape`."""
     return _front(g)[1]
 
 
-def bind_roles(declared: Iterable[Role], g: GlobalProtocol) -> tuple[Role, ...]:
-    """Role tuple in the given declared order; must cover roles_of(g)."""
-    out = tuple(Role(r.name, index=i) for i, r in enumerate(declared))
-    names = {r.name for r in out}
-    missing = [r.name for r in roles_of(g) if r.name not in names]
+def bind_roles(declared: Iterable[Role | str], g: GlobalProtocol) -> tuple[Role, ...]:
+    """The declared roles, in the given order, each a :class:`Role` (a name
+    is made one); they must cover roles_of(g) and name each role once."""
+    out = tuple(r if r.__class__ is Role else Role(r) for r in declared)
+    named = set(out)
+    missing = [str(r) for r in roles_of(g) if r not in named]
     if missing:
         raise ValueError(f"declared roles do not cover protocol roles: missing {missing}")
-    if len(out) != len(names):
+    if len(out) != len(named):
         raise ValueError("declared roles contain duplicates")
     return out
 

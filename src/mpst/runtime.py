@@ -93,12 +93,7 @@ class TraceEvent:
     label: Optional[Label]
 
     def signature(self) -> tuple[str, str, str, str]:
-        return (
-            self.role.name,
-            self.kind.value,
-            self.peer.name if self.peer else "",
-            self.label.name if self.label else "",
-        )
+        return self.role, self.kind.value, self.peer or "", self.label.name if self.label else ""
 
 
 class LinearityCell:
@@ -160,7 +155,7 @@ class _State:
     subtypes: dict = field(default_factory=dict)
 
 
-def _state_table(t: LocalType, role: str, links: dict[tuple[str, str], int]) -> list[_State]:
+def _state_table(t: LocalType, role: Role, links: dict[tuple[Role, Role], int]) -> list[_State]:
     """A role's states, the start first: one per Select, Branch or End
     position of its closed local type ``t``, a loop variable being an edge to
     its binder's state.  A stage is ``t`` unfolded along the path to it;
@@ -181,7 +176,7 @@ def _state_table(t: LocalType, role: str, links: dict[tuple[str, str], int]) -> 
         if isinstance(pos, DirectedChoice):
             env = {**env, **dict.fromkeys(binders, state)}
             state.kind, state.peer = (_SEND if pos.output else _RECEIVE), pos.peer
-            pair = (role, pos.peer.name) if pos.output else (pos.peer.name, role)
+            pair = (role, pos.peer) if pos.output else (pos.peer, role)
             state.link = links.setdefault(pair, len(links))
             state.steps = {
                 l.name: (l, _check(l.payload), build(cont, stage_cont, env))
@@ -196,20 +191,20 @@ def _state_table(t: LocalType, role: str, links: dict[tuple[str, str], int]) -> 
 _CLOSED = _State(END_T, kind=None)  # a role's cursor after its close; admits no event
 
 
-def _advance(name: str, state: _State, kind: EventKind, peer, label) -> _State | str:
-    """The state after role ``name`` at ``state`` performs the event, or the
+def _advance(role: Role, state: _State, kind: EventKind, peer, label) -> _State | str:
+    """The state after ``role`` at ``state`` performs the event, or the
     reason it may not: the checks of a walk of its local type, in order."""
     if state is _CLOSED:
-        return f"{name} acted after close"
+        return f"{role} acted after close"
     if kind is _CLOSE:
-        return _CLOSED if state.kind is _CLOSE else f"{name} closed before finishing its protocol"
+        return _CLOSED if state.kind is _CLOSE else f"{role} closed before finishing its protocol"
     if state.kind is not (_SEND if kind is _SEND else _RECEIVE):
-        return f"{name} performed {kind} at a {type(state.stage).__name__} stage"
-    if peer is None or state.peer.name != peer.name:
-        return f"{name} talked to {peer} instead of {state.peer}"
+        return f"{role} performed {kind} at a {type(state.stage).__name__} stage"
+    if peer is None or peer != state.peer:
+        return f"{role} talked to {peer} instead of {state.peer}"
     step = state.steps.get(label.name if label is not None else None)
     if step is None:
-        return f"{name} used unknown label {label}"
+        return f"{role} used unknown label {label}"
     return step[2]
 
 
@@ -229,16 +224,14 @@ class SessionMonitor:
     __slots__ = ("expected", "_cursors", "_stops", "_log", "_lock")
 
     def __init__(self, expected: dict[Role, LocalType]) -> None:
-        named = {r.name: t for r, t in expected.items()}
-        _start_monitor(self, named, {n: _state_table(t, n, {})[0] for n, t in named.items()})
+        _start_monitor(self, expected, {r: _state_table(t, r, {})[0] for r, t in expected.items()})
 
     def record(self, kind: EventKind, role: Role, peer: Optional[Role], label: Optional[Label]) -> None:
         lock = self._lock
         lock.acquire()  # log order is seq order, and a role's cursor steps in that order
         try:  # not ``with``: its enter and exit calls cost twice the lock itself
             self._log.append((kind, role, peer, label))
-            name = role.name
-            state = self._cursors.get(name)
+            state = self._cursors.get(role)
             if state is None:  # a role with no local type here, or one already stopped
                 return
             nxt = None
@@ -248,11 +241,11 @@ class SessionMonitor:
                 elif label is not None and (step := state.steps.get(label.name)) is not None:
                     nxt = step[2]
             if nxt is None:
-                nxt = _advance(name, state, kind, peer, label)
+                nxt = _advance(role, state, kind, peer, label)
                 if nxt.__class__ is str:
-                    self._stops[name] = (len(self._log) - 1, name, nxt)
+                    self._stops[role] = (len(self._log) - 1, role, nxt)
                     nxt = None
-            self._cursors[name] = nxt
+            self._cursors[role] = nxt
         finally:
             lock.release()
 
@@ -263,9 +256,9 @@ class SessionMonitor:
         return [TraceEvent(seq, *event) for seq, event in enumerate(log)]
 
     @property
-    def violation(self) -> Optional[tuple[int, str, str]]:
+    def violation(self) -> Optional[tuple[int, Role, str]]:
         """The earliest event at which a role left its local type, as
-        ``(seq, role name, message)``, or None.  A role that only stopped
+        ``(seq, role, message)``, or None.  A role that only stopped
         short of the end shows in ``verdict`` alone."""
         with self._lock:
             return min(self._stops.values(), default=None)
@@ -275,18 +268,18 @@ class SessionMonitor:
         start to End, finishing with a close; otherwise the first role, in
         ``expected`` order, that did not, and why."""
         with self._lock:
-            for name, state in self._cursors.items():
+            for role, state in self._cursors.items():
                 if state is None:
-                    return False, self._stops[name][2]
+                    return False, self._stops[role][2]
                 if state is not _CLOSED:
                     if state.kind is _CLOSE:
-                        return False, f"{name} never closed its endpoint"
-                    return False, f"{name} stopped before finishing its protocol"
+                        return False, f"{role} never closed its endpoint"
+                    return False, f"{role} stopped before finishing its protocol"
         return True, "conformant"
 
 
-def _start_monitor(monitor: SessionMonitor, expected: dict[str, LocalType],
-                   starts: dict[str, _State]) -> SessionMonitor:
+def _start_monitor(monitor: SessionMonitor, expected: dict[Role, LocalType],
+                   starts: dict[Role, _State]) -> SessionMonitor:
     """Set ``monitor`` at the start: its own copies of ``expected`` and of the
     start cursors, an empty log and no stops."""
     monitor.expected = expected.copy()
@@ -300,27 +293,25 @@ def _start_monitor(monitor: SessionMonitor, expected: dict[str, LocalType],
 @dataclass(frozen=True)
 class CompiledProtocol:
     """One protocol compiled for one role tuple, the template of all its
-    sessions.  ``pairs`` are the directed (sender, receiver) role-name pairs
-    that carry messages, indexed by ``_State.link``; ``tables`` hold each
-    role's states, its start state first; ``starts`` and ``expected`` map
-    each role name, in ``roles`` order, to its start state and its local
-    type, which a session's monitor copies."""
+    sessions.  ``pairs`` are the directed (sender, receiver) role pairs that
+    carry messages, indexed by ``_State.link``; ``tables`` hold each role's
+    states, its start state first; ``starts`` maps each role, in ``roles``
+    order, to its start state.  A session's monitor copies ``starts`` and
+    ``local_types``."""
 
     roles: tuple[Role, ...]
     local_types: dict[Role, LocalType]
-    pairs: tuple[tuple[str, str], ...]
+    pairs: tuple[tuple[Role, Role], ...]
     tables: dict[Role, list[_State]]
-    starts: dict[str, _State]
-    expected: dict[str, LocalType]
+    starts: dict[Role, _State]
 
 
 def _compile(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledProtocol:
     local = type_global(g, roles)
-    links: dict[tuple[str, str], int] = {}
-    tables = {r: _state_table(t, r.name, links) for r, t in local.items()}
-    starts = {r.name: table[0] for r, table in tables.items()}
-    expected = {r.name: t for r, t in local.items()}
-    return CompiledProtocol(tuple(local), local, tuple(links), tables, starts, expected)
+    links: dict[tuple[Role, Role], int] = {}
+    tables = {r: _state_table(t, r, links) for r, t in local.items()}
+    starts = {r: table[0] for r, table in tables.items()}
+    return CompiledProtocol(tuple(local), local, tuple(links), tables, starts)
 
 
 def _compiled_for(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledProtocol:
@@ -352,7 +343,7 @@ class SessionChannels:
             raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"unknown transport {transport!r}")
         self.pairs = compiled.pairs
 
-    def channel_for(self, sender: str, receiver: str):  # endpoints index links by state
+    def channel_for(self, sender: Role, receiver: Role):  # endpoints index links by state
         return self.links[self.pairs.index((sender, receiver))]
 
     def close(self) -> None:
@@ -402,7 +393,7 @@ class Endpoint:
                 f"{seat.role} tried to send but the protocol expects "
                 f"{'a receive' if state.kind is _RECEIVE else 'close'} here",
             )
-        if peer is not state.peer and state.peer.name != (peer.name if isinstance(peer, Role) else peer):
+        if peer is not state.peer and peer != state.peer:
             raise self._refusal(
                 ErrorKind.WRONG_PEER, f"{seat.role} must talk to {state.peer} here, not {peer}"
             )
@@ -443,7 +434,7 @@ class Endpoint:
                 f"{seat.role} tried to receive but the protocol expects "
                 f"{'a send' if state.kind is _SEND else 'close'} here",
             )
-        if peer is not state.peer and state.peer.name != (peer.name if isinstance(peer, Role) else peer):
+        if peer is not state.peer and peer != state.peer:
             raise self._refusal(
                 ErrorKind.WRONG_PEER, f"{seat.role} must listen to {state.peer} here, not {peer}"
             )
@@ -555,10 +546,10 @@ def open_session(
     """
     compiled = _compiled_for(g, tuple(roles) if roles is not None else None)
     channels = SessionChannels(transport, compiled)
-    monitor = _start_monitor(_new(SessionMonitor), compiled.expected, compiled.starts) if monitored else None
+    monitor = _start_monitor(_new(SessionMonitor), compiled.local_types, compiled.starts) if monitored else None
     links = channels.links
     endpoints = {}
-    for r, start in zip(compiled.roles, compiled.starts.values()):  # as _endpoint does, without calls
+    for r, start in compiled.starts.items():  # as _endpoint does, without calls
         seat = _new(_Seat)
         seat.role, seat.links, seat.monitor, seat.timeout = r, links, monitor, timeout
         ep = endpoints[r] = _new(Endpoint)

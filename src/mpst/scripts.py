@@ -161,7 +161,7 @@ def run_scripted(
 ) -> RunReport:
     """Run one worker per role against a monitored session."""
     declared = roles if roles is not None else roles_of(g)
-    missing = [r.name for r in declared if r.name not in scripts]
+    missing = [str(r) for r in declared if r not in scripts]
     if missing:
         return RunReport(
             "error",
@@ -176,16 +176,16 @@ def run_scripted(
     except MpstError as e:
         return RunReport(
             "error",
-            {r.name: RoleOutcome(r.name, False, e.kind, e.detail) for r in declared},
+            {r: RoleOutcome(r, False, e.kind, e.detail) for r in declared},
             detail=str(e),
         )
-    outcomes = {r.name: RoleOutcome(r.name, False) for r in declared}
+    outcomes = {r: RoleOutcome(r, False) for r in declared}
     workers = [
         threading.Thread(
             target=_run_role,
-            args=(session.endpoints[r], scripts[r.name], outcomes[r.name]),
+            args=(session.endpoints[r], scripts[r], outcomes[r]),
             daemon=True,
-            name=f"mpst-{r.name}",
+            name=f"mpst-{r}",
         )
         for r in declared
     ]
@@ -289,17 +289,17 @@ def scripts_for_trace(
         i = idx
         while i < len(events):
             frm, to, label = events[i]
-            if frm.name == role.name:
-                steps.append(SendStep(to.name, label.name, default_payload(label.payload)))
-            elif to.name == role.name:
+            if frm == role:
+                steps.append(SendStep(to, label.name, default_payload(label.payload)))
+            elif to == role:
                 rest = build(role, i + 1)
-                steps.append(ReceiveStep(frm.name, ((label.name, rest),)))
+                steps.append(ReceiveStep(frm, ((label.name, rest),)))
                 return tuple(steps)
             i += 1
         steps.append(CloseStep())
         return tuple(steps)
 
-    return {r.name: build(r, 0) for r in roles}
+    return {r: build(r, 0) for r in roles}
 
 
 def compliant_scripts(g: GlobalProtocol, rng, budget: int = 200,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import ErrorKind, Path, ProtocolTypeError, ShapeError
 from .protocol import (
@@ -39,6 +39,7 @@ from .protocol import (
     SessionSort,
     Var,
     _front,
+    bind_roles,
     roles_of,
 )
 
@@ -67,8 +68,6 @@ def _hash_once(cls):
 
 
 def _canon_branches(branches) -> tuple[tuple[Label, "LocalType"], ...]:
-    if not isinstance(branches, tuple) and isinstance(branches, Mapping):
-        branches = branches.items()
     items = list(branches)
     items.sort(key=lambda kv: kv[0].name)
     names = [l.name for l, _ in items]
@@ -385,12 +384,13 @@ def type_global(g: GlobalProtocol, roles: Optional[Sequence[Role]] = None) -> di
     an ill-formed protocol fails here exactly as it fails to compile, shape
     findings first (:class:`ShapeError`).
     ``roles`` overrides the tuple order (defaulting to first-appearance
-    order) and must name every role once; roles listed but never used type
-    as End.
+    order) and must name every role once, as roles or names; roles listed
+    but never used type as End.  The result is keyed by :class:`Role`.
     """
     vectors, table = chanvec.eval_global(g, None, roles)
     env = table.payload_env()  # every slot's sort, so the re-typing needs no table
-    return {r: chanvec.typecheck_cv(v, env) for r, v in zip(roles or roles_of(g), vectors)}
+    bound = roles_of(g) if roles is None else bind_roles(roles, g)
+    return {r: chanvec.typecheck_cv(v, env) for r, v in zip(bound, vectors)}
 
 
 def project(g: GlobalProtocol, r: Role) -> LocalType:
@@ -405,10 +405,12 @@ def project(g: GlobalProtocol, r: Role) -> LocalType:
     report, found = _front(g)
     if not report.ok:
         raise ShapeError(report.findings)
-    participating = r.name in {x.name for x in found}
+    participating = r in found
     namer = count(1)
 
-    def go(node: GlobalProtocol, path: Path, closed: bool) -> LocalType:
+    def go(node: GlobalProtocol, path: Path, closed: Optional[Path]) -> LocalType:
+        """``r``'s projection of ``node``; ``closed`` is the path of the
+        innermost ``closed_at(r)`` above ``node``, if any."""
         if isinstance(node, End):
             return END_T
         if isinstance(node, Comm):
@@ -422,6 +424,10 @@ def project(g: GlobalProtocol, r: Role) -> LocalType:
             parts = [go(b, path + (step,), closed) for step, b in node.children()]
             if node.at == r:
                 return _decider_output(parts, node.at, path)
+            if closed is not None:  # below closed_at(r), r is End in every branch
+                if not all(isinstance(p, (EndT, VarT)) for p in parts):
+                    raise _contradicts(r, closed)
+                return END_T
             acc = parts[0]
             for p in parts[1:]:
                 acc = merge(acc, p, path, namer)
@@ -429,7 +435,7 @@ def project(g: GlobalProtocol, r: Role) -> LocalType:
         if isinstance(node, Rec):
             body = go(node.body, path + ("body",), closed)
             if isinstance(body, VarT):
-                if participating and not closed:
+                if participating and closed is None:
                     raise ProtocolTypeError(
                         ErrorKind.UNCLOSED_ROLE,
                         f"role {r} takes no part in this loop; annotate it with closed_at",
@@ -440,19 +446,21 @@ def project(g: GlobalProtocol, r: Role) -> LocalType:
         if isinstance(node, Var):
             return VarT(node.var)
         if isinstance(node, ClosedAt):
-            cont = go(node.cont, path + ("cont",), closed or node.role == r)
-            if node.role == r:
-                if not isinstance(cont, (EndT, VarT)):
-                    raise ProtocolTypeError(
-                        ErrorKind.UNCLOSED_ROLE,
-                        f"closed_at {node.role} contradicts the role's remaining behaviour",
-                        path,
-                    )
-                return END_T
-            return cont
+            if node.role != r:
+                return go(node.cont, path + ("cont",), closed)
+            if not isinstance(go(node.cont, path + ("cont",), path), (EndT, VarT)):
+                raise _contradicts(r, path)
+            return END_T
         raise AssertionError(f"unknown node {node!r}")
 
-    return go(g, (), False)
+    return go(g, (), None)
+
+
+def _contradicts(role: Role, path: Path) -> ProtocolTypeError:
+    """The error for a role that acts below its ``closed_at``, at that node's path."""
+    return ProtocolTypeError(
+        ErrorKind.UNCLOSED_ROLE, f"closed_at {role} contradicts the role's remaining behaviour", path
+    )
 
 
 def sort_to_json(s: PayloadSort):
@@ -501,7 +509,7 @@ def format_local_type(t: LocalType) -> str:
     inner = ", ".join(
         f"{l.name}({format_sort(l.payload)}): {format_local_type(c)}" for l, c in t.branches
     )
-    return f"{mark}{t.peer.name}{{{inner}}}"
+    return f"{mark}{t.peer}{{{inner}}}"
 
 
 from . import chanvec  # noqa: E402  chanvec builds on this module, so it comes last

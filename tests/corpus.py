@@ -121,6 +121,15 @@ def closed_exit():
     ])
 
 
+def closed_exit_loop():
+    """c is discharged before a loop that p may leave: below the closed_at,
+    c is End in both branches of p's choice."""
+    return comm(C, P, Label("init", UNIT), closed_at(C, rec("X", choice_at(P, [
+        comm(P, Q, LOOP, var_("X")),
+        comm(P, Q, STOP, end_()),
+    ]))))
+
+
 def unclosed_loop():
     """Same protocol without the annotation: rejected with UnclosedRole."""
     return comm(C, P, Label("init", UNIT), rec("X", comm(P, Q, LOOP, var_("X"))))
@@ -161,6 +170,7 @@ def well_typed_corpus():
         "nonparticipant_choice": nonparticipant_choice(),
         "closed_loop": closed_loop(),
         "closed_exit": closed_exit(),
+        "closed_exit_loop": closed_exit_loop(),
         "infinite_loop": infinite_loop(),
         "rec_merge": rec_merge(),
     }

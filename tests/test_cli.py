@@ -224,6 +224,21 @@ def test_project_writes_canonical_file(oauth_file, tmp_path):
     assert json.loads(text)["branch"]["peer"] == "s"
 
 
+@pytest.mark.parametrize("command", ["project", "simulate", "bench"])
+def test_an_output_file_that_cannot_be_written_exits_2(command, oauth_file, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "out.txt")  # its directory does not exist
+    sc = tmp_path / "ok.scn"
+    sc.write_text(SCENARIO)
+    argv = {
+        "project": ["project", str(oauth_file), "--role", "c", "--json", out],
+        "simulate": ["simulate", str(oauth_file), str(sc), "--trace", out],
+        "bench": ["bench", "--suite", "pingpong", "--iters", "20", "--csv", out],
+    }[command]
+    assert main(argv) == 2  # returned, not raised
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "out.txt" in err and "Traceback" not in err
+
+
 def test_simulate_conformant(oauth_file, tmp_path, capsys):
     sc = tmp_path / "ok.scn"
     sc.write_text(SCENARIO)

@@ -91,6 +91,45 @@ def test_session_sort_roundtrip():
     assert format_local_type(type_global(g)[P]) == "!q{hand(session(?p{bye(unit): end})): end}"
 
 
+def _parse_local(text: str):
+    parser = _Parser(text)
+    t = parser.parse_local()
+    parser.expect("eof", "end of input")
+    return t
+
+
+def test_printed_local_types_parse_back_with_compiled_and_merged_binders():
+    """Compiling names a loop's binder per role position (``X@1``) and merge
+    names the loops it closes (``%2``); both print and parse back."""
+    from corpus import well_typed_corpus
+    from mpst import choice_at, closed_at, comm, rec, var_
+    from mpst.gen import random_protocols
+    from mpst.types import project, type_equiv
+
+    p, q, r, m = Role("p"), Role("q"), Role("r"), Label("m")
+    loop = rec("X", comm(q, r, m, var_("X")))
+    merged = choice_at(p, [
+        comm(p, q, Label("l1"), closed_at(p, loop)),
+        comm(p, q, Label("l2"), closed_at(p, comm(q, r, m, loop))),
+    ])
+    protocols = [*well_typed_corpus().values(), *random_protocols(400, seed=909, max_depth=6), merged]
+    types = [t for g in protocols for t in type_global(g).values()]
+    assert len(types) == 929
+    compiled = [t for t in types if "@" in format_local_type(t)]
+    assert len(compiled) == 108
+    for t in types:
+        back = _parse_local(format_local_type(t))
+        assert back == t and type_equiv(back, t), format_local_type(t)
+    want = "?q{m(unit): rec %2 . ?q{m(unit): %2}}"
+    for t in (type_global(merged)[r], project(merged, r)):
+        assert format_local_type(t) == want
+        assert _parse_local(want) == t
+    assert _parse_local("rec X@0 . !q{m(unit): X@0}") == RecT("X@0", Select(Role("q"), ((m, VarT("X@0")),)))
+    for bad in ("X@", "%", "%x", "rec @0 . end"):
+        with pytest.raises(ParseError):
+            _parse_local(bad)
+
+
 def test_closed_statement_roundtrip():
     from corpus import closed_exit
 
@@ -137,7 +176,7 @@ def test_declaration_order_overrides_first_appearance():
     text = "protocol P (roles b, a) { a -> b : m(unit); end; }"
     pf = parse_protocol(text)
     assert [r.name for r in pf.roles] == ["b", "a"]
-    assert [r.index for r in pf.roles] == [0, 1]
+    assert pf.roles == ("b", "a") and all(type(r) is Role for r in pf.roles)
 
 
 def test_idle_declared_role_is_allowed():

@@ -5,7 +5,7 @@
 extends its path tuple at every node, the other discovers roles in a walk of
 its own.  ``protocol._front`` finds both in one walk and keeps them on the
 protocol, and must give identical findings (kind, detail, path and order)
-and identical role tuples (names and indices).  ``type_global``'s results
+and identical role tuples (names in order).  ``type_global``'s results
 on the shape-valid inputs are pinned by a digest taken before the shape
 gate moved into ``eval_global``, and ``eval_global``'s vectors, channel
 classes and payload sorts (or its and ``type_global``'s exact rejection) by
@@ -19,8 +19,6 @@ from __future__ import annotations
 import hashlib
 import sys
 import threading
-from dataclasses import FrozenInstanceError
-
 import pytest
 
 from corpus import (
@@ -128,7 +126,7 @@ def walk_roles_of(g: GlobalProtocol) -> tuple[Role, ...]:
             walk(node.cont)
 
     walk(g)
-    return tuple(Role(name, index=i) for i, name in enumerate(seen))
+    return tuple(seen.values())
 
 
 def typing_digest(protocols) -> str:
@@ -146,9 +144,13 @@ def typing_digest(protocols) -> str:
 
 
 # typing_digest over the shape-valid inputs of hand_written() +
-# generated_candidates(), at the commit before the shape gate moved into
-# eval_global.
-PINNED_TYPING_DIGEST = "868186dcc6d3486bdf6b9d940cc866a1dd4bbd33b443095bab2995394616dcf1"
+# generated_candidates(), taken at the commit before the shape gate moved into
+# eval_global, and re-taken when a role below closed_at became End in every
+# branch of a choice: that changed the result of 39 of the inputs, each a
+# candidate with a closed_at mutation: 27 rejections became UnclosedRole, 1
+# became NonDirectedOutput, 8 became acceptances, and 3 kept
+# OutputMergeMismatch with another detail.
+PINNED_TYPING_DIGEST = "06624280a16b6f81a1f285a3238fee0faa2480b1063083a191a5a3b6362c7287"
 
 
 def compile_digest(protocols) -> str:
@@ -177,9 +179,10 @@ def compile_digest(protocols) -> str:
     return h.hexdigest()
 
 
-# compile_digest over the same inputs, at the commit before the Comm-run loop,
-# the tuple channel names and the vector nodes built without __init__.
-PINNED_COMPILE_DIGEST = "2e2d55f9591c693ca2984664981c47613c0b9cb670bef3a05ef22334f9ed44f4"
+# compile_digest over the same inputs, taken at the commit before the
+# Comm-run loop, the tuple channel names and the vector nodes built without
+# __init__, and re-taken with the typing digest for the same 39 inputs.
+PINNED_COMPILE_DIGEST = "d0a6ab056254d53d474b3519e59c22c18ff0e769374b93b6be7a7db354a2d93d"
 
 
 def test_front_end_matches_the_former_walks_and_pinned_typing():
@@ -189,9 +192,7 @@ def test_front_end_matches_the_former_walks_and_pinned_typing():
     for g in protocols:
         want = walk_validate_shape(g)
         assert validate_shape(g).findings == want.findings, repr(g)
-        assert [(r.name, r.index) for r in roles_of(g)] == [
-            (r.name, r.index) for r in walk_roles_of(g)
-        ], repr(g)
+        assert [r.name for r in roles_of(g)] == [r.name for r in walk_roles_of(g)], repr(g)
         if want.ok:
             clean.append(g)
         for f in want:
@@ -249,23 +250,23 @@ def test_equal_protocols_built_apart_give_equal_results():
         assert one is not two
         assert validate_shape(one) == validate_shape(two)
         assert validate_shape(one) is not validate_shape(two)  # one entry per object, no structural cache
-        assert [(r.name, r.index) for r in roles_of(one)] == [(r.name, r.index) for r in roles_of(two)]
+        assert [r.name for r in roles_of(one)] == [r.name for r in roles_of(two)]
 
 
 def test_discovered_roles_are_ordinary_roles():
     g = oauth()
     roles = roles_of(g)
     assert roles == (S, C, A)
-    assert [r.index for r in roles] == [0, 1, 2]
+    assert [r.name for r in roles] == ["s", "c", "a"]
     assert [hash(r) for r in roles] == [hash(S), hash(C), hash(A)]
     assert [repr(r) for r in roles] == [repr(S), repr(C), repr(A)]
     assert all(type(r) is Role for r in roles)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         roles[0].name = "x"
-    assert (S.index, C.index, A.index) == (-1, -1, -1)  # the protocol's own roles are untouched
+    assert all(r is own for r, own in zip(roles, (S, C, A)))  # the protocol's own roles
     bound = bind_roles([A, C, S], g)
-    assert [(r.name, r.index) for r in bound] == [("a", 0), ("c", 1), ("s", 2)]
-    assert roles_of(g) is roles and [r.index for r in roles] == [0, 1, 2]
+    assert [r.name for r in bound] == ["a", "c", "s"]
+    assert roles_of(g) is roles and [r.name for r in roles] == ["s", "c", "a"]
     with pytest.raises(ValueError):
         bind_roles([S, C], g)
 
@@ -276,14 +277,14 @@ def test_threads_walking_one_protocol_at_once_agree():
     each walk; every one of them must still see the oracle's findings and
     roles, and one entry stands afterwards."""
     protocols = generated_candidates(300)
-    want = [(walk_validate_shape(g).findings, [(r.name, r.index) for r in walk_roles_of(g)]) for g in protocols]
+    want = [(walk_validate_shape(g).findings, [r.name for r in walk_roles_of(g)]) for g in protocols]
     barrier = threading.Barrier(4)
     got: list[list] = [[] for _ in range(4)]
 
     def walk_all(out: list) -> None:
         barrier.wait()
         for g in protocols:
-            out.append((validate_shape(g).findings, [(r.name, r.index) for r in roles_of(g)]))
+            out.append((validate_shape(g).findings, [r.name for r in roles_of(g)]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

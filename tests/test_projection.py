@@ -11,6 +11,9 @@ from corpus import (
     Q,
     S,
     calc,
+    LOOP,
+    STOP,
+    closed_exit_loop,
     closed_loop,
     g_auth,
     infinite_loop,
@@ -136,6 +139,34 @@ def test_closed_at_forces_end():
     ts = type_global(closed_loop())
     assert ts[C] == Select(P, ((Label("init", UNIT), END_T),))
     assert project(closed_loop(), C) == ts[C]
+
+
+def test_closed_at_discharges_a_role_before_a_loop_with_an_exit():
+    g = closed_exit_loop()
+    ts = type_global(g)
+    init = Label("init", UNIT)
+    loop = RecT("X", Select(Q, ((LOOP, VarT("X")), (STOP, END_T))))
+    assert ts[C] == Select(P, ((init, END_T),))
+    assert type_equiv(ts[P], Branch(C, ((init, loop),)))
+    assert type_equiv(ts[Q], RecT("X", Branch(P, ((LOOP, VarT("X")), (STOP, END_T)))))
+    for r in (C, P, Q):
+        assert type_equiv(project(g, r), ts[r])
+
+
+def test_a_role_that_acts_in_one_branch_below_its_closed_at_is_unclosed():
+    ping = Label("ping", UNIT)
+    for speaks in (comm(C, Q, ping, var_("X")), comm(P, C, ping, var_("X"))):  # c sends, c receives
+        g = comm(C, P, Label("init", UNIT), closed_at(C, rec("X", choice_at(P, [
+            comm(P, Q, LOOP, speaks),
+            comm(P, Q, STOP, end_()),
+        ]))))
+        with pytest.raises(ProtocolTypeError) as e:
+            type_global(g)
+        want = (ErrorKind.UNCLOSED_ROLE, "closed_at c contradicts the role's remaining behaviour", ("cont",))
+        assert (e.value.kind, e.value.detail, e.value.path) == want
+        with pytest.raises(ProtocolTypeError) as e2:
+            project(g, C)
+        assert (e2.value.kind, e2.value.detail, e2.value.path) == want
 
 
 def test_missing_closed_at_is_unclosed_role():

@@ -51,11 +51,22 @@ def test_choice_empty_rejected():
         choice_at(S, [])
 
 
-def test_role_identity_ignores_index():
-    assert Role("c") == Role("c", index=3)
-    assert len({Role("c"), Role("c", index=1)}) == 1
-    with pytest.raises(ValueError):
+def test_role_is_its_name():
+    c = Role("c")
+    assert c == "c" and "c" == c and hash(c) == hash("c")
+    assert {"c": 1}[c] == 1 and {c: 1}["c"] == 1
+    assert c.name == "c" and type(c.name) is str
+    assert str(c) == f"{c}" == "c" and type(str(c)) is str
+    assert repr(c) == "Role(name='c')"
+    with pytest.raises(ValueError, match=r"^role name must be a nonempty word: ''$"):
         Role("")
+    with pytest.raises(ValueError, match=r"^role name must be a nonempty word: 'a b'$"):
+        Role("a b")
+    with pytest.raises(AttributeError):
+        c.index = 3
+    with pytest.raises(AttributeError):
+        c.name = "d"
+    assert "index" not in Role.__dict__ and Role.index is str.index  # only str's own method
 
 
 def test_label_identity_includes_payload():
@@ -107,7 +118,9 @@ def test_roles_of_first_appearance_and_indices():
     g = oauth()
     rs = roles_of(g)
     assert [r.name for r in rs] == ["s", "c", "a"]
-    assert [r.index for r in rs] == [0, 1, 2]
+    assert all(r is own for r, own in zip(rs, (S, C, A)))  # the protocol's own role objects
+    first, later = Role("p"), Role("p")
+    assert roles_of(comm(first, Q, Label("m"), comm(later, Q, Label("n"), end_())))[0] is first
 
 
 def test_roles_of_trivia():
@@ -136,10 +149,10 @@ def test_bind_roles_checks_coverage_and_dupes():
     g = oauth()
     bound = bind_roles([A, C, S], g)
     assert [r.name for r in bound] == ["a", "c", "s"]
-    assert [r.index for r in bound] == [0, 1, 2]
-    with pytest.raises(ValueError):
+    assert bind_roles(["a", "c", "s"], g) == bound and all(type(r) is Role for r in bind_roles("acs", g))
+    with pytest.raises(ValueError, match=r"^declared roles do not cover protocol roles: missing \['a'\]$"):
         bind_roles([S, C], g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^declared roles contain duplicates$"):
         bind_roles([S, C, A, A], g)
 
 

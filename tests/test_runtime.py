@@ -18,6 +18,7 @@ from mpst import (
     end_,
     open_session,
     project,
+    roles_of,
 )
 from mpst import runtime
 from mpst.errors import SessionRuntimeError, ShapeError
@@ -53,6 +54,22 @@ def test_open_session_returns_per_role_endpoints():
     assert [r.name for r in sess.roles] == ["s", "c", "a"]
     assert set(sess.endpoints) == set(sess.roles)
     sess.close_transport()
+
+
+def test_a_role_is_its_name_in_a_session():
+    g = oauth()
+    sess = open_session(g, AsyncBuffered(1), monitored=True)
+    assert sess.roles == roles_of(g) and all(r is own for r, own in zip(sess.roles, (S, C, A)))
+    assert sess.endpoints["s"] is sess.endpoints[S]
+    sess.endpoints["s"].send("c", "login", "u")
+    _, got, _ = sess.endpoints["c"].receive("s")
+    named = open_session(g, AsyncBuffered(1), monitored=True, roles=("s", "c", "a"))
+    assert named.roles == (S, C, A) and all(type(r) is Role for r in named.roles)
+    assert set(named.endpoints) == {"s", "c", "a"} and named.local_types == sess.local_types
+    named.endpoints["s"].send(C, "login", Role("u"))  # a role passes the string payload check
+    _, user, _ = named.endpoints[C].receive(S)
+    assert got == "u" and user == "u"
+    assert named.monitor.events[0].signature() == ("s", "send", "c", "login")
 
 
 def test_open_session_rejects_unguarded_before_allocation():
