@@ -9,7 +9,7 @@ start states and local types are shared and never change.  An open builds
 only the session's own: one link per directed role pair, a FIFO of ``(label
 name, payload)`` messages on every transport; one seat and one start
 endpoint per role; a copy of the local types; and, when monitored, a
-monitor on copies of the expected types and start cursors.  A send puts its
+monitor on copies of the local types and start cursors.  A send puts its
 label and payload on the link to the peer, and a receive takes the head of
 the link from the peer and picks its branch by the label name.
 
@@ -539,8 +539,8 @@ def open_session(
     typing failures are raised before any transport is bound.  An open then
     builds only what is the session's own from the compiled template: its
     links, one seat and start endpoint per role, a copy of the local types,
-    and, when monitored, a monitor on copies of the template's expected
-    types and start cursors.  Each endpoint starts at its role's start
+    and, when monitored, a monitor on copies of the template's local types
+    and start cursors.  Each endpoint starts at its role's start
     state, whose stage is the unfolded local type that the monitor and
     ``Session.local_types`` hold.
     """

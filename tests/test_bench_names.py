@@ -27,14 +27,10 @@ def _load(name: str):
     return module
 
 
-def _targets():
-    return _load("tracer").TARGETS
-
-
 WORKLOADS = _load("workloads").WORKLOADS
 
 
-@pytest.mark.parametrize("layer, module, attr, method", _targets())
+@pytest.mark.parametrize("layer, module, attr, method", _load("tracer").TARGETS)
 def test_tracer_target_resolves(layer, module, attr, method):
     owner = getattr(importlib.import_module(module), attr)
     if method is not None:
