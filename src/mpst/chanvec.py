@@ -99,11 +99,13 @@ class ChannelTable:
 
     ``names`` lists every allocated name by slot.  Output-merging across
     choice branches unifies the names of shared labels; after evaluation,
-    `find` maps every slot to its class representative.
+    `find` maps every slot to its class representative.  ``roles`` is the
+    role tuple that the vectors evaluated with this table are indexed by.
     """
 
-    def __init__(self, session: object) -> None:
+    def __init__(self, session: object, roles: tuple[Role, ...] = ()) -> None:
         self.session = session
+        self.roles = roles
         self._counters: dict[tuple[Role, Role, str], int] = {}
         self._parent: list[int] = []
         self.names: list[ChannelName] = []
@@ -174,8 +176,21 @@ def eval_global(
     tuple_roles = found if roles is None else bind_roles(roles, g)
     idx = {r: i for i, r in enumerate(tuple_roles)}
     n = len(tuple_roles)
-    table = ChannelTable(session)
+    table = ChannelTable(session, tuple_roles)
     namer = count(1)
+
+    escapes: dict[str, object] = {}  # a discharged loop variable -> its closed_at's steps
+
+    def discharge(vs: list[LocalType], k: int, r: Role, at: object) -> None:
+        """Make role ``k`` End below the ``closed_at(r)`` at ``at``.  A loop
+        variable it ends in is remembered, so that its binder can check
+        that r takes no part in the loop it re-enters."""
+        v = vs[k]
+        if isinstance(v, VarT):
+            escapes.setdefault(v.var, at)
+        elif not isinstance(v, EndT):
+            raise _contradicts(r, _path(at))
+        vs[k] = END_T
 
     def go(node: GlobalProtocol, env: dict[str, tuple[VarT, ...]], steps: object,
            closed: dict[Role, object]) -> list[LocalType]:
@@ -199,10 +214,8 @@ def eval_global(
             for r, at in closed.items():  # below closed_at(r), r is End in every branch
                 k = idx[r]
                 if k != a:
-                    if not all(isinstance(vs[k], (EndT, VarT)) for vs in per_branch):
-                        raise _contradicts(r, _path(at))
                     for vs in per_branch:
-                        vs[k] = END_T
+                        discharge(vs, k, r, at)
             result = per_branch[0]
             try:  # with the empty path: the Choice's own path is built only on failure
                 result[a] = _decider_output([vs[a] for vs in per_branch], node.at, ())
@@ -214,9 +227,15 @@ def eval_global(
                 raise ProtocolTypeError(e.kind, e.detail, _path(steps) + e.path) from None
             return result
         if isinstance(node, Rec):
-            env2 = {**env, node.var: tuple(VarT(f"{node.var}@{i}") for i in range(n))}
+            names = [f"{node.var}@{i}" for i in range(n)]
+            outer = {x: escapes.pop(x) for x in names if x in escapes}  # a shadowed binder's
+            env2 = {**env, node.var: tuple(VarT(x) for x in names)}
             vs = go(node.body, env2, (steps, "body"), closed)
             for i in range(n):
+                at = escapes.pop(names[i], None)
+                if at is not None and not isinstance(vs[i], (EndT, VarT)):
+                    # a closed_at(r) below re-enters this loop, in which r acts
+                    raise _contradicts(tuple_roles[i], _path(at))
                 if isinstance(vs[i], VarT):
                     # the loop never touches this role
                     r = tuple_roles[i]
@@ -228,16 +247,14 @@ def eval_global(
                         )
                     vs[i] = END_T
                 else:
-                    vs[i] = fixv(f"{node.var}@{i}", vs[i])
+                    vs[i] = fixv(names[i], vs[i])
+            escapes.update(outer)
             return vs
         if isinstance(node, Var):
             return list(env[node.var])
         if isinstance(node, ClosedAt):
             vs = go(node.cont, env, (steps, "cont"), {**closed, node.role: steps})
-            a = idx[node.role]
-            if not isinstance(vs[a], (EndT, VarT)):
-                raise _contradicts(node.role, _path(steps))
-            vs[a] = END_T
+            discharge(vs, idx[node.role], node.role, steps)
             return vs
         raise AssertionError(f"unknown node {node!r}")
 

@@ -287,7 +287,8 @@ def _front(g: GlobalProtocol) -> tuple[ValidationReport, tuple[Role, ...]]:
         # End: nothing to check
 
     walk(g, 0, None)
-    cached = g.__dict__["_front"] = (ValidationReport(tuple(findings)), tuple(roles))
+    found = tuple(r if r.__class__ is Role else Role(r) for r in roles)  # a plain name is checked too
+    cached = g.__dict__["_front"] = (ValidationReport(tuple(findings)), found)
     return cached
 
 

@@ -39,8 +39,6 @@ from .protocol import (
     SessionSort,
     Var,
     _front,
-    bind_roles,
-    roles_of,
 )
 
 
@@ -389,8 +387,7 @@ def type_global(g: GlobalProtocol, roles: Optional[Sequence[Role]] = None) -> di
     """
     vectors, table = chanvec.eval_global(g, None, roles)
     env = table.payload_env()  # every slot's sort, so the re-typing needs no table
-    bound = roles_of(g) if roles is None else bind_roles(roles, g)
-    return {r: chanvec.typecheck_cv(v, env) for r, v in zip(bound, vectors)}
+    return {r: chanvec.typecheck_cv(v, env) for r, v in zip(table.roles, vectors)}
 
 
 def project(g: GlobalProtocol, r: Role) -> LocalType:
@@ -407,6 +404,17 @@ def project(g: GlobalProtocol, r: Role) -> LocalType:
         raise ShapeError(report.findings)
     participating = r in found
     namer = count(1)
+    escapes: dict[str, Path] = {}  # a discharged loop variable -> its closed_at's path
+
+    def discharge(t: LocalType, at: Path) -> LocalType:
+        """End, for ``r``'s ``t`` below the ``closed_at(r)`` at ``at``.  A
+        loop variable it ends in is remembered, so that its binder can check
+        that r takes no part in the loop it re-enters."""
+        if isinstance(t, VarT):
+            escapes.setdefault(t.var, at)
+        elif not isinstance(t, EndT):
+            raise _contradicts(r, at)
+        return END_T
 
     def go(node: GlobalProtocol, path: Path, closed: Optional[Path]) -> LocalType:
         """``r``'s projection of ``node``; ``closed`` is the path of the
@@ -425,15 +433,22 @@ def project(g: GlobalProtocol, r: Role) -> LocalType:
             if node.at == r:
                 return _decider_output(parts, node.at, path)
             if closed is not None:  # below closed_at(r), r is End in every branch
-                if not all(isinstance(p, (EndT, VarT)) for p in parts):
-                    raise _contradicts(r, closed)
+                for p in parts:
+                    discharge(p, closed)
                 return END_T
             acc = parts[0]
             for p in parts[1:]:
                 acc = merge(acc, p, path, namer)
             return acc
         if isinstance(node, Rec):
+            outer = escapes.pop(node.var, None)  # a shadowed binder's
             body = go(node.body, path + ("body",), closed)
+            at = escapes.pop(node.var, None)
+            if at is not None and not isinstance(body, (EndT, VarT)):
+                # a closed_at(r) below re-enters this loop, in which r acts
+                raise _contradicts(r, at)
+            if outer is not None:
+                escapes[node.var] = outer
             if isinstance(body, VarT):
                 if participating and closed is None:
                     raise ProtocolTypeError(
@@ -448,9 +463,7 @@ def project(g: GlobalProtocol, r: Role) -> LocalType:
         if isinstance(node, ClosedAt):
             if node.role != r:
                 return go(node.cont, path + ("cont",), closed)
-            if not isinstance(go(node.cont, path + ("cont",), path), (EndT, VarT)):
-                raise _contradicts(r, path)
-            return END_T
+            return discharge(go(node.cont, path + ("cont",), path), path)
         raise AssertionError(f"unknown node {node!r}")
 
     return go(g, (), None)

@@ -169,6 +169,52 @@ def test_a_role_that_acts_in_one_branch_below_its_closed_at_is_unclosed():
         assert (e2.value.kind, e2.value.detail, e2.value.path) == want
 
 
+def test_a_closed_at_that_re_enters_a_loop_the_role_acts_in_is_unclosed():
+    # closed_at(c) below the binder of X, in a loop where c acts: after X, c
+    # would have to act again, so c is not closed there; with a choice below
+    # the closed_at, and with the variable directly below it
+    m, a, b = Label("m", UNIT), Label("a", UNIT), Label("b", UNIT)
+    cases = {
+        "choice": (rec("X", comm(C, P, m, closed_at(C, choice_at(P, [
+            comm(P, Q, a, var_("X")),
+            comm(P, Q, b, end_()),
+        ])))), C, ("body", "cont")),
+        "bare": (rec("X", comm(P, Q, a, closed_at(Q, var_("X")))), Q, ("body", "cont")),
+        "nested": (rec("X", comm(C, P, m, rec("Y", comm(P, Q, a, closed_at(C, choice_at(P, [
+            comm(P, Q, a, var_("X")),
+            comm(P, Q, b, var_("Y")),
+        ])))))), C, ("body", "cont", "body", "cont")),
+        # the second branch's own X shadows the loop the first one re-enters
+        "shadowed": (rec("X", choice_at(C, [
+            comm(C, Q, a, comm(Q, P, Label("n0", UNIT), closed_at(C, var_("X")))),
+            comm(C, Q, b, comm(Q, P, Label("n1", UNIT), closed_at(C, rec("X", comm(Q, P, m, var_("X")))))),
+        ])), C, ("body", "branch[0]", "cont", "cont")),
+    }
+    for name, (g, r, path) in cases.items():
+        want = (ErrorKind.UNCLOSED_ROLE, f"closed_at {r} contradicts the role's remaining behaviour", path)
+        for entry in (lambda: type_global(g), lambda: project(g, r)):
+            with pytest.raises(ProtocolTypeError) as e:
+                entry()
+            assert (e.value.kind, e.value.detail, e.value.path) == want, name
+
+
+def test_a_closed_at_may_re_enter_a_loop_the_role_takes_no_part_in():
+    # c acts only before the loop, so re-entering X below closed_at(c) is End
+    # for c; so is an inner binder's variable, shadowing an outer one
+    m, a, b = Label("m", UNIT), Label("a", UNIT), Label("b", UNIT)
+    for g in (
+        comm(C, P, m, rec("X", comm(P, Q, a, closed_at(C, var_("X"))))),
+        rec("X", comm(C, P, m, closed_at(C, rec("X", choice_at(P, [
+            comm(P, Q, a, var_("X")),
+            comm(P, Q, b, end_()),
+        ]))))),
+    ):
+        ts = type_global(g)
+        assert ts[C] == Select(P, ((m, END_T),))
+        for r in (C, P, Q):
+            assert type_equiv(project(g, r), ts[r])
+
+
 def test_missing_closed_at_is_unclosed_role():
     with pytest.raises(ProtocolTypeError) as e:
         type_global(unclosed_loop())

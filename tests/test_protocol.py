@@ -18,8 +18,10 @@ from mpst import (
     closed_at,
     comm,
     end_,
+    open_session,
     rec,
     roles_of,
+    type_global,
     validate_shape,
     var_,
 )
@@ -121,6 +123,18 @@ def test_roles_of_first_appearance_and_indices():
     assert all(r is own for r, own in zip(rs, (S, C, A)))  # the protocol's own role objects
     first, later = Role("p"), Role("p")
     assert roles_of(comm(first, Q, Label("m"), comm(later, Q, Label("n"), end_())))[0] is first
+
+
+def test_a_plain_name_in_a_protocol_is_made_a_role():
+    # the dataclass constructors take any value; the front walk makes each
+    # first-met name a Role, so an invalid name is refused as Role refuses it
+    g = Comm("p", "q", Label("m"), END)
+    assert [type(r) for r in roles_of(g)] == [Role, Role] and roles_of(g) == ("p", "q")
+    assert list(type_global(g)) == ["p", "q"]
+    bad = Comm("a b", "q", Label("m"), END)
+    for entry in (validate_shape, roles_of, type_global, open_session):
+        with pytest.raises(ValueError, match=r"^role name must be a nonempty word: 'a b'$"):
+            entry(bad)
 
 
 def test_roles_of_trivia():
