@@ -15,16 +15,16 @@ the link from the peer and picks its branch by the label name.
 
 An :class:`Endpoint` is one role's live handle into a session at one state:
 the role's seat (role, links, monitor and timeout, built once per session),
-the state, and a fresh :class:`LinearityCell`.  The cell's flag is a
-one-item list, and taking it is one ``pop``, so exactly one caller wins it;
-only a refused delegating send puts a flag back, the one it took from the
-endpoint it carries, and no public call can.
+the state, and its own flag, for an endpoint is a :class:`LinearityCell`.
+The flag is a one-item list, and taking it is one ``pop``, so exactly one
+caller wins it; only a refused delegating send puts a flag back, the one it
+took from the endpoint it carries, and no public call can.
 The first operation (send, receive, close, or being delegated away)
-consumes the cell, and any further use raises ``InvalidEndpoint``;
-``Endpoint.used`` reads the cell.  Consuming the cell covers all sibling
+consumes the endpoint, and any further use raises ``InvalidEndpoint``;
+``Endpoint.used`` reads the flag.  Consuming the flag covers all sibling
 labels of the stage: choosing one output among alternatives uses the stage
 exactly once.
-An operation makes its checks first and then takes the cell with one
+An operation makes its checks first and then takes the flag with one
 ``use`` call, before it touches the link.  A used endpoint is refused with
 ``InvalidEndpoint`` before any other error (wrong kind, peer, label or
 payload).  A delegating send from a used sender is refused before it
@@ -122,6 +122,7 @@ class LinearityCell:
 
     @property
     def used(self) -> bool:
+        """Whether the flag is taken: an endpoint's by an operation or a delegation."""
         return not self._flag
 
 
@@ -360,11 +361,12 @@ class _Seat:
     __slots__ = ("role", "links", "monitor", "timeout")
 
 
-class Endpoint:
+class Endpoint(LinearityCell):
     """A role's affine handle at one state of its table, built by
-    :func:`_endpoint`."""
+    :func:`_endpoint`.  It is its own linearity flag: the public ``use()``
+    only consumes it, which drops the stage unperformed (an affine drop)."""
 
-    __slots__ = ("seat", "state", "cell")
+    __slots__ = ("seat", "state")
 
     @property
     def stage(self) -> LocalType:
@@ -372,15 +374,15 @@ class Endpoint:
         return self.state.stage
 
     @property
-    def used(self) -> bool:
-        """Whether this handle has been consumed: by a send, receive or
-        close, or by being delegated away."""
-        return self.cell.used
+    def cell(self) -> "Endpoint":
+        """The endpoint itself, kept only while ``layerbench/workloads.py`` (the
+        benchmark, changed only on its own) reads ``cell.used``; read ``used``."""
+        return self
 
     def _refusal(self, kind: ErrorKind, detail: str) -> SessionRuntimeError:
         """The error for a refused operation: ``InvalidEndpoint`` when this
         handle is used already, whatever else is wrong with the call."""
-        if self.cell.used:
+        if not self._flag:
             return _already_used(self.seat.role)
         return SessionRuntimeError(kind, detail)
 
@@ -408,7 +410,7 @@ class Endpoint:
         link = seat.links[state.link]
         wire = payload
         if check is None:
-            if self.cell.used:  # refused as invalid before the payload's own errors
+            if not self._flag:  # refused as invalid before the payload's own errors
                 raise _already_used(seat.role)
             wire = _prepare_delegation(l.payload, payload, link)
         elif not check(payload):
@@ -416,9 +418,9 @@ class Endpoint:
                 ErrorKind.PAYLOAD_SORT_MISMATCH,
                 f"label {l} expects {l.payload.sort_name()}, got {type(payload).__name__}",
             )
-        if not self.cell.use():
+        if not self.use():
             if check is None:  # a racer took the sender after the payload: the payload stays whole
-                payload.cell._flag.append(True)
+                payload._flag.append(True)
             raise _already_used(seat.role)
         link.send((l.name, wire), seat.timeout)
         if seat.monitor:  # only a send that happened is traced
@@ -438,7 +440,7 @@ class Endpoint:
             raise self._refusal(
                 ErrorKind.WRONG_PEER, f"{seat.role} must listen to {state.peer} here, not {peer}"
             )
-        if not self.cell.use():
+        if not self.use():
             raise _already_used(seat.role)
         label_name, value = seat.links[state.link].receive(seat.timeout)
         step = state.steps.get(label_name)
@@ -457,7 +459,7 @@ class Endpoint:
             raise self._refusal(
                 ErrorKind.PROTOCOL_NOT_FINISHED, f"{seat.role} closed with protocol steps remaining"
             )
-        if not self.cell.use():
+        if not self.use():
             raise _already_used(seat.role)
         if seat.monitor:
             seat.monitor.record(_CLOSE, seat.role, None, None)
@@ -467,13 +469,12 @@ _new = object.__new__  # bound once: a global name is cheaper than an attribute 
 
 
 def _endpoint(seat: _Seat, state: _State) -> Endpoint:
-    """A fresh handle at ``state``, with a fresh cell, built without the two
-    ``__init__`` calls: this runs once per endpoint operation."""
+    """A fresh handle at ``state``, with a fresh flag, built without
+    ``__init__``: this runs once per endpoint operation."""
     ep = _new(Endpoint)
     ep.seat = seat
     ep.state = state
-    cell = ep.cell = _new(LinearityCell)
-    cell._flag = [True]  # what LinearityCell.__init__ does
+    ep._flag = [True]  # what LinearityCell.__init__ does
     return ep
 
 
@@ -485,7 +486,7 @@ def _prepare_delegation(sort: SessionSort, payload: object, link) -> Endpoint:
     """The handle a delegating send carries: ``payload``, checked against
     ``sort`` and then consumed, moved to a fresh handle at its state.
 
-    The caller takes its own cell next, and gives ``payload``'s flag back if
+    The caller takes its own flag next, and gives ``payload``'s flag back if
     that fails.  In the window between the two steps a concurrent use of
     ``payload`` is refused with ``InvalidEndpoint``, even though ``payload``
     stays live when the send is refused."""
@@ -507,7 +508,7 @@ def _prepare_delegation(sort: SessionSort, payload: object, link) -> Endpoint:
             ErrorKind.PAYLOAD_SORT_MISMATCH,
             "delegated endpoint does not implement the declared session type",
         )
-    if not payload.cell.use():  # the sender's handle dies
+    if not payload.use():  # the sender's handle dies
         raise _already_used(payload.seat.role)
     return _endpoint(payload.seat, state)
 
@@ -553,9 +554,7 @@ def open_session(
         seat = _new(_Seat)
         seat.role, seat.links, seat.monitor, seat.timeout = r, links, monitor, timeout
         ep = endpoints[r] = _new(Endpoint)
-        ep.seat, ep.state = seat, start
-        ep.cell = cell = _new(LinearityCell)
-        cell._flag = [True]
+        ep.seat, ep.state, ep._flag = seat, start, [True]
     session = _new(Session)  # the dataclass __init__ would only set the five fields
     session.roles, session.endpoints, session.monitor = compiled.roles, endpoints, monitor
     session.channels, session.local_types = channels, compiled.local_types.copy()

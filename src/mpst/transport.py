@@ -107,7 +107,7 @@ class Channel:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._buf: deque[object] = deque()
-        self._blocked: deque[_Parked] = deque()
+        self._blocked: list[_Parked] = []  # FIFO; a session link's one linear sender blocks at most once
         self._receiver: Optional[_Parked] = None
 
     def send(self, value: object, timeout: Optional[float] = None) -> None:
@@ -140,7 +140,7 @@ class Channel:
         """The next value.  The first blocked sender's value joins the back of
         the buffer, which is full (capacity 0: empty), so FIFO order holds."""
         if self._blocked:
-            b = self._blocked.popleft()
+            b = self._blocked.pop(0)
             self._buf.append(b.value)
             b.done = True
             b.wake.release()

@@ -28,15 +28,38 @@ def _load(name: str):
 
 
 WORKLOADS = _load("workloads").WORKLOADS
+TRACER = _load("tracer")
 
 
-@pytest.mark.parametrize("layer, module, attr, method", _load("tracer").TARGETS)
+@pytest.mark.parametrize("layer, module, attr, method", TRACER.TARGETS)
 def test_tracer_target_resolves(layer, module, attr, method):
     owner = getattr(importlib.import_module(module), attr)
     if method is not None:
         assert callable(owner.__dict__[method])  # the tracer replaces it on the class itself
     else:
         assert callable(owner)
+
+
+def test_the_tracer_counts_the_pingpong_hot_path():
+    """The tracer still finds every seam of a pingpong round where the
+    endpoint path calls it: an endpoint's ``use`` is ``LinearityCell.use``
+    and a receive goes through ``transport.select``."""
+    w = WORKLOADS["pingpong"](7)
+    w.setup()
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        tracer.on = True
+        assert all(w.item() for _ in range(20))
+    finally:
+        tracer.on = False
+        tracer.uninstall()
+    assert w.finish() == 0
+    calls = {name: row[TRACER.CALLS] / 20 for name, row in tracer.totals().items()}
+    assert calls["runtime.LinearityCell.use"] == 6
+    assert calls["runtime.Endpoint.send"] == 3
+    assert calls["runtime.Endpoint.receive"] == 3
+    assert calls["transport.select"] == 3
 
 
 def test_runtime_select_is_the_transport_select():

@@ -246,9 +246,9 @@ def test_concurrent_sends_on_one_stage_have_one_winner():
 
 
 class _SlowCheckFlag(list):
-    """A cell flag whose truth test sleeps after it reads, so a cell that
-    checks the flag and then pops it lets a second racer through the check
-    before the first one pops.  ``list.pop`` does not call ``__len__``."""
+    """An endpoint's flag whose truth test sleeps after it reads, so a ``use``
+    that checks the flag and then pops it lets a second racer through the
+    check before the first one pops.  ``list.pop`` does not call ``__len__``."""
 
     def __len__(self) -> int:
         n = super().__len__()
@@ -258,11 +258,11 @@ class _SlowCheckFlag(list):
 
 def test_concurrent_sends_have_one_winner_when_the_cell_check_is_slow():
     # Deterministic companion of the 8-racer gate above: every truth test of
-    # the cell's flag is held open long enough for the other racer to run.
+    # the endpoint's flag is held open long enough for the other racer to run.
     for _ in range(20):
         sess = open_session(comm(P, Q, Label("m", INT), end_()), AsyncBuffered(2))
         ep = sess.endpoints[P]
-        ep.cell._flag = _SlowCheckFlag([True])
+        ep._flag = _SlowCheckFlag([True])
         start = threading.Barrier(2)
         sent, refused, other = [], [], []
 
@@ -418,21 +418,21 @@ def test_a_used_sender_does_not_consume_the_endpoint_it_delegates():
     live.close()
 
 
-class _MeetingCell(runtime.LinearityCell):
-    """A payload's cell whose first ``use`` waits, after it takes the flag,
-    until the other racer has taken its own payload's flag: both delegations
+class _MeetingFlag(list):
+    """A payload's flag whose first ``pop`` waits, after it takes the item,
+    until the other racer has taken its own payload's item: both delegations
     then hold their payloads before either reaches the sender's flag."""
 
     def __init__(self, meet: threading.Barrier) -> None:
-        super().__init__()
+        super().__init__([True])
         self.meet = meet
 
-    def use(self) -> bool:
-        won = super().use()
+    def pop(self, *args):
+        item = super().pop(*args)
         meet, self.meet = self.meet, None
         if meet is not None:
             meet.wait(5)
-        return won
+        return item
 
 
 def test_a_sender_lost_to_a_racer_does_not_consume_the_endpoint_it_delegates():
@@ -446,7 +446,7 @@ def test_a_sender_lost_to_a_racer_does_not_consume_the_endpoint_it_delegates():
         meet = threading.Barrier(2)
         payloads = [inner.endpoints[Q] for inner in inners]
         for payload in payloads:
-            payload.cell = _MeetingCell(meet)
+            payload._flag = _MeetingFlag(meet)
         sent, refused, other = [], [], []
 
         def racer(k):
@@ -488,6 +488,28 @@ def test_a_linearity_cell_admits_one_use_and_no_public_re_arm():
     # only a refused delegating send re-arms a flag; no public name can
     assert [n for n in dir(cell) if not n.startswith("_")] == ["use", "used"]
     assert not cell.use() and cell.used
+
+
+def test_a_used_endpoint_has_no_public_re_arm():
+    """An endpoint is its own flag.  Once used, none of its public names
+    revives it; a public ``use()`` on a live endpoint only consumes it, an
+    affine drop of its stage."""
+    g = comm(P, Q, Label("m", INT), end_())
+    ep = open_session(g, AsyncBuffered(1)).endpoints[P]
+    ep.send(Q, "m", 1)
+    assert ep.cell is ep and ep.used
+    assert [n for n in dir(ep) if not n.startswith("_")] == [
+        "cell", "close", "receive", "seat", "send", "stage", "state", "use", "used",
+    ]
+    _raises_kind(lambda: ep.send(Q, "m", 2), ErrorKind.INVALID_ENDPOINT)
+    _raises_kind(lambda: ep.receive(Q), ErrorKind.INVALID_ENDPOINT)
+    _raises_kind(ep.close, ErrorKind.INVALID_ENDPOINT)
+    assert not ep.use() and ep.used
+    assert ep.stage is ep.state.stage and ep.seat.role == P
+    assert ep.used
+    dropped = open_session(g, AsyncBuffered(1)).endpoints[P]
+    assert dropped.use() and dropped.used
+    _raises_kind(lambda: dropped.send(Q, "m", 1), ErrorKind.INVALID_ENDPOINT)
 
 
 def test_peers_and_labels_may_be_given_as_names_or_equal_objects():
