@@ -99,13 +99,13 @@ class TraceEvent:
 class LinearityCell:
     """A once-settable flag: ``use`` returns True to exactly one caller.
 
-    The flag is a one-item list, ``[True]``.  ``use`` pops it without
-    looking first: ``list.pop`` is one C call, made atomic by the GIL and, on
-    free-threaded builds, by the list's own lock, so of any number of racing
-    callers one gets the item and every other gets ``IndexError``.  The only
-    re-arm is internal: a delegating send whose sender a racer won appends
-    the item it popped from the carried endpoint's flag, so the list never
-    holds more than one.
+    Every :class:`Endpoint` is one.  The flag is a one-item list, ``[True]``.
+    ``use`` pops it without looking first: ``list.pop`` is one C call, made
+    atomic by the GIL and, on free-threaded builds, by the list's own lock,
+    so of any number of racing callers one gets the item and every other
+    gets ``IndexError``.  The only re-arm is internal: a delegating send
+    whose sender a racer won appends the item it popped from the carried
+    endpoint's flag, so the list never holds more than one.
     """
 
     __slots__ = ("_flag",)
@@ -122,7 +122,7 @@ class LinearityCell:
 
     @property
     def used(self) -> bool:
-        """Whether the flag is taken: an endpoint's by an operation or a delegation."""
+        """Whether the flag is taken; an endpoint's by an operation or a delegation."""
         return not self._flag
 
 
