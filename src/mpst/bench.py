@@ -18,7 +18,7 @@ from typing import Callable
 from .protocol import INT, Label, Role, SessionSort, UNIT, choice_at, comm, end_, rec, var_
 from .runtime import open_session
 from .transport import AsyncBuffered, Channel, FramedSocket, Transport
-from .types import project
+from .types import type_global
 
 CSV_HEADER = "suite,transport,variant,iters,median_ns,p95_ns,ratio"
 
@@ -179,9 +179,8 @@ def p2p_protocol():
 
 def assignment_protocol():
     """Broker tells one peer which side of a fresh p2p session it plays."""
-    g = p2p_protocol()
-    left_t = SessionSort(project(g, L))
-    right_t = SessionSort(project(g, R))
+    local = type_global(p2p_protocol())
+    left_t, right_t = SessionSort(local[L]), SessionSort(local[R])
     return choice_at(
         BROKER,
         [

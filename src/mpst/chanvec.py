@@ -327,11 +327,3 @@ def dump_channel_vectors(
 
     return "\n".join(f"{r}: {render(v)}" for r, v in zip(roles, vectors))
 
-
-def channel_classes(table: ChannelTable) -> set[tuple[frozenset[str], str, int]]:
-    """Channel-name classes keyed by unordered role pair, label, and index."""
-    return {
-        (frozenset({c.from_role.name, c.to_role.name}), c.label.name, c.index)
-        for c in table.classes()
-    }
-

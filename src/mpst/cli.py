@@ -15,15 +15,10 @@ from typing import Callable, Optional, TypeVar
 from . import bench as bench_mod
 from .dsl import ProtocolFile, parse_protocol, parse_scenario, print_protocol
 from .errors import MpstError, ParseError, ShapeError
+from .protocol import Finding, Role
 from .scripts import run_scripted
 from .transport import AsyncBuffered, FramedSocket, SyncRendezvous, Transport
-from .types import (
-    format_local_type,
-    local_type_to_json,
-    project,
-    type_equiv,
-    type_global,
-)
+from .types import LocalType, format_local_type, local_type_to_json, type_global
 
 T = TypeVar("T")
 
@@ -31,6 +26,11 @@ T = TypeVar("T")
 class _InputError(Exception):
     """A file, scenario or transport the command cannot use: ``main`` prints
     ``error: <why>`` and exits 2."""
+
+
+class _Rejected(Exception):
+    """A protocol or role the command refuses: ``main`` prints the report
+    and exits 1."""
 
 
 def _load(path: str, parse: Callable[[str], T]) -> tuple[T, str]:
@@ -66,24 +66,27 @@ def _caret_block(pf: ProtocolFile, source: str, path) -> str:
     return f"{prefix}{text}\n{' ' * (len(prefix) + col - 1)}{'^' * width}"
 
 
-def _diag(pf: ProtocolFile, source: str, err: MpstError) -> str:
-    where = "/".join(err.path) or "root"
-    block = _caret_block(pf, source, err.path)
-    out = f"error[{err.kind}] at {where}: {err.detail}"
-    return f"{out}\n{block}" if block else out
+def _headline(err: MpstError | Finding) -> str:
+    return f"error[{err.kind}] at {'/'.join(err.path) or 'root'}: {err.detail}"
+
+
+def _typed(path: str) -> tuple[ProtocolFile, dict[Role, LocalType]]:
+    """The protocol file at ``path`` and ``type_global``'s local type of each
+    of its roles.  A protocol that does not type is rejected with every shape
+    finding on its own line, or with its one typing error and that error's
+    caret block."""
+    pf, source = _load(path, parse_protocol)
+    try:
+        return pf, type_global(pf.body, pf.roles)
+    except ShapeError as e:
+        report = [_headline(f) for f in e.findings]
+    except MpstError as e:
+        report = [_headline(e), _caret_block(pf, source, e.path)]
+    raise _Rejected("\n".join(filter(None, report)))
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    pf, source = _load(args.path, parse_protocol)
-    try:
-        local = type_global(pf.body, pf.roles)
-    except ShapeError as e:
-        for f in e.findings:
-            print(f"error[{f.kind}] at {'/'.join(f.path) or 'root'}: {f.detail}", file=sys.stderr)
-        return 1
-    except MpstError as e:
-        print(_diag(pf, source, e), file=sys.stderr)
-        return 1
+    pf, local = _typed(args.path)
     if args.json:
         doc = {r: local_type_to_json(t) for r, t in local.items()}
         print(json.dumps(doc, sort_keys=True, indent=2))
@@ -95,20 +98,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    pf, source = _load(args.path, parse_protocol)
-    if args.role not in pf.roles:
-        print(f"error: role {args.role} is not declared by {pf.name}", file=sys.stderr)
-        return 1
-    try:
-        projected = project(pf.body, args.role)  # a role is its name
-        whole = type_global(pf.body, pf.roles)
-    except MpstError as e:
-        print(_diag(pf, source, e), file=sys.stderr)
-        return 1
-    if not type_equiv(projected, whole[args.role]):  # the two derivations must agree
-        print("internal error: projection disagrees with the typing derivation", file=sys.stderr)
-        return 1
-    doc = json.dumps(local_type_to_json(projected), sort_keys=True, indent=2) + "\n"
+    pf, local = _typed(args.path)
+    if args.role not in local:  # a role is its name
+        raise _Rejected(f"error: role {args.role} is not declared by {pf.name}")
+    doc = json.dumps(local_type_to_json(local[args.role]), sort_keys=True, indent=2) + "\n"
     if args.json:
         _write(args.json, doc)
     else:
@@ -224,6 +217,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except _Rejected as e:
+        print(e, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

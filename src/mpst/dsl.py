@@ -1,18 +1,27 @@
 """Textual surface syntax for protocols and test scenarios.
 
+Tokens, one alternative each in the table ``_TOKEN``: blanks and ``#``
+comments to the end of the line are skipped; punctuation is ``->`` or one
+of ``(){},;:.|!?@%``; a string is double-quoted and may span lines, and a
+backslash escapes the next character (``\\n`` and ``\\t`` are a newline and a
+tab); an int is digits after an optional ``-``; an identifier is a letter or
+``_`` and then letters, digits or ``_``.  A token's line and column, both
+1-based, are those of its first character.
+
 Protocol grammar::
 
     protocol NAME (roles r1, r2, ...) { STMT* }
-    STMT ::= A -> B : label(SORT);          (SORT omitted means unit)
+    STMT ::= A -> B : LABEL;
            | choice at R { STMT* } or { STMT* } (or { STMT* })*
            | rec X { STMT* }
            | continue X;
            | closed R;
            | end;
+    LABEL ::= l | l(SORT)                   (no SORT: unit)
     SORT ::= unit | bool | int | string | session(LOCAL)
     LOCAL ::= end | VAR | rec VAR . LOCAL
-            | !R{ l(SORT): LOCAL, ... }     (internal choice)
-            | ?R{ l(SORT): LOCAL, ... }     (external choice)
+            | !R{ LABEL: LOCAL, ... }       (internal choice)
+            | ?R{ LABEL: LOCAL, ... }       (external choice)
     VAR ::= X | X@N | %N                    (N: the binders compiling and merging make)
 
 A block ends at its first terminal statement (``end``, ``continue``, a
@@ -28,6 +37,7 @@ A block ends at its first terminal statement (``end``, ``continue``, a
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,7 +58,6 @@ from .protocol import (
     UNIT,
     Var,
     bind_roles,
-    roles_of,
 )
 from .scripts import CloseStep, ReceiveStep, ReuseStep, Script, SendStep, Step
 from .types import Branch, LocalType, RecT, Select, VarT, END_T, format_sort
@@ -64,69 +73,41 @@ class Token:
     col: int
 
 
+# One alternative per token kind, tried in order at each position; "skip"
+# makes no token, and the last two are errors.
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r\n]+ | \#[^\n]*)         # blanks, and a comment to end of line
+  | (?P<punct>-> | [(){},;:.|!?@%])
+  | (?P<string>"(?:[^"\\] | \\.)*")         # may span lines; a backslash escapes any character
+  | (?P<int>-?\d+)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<unterminated>")
+  | (?P<unexpected>.)
+""", re.VERBOSE | re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}  # any other escaped character stands for itself
+
+
 def _tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":  # comment to end of line
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if src.startswith("->", i):
-            toks.append(Token("->", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "(){},;:.|!?@%":
-            toks.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and src[j] != '"':
-                if src[j] == "\\" and j + 1 < n:
-                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(src[j + 1], src[j + 1]))
-                    j += 2
-                else:
-                    out.append(src[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string literal", line, col)
-            toks.append(Token("string", "".join(out), line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and src[i + 1].isdigit()):
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(Token("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+    line, line_start = 1, 0  # the current line and the offset of its first character
+    for m in _TOKEN.finditer(src):
+        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "string":
+            body = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), text[1:-1])
+            toks.append(Token("string", body, line, col))
+        elif kind in ("int", "ident"):
+            toks.append(Token(kind, text, line, col))
+        elif kind == "punct":
+            toks.append(Token(text, text, line, col))
+        elif kind == "unterminated":
+            raise ParseError("unterminated string literal", line, col)
+        elif kind == "unexpected":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        if "\n" in text:  # blanks or a string that span lines
+            line += text.count("\n")
+            line_start = m.start() + text.rindex("\n") + 1
+    toks.append(Token("eof", "", line, len(src) - line_start + 1))
     return toks
 
 
@@ -154,17 +135,35 @@ class _Parser:
             self.fail(f"expected {what or kind!r}, found {t.text or 'end of input'!r}")
         return self.next()
 
-    def keyword(self, word: str) -> Token:
+    def keyword(self, word: str) -> None:
+        if not self.accept_keyword(word):
+            self.fail(f"expected keyword {word!r}, found {self.peek().text or 'end of input'!r}")
+
+    def accept(self, kind: str) -> bool:
+        """Take the next token if it is a ``kind``."""
+        if self.peek().kind != kind:
+            return False
+        self.pos += 1
+        return True
+
+    def accept_keyword(self, word: str) -> bool:
+        """Take the next token if it is the word ``word``."""
         t = self.peek()
         if t.kind != "ident" or t.text != word:
-            self.fail(f"expected keyword {word!r}, found {t.text or 'end of input'!r}")
-        return self.next()
+            return False
+        self.pos += 1
+        return True
 
-    def at_keyword(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text == word
+    # --- labels, payload sorts and inline local types ------------------------
 
-    # --- payload sorts and inline local types -------------------------------
+    def parse_label(self) -> Label:
+        """``label`` or ``label(SORT)``; a label with no sort carries unit."""
+        name = self.expect("ident", "a label").text
+        if not self.accept("("):
+            return Label(name)
+        sort = self.parse_sort()
+        self.expect(")")
+        return Label(name, sort)
 
     def parse_sort(self) -> PayloadSort:
         t = self.expect("ident", "a payload sort")
@@ -179,32 +178,19 @@ class _Parser:
 
     def parse_local(self) -> LocalType:
         t = self.peek()
-        if t.kind in ("!", "?"):
-            self.next()
+        if self.accept("!") or self.accept("?"):
             peer = Role(self.expect("ident", "a role name").text)
             self.expect("{")
             branches = []
-            while True:
-                lab = self.expect("ident", "a label").text
-                sort: PayloadSort = UNIT
-                if self.peek().kind == "(":
-                    self.next()
-                    sort = self.parse_sort()
-                    self.expect(")")
+            while not branches or self.accept(","):
+                label = self.parse_label()
                 self.expect(":")
-                branches.append((Label(lab, sort), self.parse_local()))
-                if self.peek().kind == ",":
-                    self.next()
-                    continue
-                break
+                branches.append((label, self.parse_local()))
             self.expect("}")
-            cls = Select if t.kind == "!" else Branch
-            return cls(peer, tuple(branches))
-        if t.kind == "ident" and t.text == "end":
-            self.next()
+            return (Select if t.kind == "!" else Branch)(peer, tuple(branches))
+        if self.accept_keyword("end"):
             return END_T
-        if t.kind == "ident" and t.text == "rec":
-            self.next()
+        if self.accept_keyword("rec"):
             var = self.parse_local_var()
             self.expect(".")
             return RecT(var, self.parse_local())
@@ -215,12 +201,10 @@ class _Parser:
     def parse_local_var(self) -> str:
         """A local type's recursion variable: a name, or one of the binders
         that compiling and merging make, ``X@0`` and ``%2``."""
-        if self.peek().kind == "%":
-            self.next()
+        if self.accept("%"):
             return "%" + self.expect("int", "a binder number").text
         var = self.expect("ident", "a recursion variable").text
-        if self.peek().kind == "@":
-            self.next()
+        if self.accept("@"):
             var += "@" + self.expect("int", "a role position").text
         return var
 
@@ -231,14 +215,11 @@ class _Parser:
         name = self.expect("ident", "a protocol name").text
         self.expect("(")
         self.keyword("roles")
-        roles = [Role(self.expect("ident", "a role name").text)]
-        while self.peek().kind == ",":
-            self.next()
+        roles = []
+        while not roles or self.accept(","):
             roles.append(Role(self.expect("ident", "a role name").text))
         self.expect(")")
-        self.expect("{")
-        body = self.parse_block(())
-        self.expect("}")
+        body = self.parse_braced(())
         self.expect("eof", "end of file")
         try:
             bound = bind_roles(roles, body)
@@ -246,69 +227,56 @@ class _Parser:
             raise ParseError(str(e), 1, 1) from None
         return ProtocolFile(name, bound, body, self.spans)
 
+    def parse_braced(self, path: Path) -> GlobalProtocol:
+        self.expect("{")
+        body = self.parse_block(path)
+        self.expect("}")
+        return body
+
     def parse_block(self, path: Path) -> GlobalProtocol:
+        """The statement at ``path`` with its continuation, its span kept
+        from its first token to the last one it took."""
+        start = self.peek()
+        node = self.parse_statement(path)
+        last = self.toks[max(self.pos - 1, 0)]
+        self.spans[path] = (start.line, start.col, last.line, last.col + len(last.text))
+        return node
+
+    def parse_statement(self, path: Path) -> GlobalProtocol:
         t = self.peek()
-        start = (t.line, t.col)
-
-        def record(node: GlobalProtocol) -> GlobalProtocol:
-            endt = self.toks[max(self.pos - 1, 0)]
-            self.spans[path] = (start[0], start[1], endt.line, endt.col + len(endt.text))
-            return node
-
         if t.kind == "}":  # implicit end at block close
-            return record(END)
-        if t.kind == "ident" and t.text == "end":
-            self.next()
+            return END
+        if self.accept_keyword("end"):
             self.expect(";")
-            return record(END)
-        if t.kind == "ident" and t.text == "continue":
-            self.next()
+            return END
+        if self.accept_keyword("continue"):
             var = self.expect("ident", "a recursion variable").text
             self.expect(";")
-            return record(Var(var))
-        if t.kind == "ident" and t.text == "rec":
-            self.next()
+            return Var(var)
+        if self.accept_keyword("rec"):
             var = self.expect("ident", "a recursion variable").text
-            self.expect("{")
-            body = self.parse_block(path + ("body",))
-            self.expect("}")
-            return record(Rec(var, body))
-        if t.kind == "ident" and t.text == "choice":
-            self.next()
+            return Rec(var, self.parse_braced(path + ("body",)))
+        if self.accept_keyword("choice"):
             self.keyword("at")
             at = Role(self.expect("ident", "a role name").text)
-            branches = []
-            self.expect("{")
-            branches.append(self.parse_block(path + ("branch[0]",)))
-            self.expect("}")
-            while self.at_keyword("or"):
-                self.next()
-                self.expect("{")
-                branches.append(self.parse_block(path + (f"branch[{len(branches)}]",)))
-                self.expect("}")
+            branches = [self.parse_braced(path + ("branch[0]",))]
+            while self.accept_keyword("or"):
+                branches.append(self.parse_braced(path + (f"branch[{len(branches)}]",)))
             if len(branches) == 1:
                 self.fail("choice needs at least one 'or' branch", t)
-            return record(Choice(at, tuple(branches)))
-        if t.kind == "ident" and t.text == "closed":
-            self.next()
+            return Choice(at, tuple(branches))
+        if self.accept_keyword("closed"):
             role = Role(self.expect("ident", "a role name").text)
             self.expect(";")
-            cont = self.parse_block(path + ("cont",))
-            return record(ClosedAt(role, cont))
+            return ClosedAt(role, self.parse_block(path + ("cont",)))
         if t.kind == "ident":  # communication statement
             frm = Role(self.next().text)
             self.expect("->")
             to = Role(self.expect("ident", "a role name").text)
             self.expect(":")
-            lab = self.expect("ident", "a label").text
-            sort: PayloadSort = UNIT
-            if self.peek().kind == "(":
-                self.next()
-                sort = self.parse_sort()
-                self.expect(")")
+            label = self.parse_label()
             self.expect(";")
-            cont = self.parse_block(path + ("cont",))
-            return record(Comm(frm, to, Label(lab, sort), cont))
+            return Comm(frm, to, label, self.parse_block(path + ("cont",)))
         self.fail("expected a protocol statement")
 
     # --- scenario files ------------------------------------------------------
@@ -320,8 +288,7 @@ class _Parser:
         proto = self.expect("ident", "a protocol name").text
         self.expect("{")
         scripts: dict[str, Script] = {}
-        while self.at_keyword("role"):
-            self.next()
+        while self.accept_keyword("role"):
             rname = self.expect("ident", "a role name").text
             self.expect("{")
             scripts[rname] = self.parse_steps()
@@ -355,33 +322,30 @@ class _Parser:
             peer = self.expect("ident", "a role name").text
             self.expect("{")
             branches = []
-            while True:
-                lab = self.expect("ident", "a label").text
+            while not branches or self.accept("|"):
+                label = self.expect("ident", "a label").text
                 self.expect(":")
-                branches.append((lab, self.parse_steps()))
-                if self.peek().kind == "|":
-                    self.next()
-                    continue
-                break
+                branches.append((label, self.parse_steps()))
             self.expect("}")
             return ReceiveStep(peer, tuple(branches))
         self.fail(f"unknown step {t.text!r}", t)
 
     def parse_literal(self) -> object:
+        """A send's payload; none, like ``unit``, is the unit payload."""
         t = self.peek()
         if t.kind == "string":
-            self.next()
-            return t.text
-        if t.kind == "int":
-            self.next()
-            return int(t.text)
-        if t.kind == "ident" and t.text in ("true", "false"):
-            self.next()
-            return t.text == "true"
-        if t.kind == "ident" and t.text == "unit":
-            self.next()
+            value = t.text
+        elif t.kind == "int":
+            value = int(t.text)
+        elif t.kind == "ident" and t.text in _WORDS:
+            value = _WORDS[t.text]
+        else:
             return None
-        return None  # unit payload, literal omitted
+        self.next()
+        return value
+
+
+_WORDS = {"true": True, "false": False, "unit": None}  # the payload literals that are words
 
 
 @dataclass(frozen=True)
@@ -453,7 +417,3 @@ def print_protocol(pf: ProtocolFile) -> str:
     out.append("}")
     return "\n".join(out) + "\n"
 
-
-def protocol_file_for(name: str, g: GlobalProtocol,
-                      roles: Optional[tuple[Role, ...]] = None) -> ProtocolFile:
-    return ProtocolFile(name, roles if roles is not None else roles_of(g), g)

@@ -93,7 +93,7 @@ class TraceEvent:
     label: Optional[Label]
 
     def signature(self) -> tuple[str, str, str, str]:
-        return self.role, self.kind.value, self.peer or "", self.label.name if self.label else ""
+        return self.role, str(self.kind), self.peer or "", self.label.name if self.label else ""
 
 
 class LinearityCell:
@@ -194,12 +194,14 @@ _CLOSED = _State(END_T, kind=None)  # a role's cursor after its close; admits no
 
 def _advance(role: Role, state: _State, kind: EventKind, peer, label) -> _State | str:
     """The state after ``role`` at ``state`` performs the event, or the
-    reason it may not: the checks of a walk of its local type, in order."""
+    reason it may not: the checks of a walk of its local type, in order.
+    Kind, peer and label name compare by equality, so an event given as
+    plain strings, as a ``--trace`` line holds it, is checked alike."""
     if state is _CLOSED:
         return f"{role} acted after close"
-    if kind is _CLOSE:
+    if kind == _CLOSE:
         return _CLOSED if state.kind is _CLOSE else f"{role} closed before finishing its protocol"
-    if state.kind is not (_SEND if kind is _SEND else _RECEIVE):
+    if state.kind != kind:
         return f"{role} performed {kind} at a {type(state.stage).__name__} stage"
     if peer is None or peer != state.peer:
         return f"{role} talked to {peer} instead of {state.peer}"

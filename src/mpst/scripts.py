@@ -102,9 +102,6 @@ class RunReport:
     def ok(self) -> bool:
         return self.verdict == "conformant"
 
-    def error_kinds(self) -> set[ErrorKind]:
-        return {o.error_kind for o in self.outcomes.values() if o.error_kind is not None}
-
 
 def _exec_step(ep: Endpoint, step: Step) -> tuple[Optional[Endpoint], Optional[Script]]:
     """Run one step; returns the continuation endpoint and, for receives,

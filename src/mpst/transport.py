@@ -50,7 +50,13 @@ class SyncRendezvous:
 
 @dataclass(frozen=True)
 class AsyncBuffered:
+    """At most ``capacity`` messages in flight from one role to another."""
+
     capacity: int = 1
+
+    def __post_init__(self) -> None:
+        if type(self.capacity) is not int or self.capacity < 0:  # type(), for a bool is an int
+            raise ValueError(f"buffer capacity must be an int >= 0, not {self.capacity!r}")
 
 
 @dataclass(frozen=True)

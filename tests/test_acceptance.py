@@ -15,10 +15,11 @@ from pathlib import Path
 import pytest
 
 from corpus import A, C, S, finite_corpus, g_auth, oauth4, well_typed_corpus
+from helpers import channel_classes, error_kinds
 from universe import build_universe, oracle_conclusive, state_count, subtype_bounded
 from mpst import Label, Role, STRING, roles_of
 from mpst.bench import bench_nping, bench_pingpong, rows_to_csv, run_chameleons
-from mpst.chanvec import channel_classes, dump_channel_vectors, eval_global, typecheck_cv
+from mpst.chanvec import dump_channel_vectors, eval_global, typecheck_cv
 from mpst.errors import ErrorKind, ProtocolTypeError, SessionRuntimeError
 from mpst.gen import random_protocols
 from mpst.scripts import compliant_scripts, run_scripted
@@ -256,7 +257,7 @@ def test_criterion_07_linearity_matrix():
     for g in random_protocols(100, seed=501) + list(finite_corpus().values()):
         scripts = compliant_scripts(g, rng, budget=30)
         report = run_scripted(g, scripts, SyncRendezvous())
-        assert ErrorKind.INVALID_ENDPOINT not in report.error_kinds()
+        assert ErrorKind.INVALID_ENDPOINT not in error_kinds(report)
         assert report.verdict == "conformant"
         clean += 1
     _ok(7, f"all 5 misuse patterns raise InvalidEndpoint; {clean} compliant runs "

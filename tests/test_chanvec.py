@@ -18,6 +18,7 @@ from corpus import (
     unclosed_loop,
     well_typed_corpus,
 )
+from helpers import channel_classes
 from mpst import (
     Label,
     Role,
@@ -33,7 +34,6 @@ from mpst.chanvec import (
     ChannelTable,
     OutRec,
     WrappedInp,
-    channel_classes,
     dump_channel_vectors,
     eval_global,
     fixv,

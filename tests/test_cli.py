@@ -96,7 +96,8 @@ def test_check_json(oauth_file, capsys):
 
 
 def _check_json(tmp_path, capsys, name, g):
-    from mpst.dsl import print_protocol, protocol_file_for
+    from helpers import protocol_file_for
+    from mpst.dsl import print_protocol
 
     f = tmp_path / f"{name}.mpst"
     f.write_text(print_protocol(protocol_file_for(name, g)))
@@ -155,9 +156,7 @@ def test_project_reports_a_shape_fault(name, tmp_path, capsys):
     p.write_text(text)
     for role in ("a", "b"):
         assert main(["project", str(p), "--role", role]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(findings[0] + "\n"), err  # the first finding, then its caret block
-        assert "internal error" not in err
+        assert capsys.readouterr().err.splitlines() == findings
 
 
 def test_check_missing_file_exit_2(tmp_path, capsys):
@@ -173,7 +172,8 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
 
 def test_check_exit_code_matches_typability(tmp_path):
     from corpus import finite_corpus, oauth3
-    from mpst.dsl import print_protocol, protocol_file_for
+    from helpers import protocol_file_for
+    from mpst.dsl import print_protocol
 
     for name, g in finite_corpus().items():
         f = tmp_path / f"{name}.mpst"
@@ -203,6 +203,23 @@ def test_project_json_golden(oauth_file, capsys):
             },
         }
     }
+
+
+def test_project_prints_the_role_entry_of_check_json(tmp_path, capsys):
+    """One derivation: ``project`` prints ``type_global``'s type for the role,
+    which the projection oracle agrees with."""
+    from corpus import finite_corpus
+    from mpst.types import project, type_equiv, type_global
+
+    for name, g in finite_corpus().items():
+        doc = _check_json(tmp_path, capsys, name, g)
+        local = type_global(g)
+        for role in local:
+            assert main(["project", str(tmp_path / f"{name}.mpst"), "--role", role]) == 0
+            assert json.loads(capsys.readouterr().out) == doc[role], (name, role)
+            assert type_equiv(local[role], project(g, role)), (name, role)
+        if name == "calc":  # the compiled binder, where the oracle names its loop X
+            assert doc["c"]["rec"]["var"] == "X@0"
 
 
 def test_project_end_role(tmp_path, capsys):
@@ -251,6 +268,34 @@ def test_simulate_conformant(oauth_file, tmp_path, capsys):
     assert kinds.count("send") == 3 and kinds.count("receive") == 3 and kinds.count("close") == 3
 
 
+def test_a_standalone_monitor_replays_the_trace_simulate_writes(oauth_file, tmp_path, capsys):
+    """A ``--trace`` line holds the kind, role and peer as plain strings."""
+    from mpst import Label, SessionMonitor, parse_protocol, type_global
+
+    sc = tmp_path / "ok.scn"
+    sc.write_text(SCENARIO)
+    trace = tmp_path / "trace.jsonl"
+    assert main(["simulate", str(oauth_file), str(sc), "--trace", str(trace)]) == 0
+    lines = [json.loads(line) for line in trace.read_text().splitlines()]
+
+    def replay(lines):
+        monitor = SessionMonitor(type_global(parse_protocol(OAUTH).body))
+        for ev in lines:
+            monitor.record(ev["kind"], ev["role"], ev["peer"], ev["label"] and Label(ev["label"]))
+        return monitor
+
+    monitor = replay(lines)
+    assert monitor.verdict() == (True, "conformant")
+    assert [ev.signature() for ev in monitor.events] == [
+        (ev["role"], ev["kind"], ev["peer"] or "", ev["label"] or "") for ev in lines]
+    seq = next(i for i, ev in enumerate(lines) if ev["kind"] == "send")
+    role = lines[seq]["role"]
+    lines[seq] = dict(lines[seq], kind="receive")
+    monitor = replay(lines)
+    assert monitor.violation == (seq, role, f"{role} performed receive at a Select stage")
+    assert monitor.verdict() == (False, f"{role} performed receive at a Select stage")
+
+
 def test_simulate_reuse_surfaces_invalid_endpoint(oauth_file, tmp_path, capsys):
     sc = tmp_path / "reuse.scn"
     sc.write_text(REUSE_SCENARIO)
@@ -263,6 +308,16 @@ def test_simulate_transport_flag(oauth_file, tmp_path, capsys):
     sc.write_text(SCENARIO)
     assert main(["simulate", str(oauth_file), str(sc), "--transport", "async:2"]) == 0
     assert main(["simulate", str(oauth_file), str(sc), "--transport", "framed"]) == 0
+
+
+@pytest.mark.parametrize("transport", ["async:-1", "async:x", "async:"])
+def test_a_bad_buffer_capacity_exits_2(transport, oauth_file, tmp_path, capsys):
+    sc = tmp_path / "ok.scn"
+    sc.write_text(SCENARIO)
+    assert main(["simulate", str(oauth_file), str(sc), "--transport", transport]) == 2
+    assert main(["bench", "--suite", "pingpong", "--iters", "20", "--transport", transport]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error: ") == 2 and "Traceback" not in err
 
 
 def test_simulate_scenario_protocol_mismatch(oauth_file, tmp_path, capsys):

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from corpus import finite_corpus, oauth
+from helpers import protocol_file_for
 from mpst import Label, Role, SessionSort, parse_protocol, parse_scenario, print_protocol
-from mpst.dsl import _Parser, protocol_file_for
+from mpst.dsl import _Parser, _tokenize
 from mpst.errors import ParseError
 from mpst.protocol import Comm
 from mpst.scripts import CloseStep, ReceiveStep, ReuseStep, SendStep
@@ -227,3 +228,47 @@ def test_scenario_literals():
 def test_comments_ignored():
     pf = parse_protocol("# header\nprotocol P (roles a, b) {\n  a -> b : m(unit); # hi\n  end;\n}\n")
     assert isinstance(pf.body, Comm)
+
+
+
+def _tokens(text: str) -> list[tuple[str, str, int, int]]:
+    return [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)]
+
+
+def test_tokens_skip_comment_lines_and_tell_an_arrow_from_a_negative_int():
+    assert _tokens("# note\n  # indented note\na->b : m(-3); # trailing\n") == [
+        ("ident", "a", 3, 1), ("->", "->", 3, 2), ("ident", "b", 3, 4), (":", ":", 3, 6),
+        ("ident", "m", 3, 8), ("(", "(", 3, 9), ("int", "-3", 3, 10), (")", ")", 3, 12),
+        (";", ";", 3, 13), ("eof", "", 4, 1),
+    ]
+
+
+def test_string_escapes_and_the_positions_after_them():
+    assert _tokens(r'send b m "q\" \\ \n \t \q";') == [
+        ("ident", "send", 1, 1), ("ident", "b", 1, 6), ("ident", "m", 1, 8),
+        ("string", 'q" \\ \n \t q', 1, 10), (";", ";", 1, 27), ("eof", "", 1, 28),
+    ]
+
+
+def test_positions_after_a_string_that_spans_lines():
+    assert _tokens('send b m "x\ny"; close;') == [
+        ("ident", "send", 1, 1), ("ident", "b", 1, 6), ("ident", "m", 1, 8),
+        ("string", "x\ny", 1, 10), (";", ";", 2, 3), ("ident", "close", 2, 5),
+        (";", ";", 2, 10), ("eof", "", 2, 11),
+    ]
+    text = 'scenario s for P {\n  role a { send b m "x\ny"; close; }\n' + " " * 31 + "$ }\n"
+    with pytest.raises(ParseError) as e:
+        parse_scenario(text)
+    assert (e.value.msg, e.value.line, e.value.col) == ("unexpected character '$'", 4, 32)
+
+
+@pytest.mark.parametrize("text,error", [
+    ('send b m "oops;\nclose;', ("unterminated string literal", 1, 10)),
+    ('send b m "ends in an escape\\', ("unterminated string literal", 1, 10)),
+    ("a -> b : m(int) $", ("unexpected character '$'", 1, 17)),
+    ("a - b", ("unexpected character '-'", 1, 3)),
+])
+def test_token_errors_name_where_they_start(text, error):
+    with pytest.raises(ParseError) as e:
+        _tokenize(text)
+    assert (e.value.msg, e.value.line, e.value.col) == error

@@ -35,6 +35,7 @@ from corpus import (
     oauth2,
     oauth3,
 )
+from helpers import channel_classes
 from mpst import (
     Label,
     choice_at,
@@ -47,7 +48,7 @@ from mpst import (
     validate_shape,
     var_,
 )
-from mpst.chanvec import channel_classes, dump_channel_vectors, eval_global
+from mpst.chanvec import dump_channel_vectors, eval_global
 from mpst.errors import ErrorKind, MpstError, ShapeError
 from mpst.protocol import (
     END,

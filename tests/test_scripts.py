@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from corpus import P, Q, calc, finite_corpus, g_auth, oauth, oauth2, well_typed_corpus
+from helpers import error_kinds
 from mpst import INT, STRING, ErrorKind, Label, Role, choice_at, comm, end_, rec, roles_of, var_
 from mpst.gen import random_protocols
 from mpst.scripts import (
@@ -42,7 +43,7 @@ def test_missing_send_deadlocks():
     crippled["c"] = (ReceiveStep("s", (("login", (CloseStep(),)),)),)  # omits the pwd send
     report = run_scripted(oauth(), crippled, timeout=0.3)
     assert report.verdict == "deadlocked"
-    assert ErrorKind.TIMEOUT in report.error_kinds()
+    assert ErrorKind.TIMEOUT in error_kinds(report)
     timed_out = {n for n, o in report.outcomes.items() if o.error_kind is ErrorKind.TIMEOUT}
     assert "a" in timed_out and "s" in timed_out
 

@@ -70,6 +70,16 @@ def test_buffered_send_does_not_block_until_full():
     assert ch.receive(timeout=1) == 3
 
 
+@pytest.mark.parametrize("capacity", [-1, -2, "2", 1.0, None, True, False])
+def test_a_buffer_capacity_that_is_not_an_int_of_at_least_0_is_refused(capacity):
+    with pytest.raises(ValueError, match="capacity"):
+        transport.AsyncBuffered(capacity)
+
+
+def test_a_buffer_capacity_of_0_is_allowed():
+    assert transport.AsyncBuffered(0).capacity == 0
+
+
 def test_buffered_fifo_order():
     ch = Channel(16)
     for i in range(10):
