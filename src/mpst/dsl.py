@@ -129,15 +129,20 @@ class _Parser:
         t = tok or self.peek()
         raise ParseError(msg, t.line, t.col)
 
-    def expect(self, kind: str, what: str = "") -> Token:
+    def found(self) -> str:
+        """The next token as an error names it: by its kind, not its text,
+        for a string literal's text may be empty too."""
         t = self.peek()
-        if t.kind != kind:
-            self.fail(f"expected {what or kind!r}, found {t.text or 'end of input'!r}")
+        return repr("end of input" if t.kind == "eof" else f'"{t.text}"' if t.kind == "string" else t.text)
+
+    def expect(self, kind: str, what: str = "") -> Token:
+        if self.peek().kind != kind:
+            self.fail(f"expected {what or kind!r}, found {self.found()}")
         return self.next()
 
     def keyword(self, word: str) -> None:
         if not self.accept_keyword(word):
-            self.fail(f"expected keyword {word!r}, found {self.peek().text or 'end of input'!r}")
+            self.fail(f"expected keyword {word!r}, found {self.found()}")
 
     def accept(self, kind: str) -> bool:
         """Take the next token if it is a ``kind``."""

@@ -126,24 +126,20 @@ class LinearityCell:
         return not self._flag
 
 
-# The payload check of each base sort; a label gets its check at compile time.
-_CHECKS = {
-    UNIT: lambda v: v is None,
-    BOOL: lambda v: isinstance(v, bool),
-    INT: lambda v: isinstance(v, int) and not isinstance(v, bool),
-    STRING: lambda v: isinstance(v, str),
-}
+# The payload class of each base sort.  A send admits an instance of it, never
+# a bool for int; any other sort's class is ``()``, of which nothing is one.
+_CLASSES = {UNIT: type(None), BOOL: bool, INT: int, STRING: str}
 
 
-def _check(sort: PayloadSort):
-    """A label's payload check, chosen at compile time; a delegation has none."""
-    return None if isinstance(sort, SessionSort) else _CHECKS.get(sort, lambda v: False)
+def _payload_class(sort: PayloadSort):
+    """A label's payload class, chosen at compile time; a delegation has none."""
+    return None if isinstance(sort, SessionSort) else _CLASSES.get(sort, ())
 
 
 @dataclass(slots=True, eq=False)
 class _State:
     """A stage of a role's state table: the event it admits, its peer, its
-    link's index in ``SessionChannels.links``, ``(label, payload check, next
+    link's index in ``SessionChannels.links``, ``(label, payload class, next
     state)`` per label name, and its closed local type.  ``subtypes`` caches
     delegation's ``subtype`` result per declared type: it maps a frozen type
     to a pure check, so threads that race only compute it twice."""
@@ -180,7 +176,7 @@ def _state_table(t: LocalType, role: Role, links: dict[tuple[Role, Role], int]) 
             pair = (role, pos.peer) if pos.output else (pos.peer, role)
             state.link = links.setdefault(pair, len(links))
             state.steps = {
-                l.name: (l, _check(l.payload), build(cont, stage_cont, env))
+                l.name: (l, _payload_class(l.payload), build(cont, stage_cont, env))
                 for (l, cont), (_, stage_cont) in zip(pos.branches, state.stage.branches)
             }
         return state
@@ -364,9 +360,10 @@ class _Seat:
 
 
 class Endpoint(LinearityCell):
-    """A role's affine handle at one state of its table, built by
-    :func:`_endpoint`.  It is its own linearity flag: the public ``use()``
-    only consumes it, which drops the stage unperformed (an affine drop)."""
+    """A role's affine handle at one state of its table, built without
+    ``__init__`` by the operation or open that reaches the state.  It is its own
+    linearity flag: the public ``use()`` only consumes it, which drops the stage
+    unperformed (an affine drop)."""
 
     __slots__ = ("seat", "state")
 
@@ -415,7 +412,9 @@ class Endpoint(LinearityCell):
             if not self._flag:  # refused as invalid before the payload's own errors
                 raise _already_used(seat.role)
             wire = _prepare_delegation(l.payload, payload, link)
-        elif not check(payload):
+        elif payload.__class__ is not check and (  # the exact class first, the general rule on a miss
+            not isinstance(payload, check) or check is int and payload.__class__ is bool
+        ):
             raise self._refusal(
                 ErrorKind.PAYLOAD_SORT_MISMATCH,
                 f"label {l} expects {l.payload.sort_name()}, got {type(payload).__name__}",
@@ -427,7 +426,9 @@ class Endpoint(LinearityCell):
         link.send((l.name, wire), seat.timeout)
         if seat.monitor:  # only a send that happened is traced
             seat.monitor.record(_SEND, seat.role, state.peer, l)
-        return _endpoint(seat, nxt)
+        ep = _new(Endpoint)  # the next state's handle, with a fresh flag
+        ep.seat, ep.state, ep._flag = seat, nxt, [True]
+        return ep
 
     def receive(self, peer: Role | str) -> tuple[Label, object, "Endpoint"]:
         seat = self.seat
@@ -453,7 +454,9 @@ class Endpoint(LinearityCell):
         label, _, nxt = step
         if seat.monitor:
             seat.monitor.record(_RECEIVE, seat.role, state.peer, label)
-        return label, value, _endpoint(seat, nxt)
+        ep = _new(Endpoint)
+        ep.seat, ep.state, ep._flag = seat, nxt, [True]
+        return label, value, ep
 
     def close(self) -> None:
         seat = self.seat
@@ -468,16 +471,6 @@ class Endpoint(LinearityCell):
 
 
 _new = object.__new__  # bound once: a global name is cheaper than an attribute lookup
-
-
-def _endpoint(seat: _Seat, state: _State) -> Endpoint:
-    """A fresh handle at ``state``, with a fresh flag, built without
-    ``__init__``: this runs once per endpoint operation."""
-    ep = _new(Endpoint)
-    ep.seat = seat
-    ep.state = state
-    ep._flag = [True]  # what LinearityCell.__init__ does
-    return ep
 
 
 def _already_used(role: Role) -> SessionRuntimeError:
@@ -512,7 +505,9 @@ def _prepare_delegation(sort: SessionSort, payload: object, link) -> Endpoint:
         )
     if not payload.use():  # the sender's handle dies
         raise _already_used(payload.seat.role)
-    return _endpoint(payload.seat, state)
+    ep = _new(Endpoint)
+    ep.seat, ep.state, ep._flag = payload.seat, state, [True]
+    return ep
 
 
 @dataclass
@@ -552,7 +547,7 @@ def open_session(
     monitor = _start_monitor(_new(SessionMonitor), compiled.local_types, compiled.starts) if monitored else None
     links = channels.links
     endpoints = {}
-    for r, start in compiled.starts.items():  # as _endpoint does, without calls
+    for r, start in compiled.starts.items():  # as an operation builds its next endpoint
         seat = _new(_Seat)
         seat.role, seat.links, seat.monitor, seat.timeout = r, links, monitor, timeout
         ep = endpoints[r] = _new(Endpoint)

@@ -142,16 +142,6 @@ class Channel:
                     raise _timeout_error("send timed out with no matching receive")
             # served while we were timing out: the send completed
 
-    def _take_locked(self) -> object:
-        """The next value.  The first blocked sender's value joins the back of
-        the buffer, which is full (capacity 0: empty), so FIFO order holds."""
-        if self._blocked:
-            b = self._blocked.pop(0)
-            self._buf.append(b.value)
-            b.done = True
-            b.wake.release()
-        return self._buf.popleft()
-
     def receive(self, timeout: Optional[float] = None) -> object:
         _, value = select((self,), timeout)
         return value
@@ -164,8 +154,16 @@ def select(channels: Sequence[Channel], timeout: Optional[float] = None) -> tupl
     lock = ch._lock
     lock.acquire()
     try:
-        if ch._buf or ch._blocked:
-            return 0, ch._take_locked()
+        # The first blocked sender's value joins the back of the buffer, which
+        # is full (capacity 0: empty), so FIFO order holds.
+        blocked = ch._blocked
+        if blocked:
+            b = blocked.pop(0)
+            ch._buf.append(b.value)
+            b.done = True
+            b.wake.release()
+        if ch._buf:
+            return 0, ch._buf.popleft()
         if ch._receiver is not None:
             raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, "a receive is already pending")
         r = ch._receiver = _Parked()

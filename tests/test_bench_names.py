@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -60,6 +62,40 @@ def test_the_tracer_counts_the_pingpong_hot_path():
     assert calls["runtime.Endpoint.send"] == 3
     assert calls["runtime.Endpoint.receive"] == 3
     assert calls["transport.select"] == 3
+
+
+def test_a_pingpong_round_makes_21_python_calls_into_the_library():
+    """The call budget of the endpoint path: every Python function call whose
+    code lives in ``src/mpst`` during 20 untraced pingpong rounds, by module
+    and function.  Each operation builds its next endpoint inline, a receive
+    takes its value in ``select`` itself, and a payload's class is compared,
+    not passed to a check function."""
+    import mpst
+
+    home = str(Path(mpst.__file__).parent)
+    w = WORKLOADS["pingpong"](7)
+    w.setup()
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(home):
+            calls[frame.f_globals["__name__"], frame.f_code.co_qualname] += 1
+
+    sys.setprofile(profile)
+    try:
+        ok = all(w.item() for _ in range(20))
+    finally:
+        sys.setprofile(None)
+    assert ok and w.finish() == 0
+    assert {key: n / 20 for key, n in calls.items()} == {
+        ("mpst.runtime", "Endpoint.send"): 3,
+        ("mpst.runtime", "Endpoint.receive"): 3,
+        ("mpst.runtime", "LinearityCell.use"): 6,
+        ("mpst.transport", "Channel.send"): 3,
+        ("mpst.transport", "Channel.receive"): 3,
+        ("mpst.transport", "select"): 3,
+    }
+    assert sum(calls.values()) == 21 * 20
 
 
 def test_runtime_select_is_the_transport_select():

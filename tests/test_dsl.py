@@ -272,3 +272,16 @@ def test_token_errors_name_where_they_start(text, error):
     with pytest.raises(ParseError) as e:
         _tokenize(text)
     assert (e.value.msg, e.value.line, e.value.col) == error
+
+
+@pytest.mark.parametrize("text,error", [
+    ('protocol P (roles a, b) { a -> b : ""; }', ("expected 'a label', found '\"\"'", 1, 36)),
+    ('protocol P (roles a, b) { a -> b : m; }\n""', ("expected 'end of file', found '\"\"'", 2, 1)),
+    ("protocol P (roles a, b) { a -> b : m", ("expected ';', found 'end of input'", 1, 37)),
+])
+def test_a_parse_error_names_a_token_by_its_kind(text, error):
+    """Only the end of the file reads as ``end of input``; an empty string
+    literal, whose text is empty too, is shown as the literal."""
+    with pytest.raises(ParseError) as e:
+        parse_protocol(text)
+    assert (e.value.msg, e.value.line, e.value.col) == error

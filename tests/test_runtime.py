@@ -22,7 +22,7 @@ from mpst import (
 )
 from mpst import runtime
 from mpst.errors import SessionRuntimeError, ShapeError
-from mpst.protocol import INT, UNIT
+from mpst.protocol import BOOL, INT, STRING, UNIT, PayloadSort
 from mpst.runtime import EventKind
 from mpst.transport import AsyncBuffered, FramedSocket, SyncRendezvous
 
@@ -396,6 +396,48 @@ def test_a_used_endpoint_is_refused_as_invalid_before_any_other_check():
         used, use = stage()
         use()
         _raises_kind(lambda: misuse(used), ErrorKind.INVALID_ENDPOINT)
+
+
+class _Opaque(PayloadSort):
+    """A sort that is not a base sort: no value is of it."""
+
+    __slots__ = ()
+
+    def sort_name(self) -> str:
+        return "opaque"
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "sort, value, admitted",
+    [
+        (INT, 3, True), (INT, _Int(3), True), (INT, True, False), (INT, 3.0, False), (INT, "3", False),
+        (BOOL, True, True), (BOOL, 1, False),
+        (UNIT, None, True), (UNIT, 0, False), (UNIT, "", False),
+        (STRING, "x", True), (STRING, Role("x"), True), (STRING, b"x", False), (STRING, None, False),
+        *((_Opaque(), v, False) for v in (3, True, None, "x", b"x", object())),
+    ],
+)
+def test_a_send_admits_exactly_the_payloads_of_its_sort(sort, value, admitted):
+    """A payload of the sort's class or a subclass of it is sent as it is, a
+    bool is no int, and a sort that is not a base sort admits nothing.  A
+    refusal is a ``PayloadSortMismatch`` that leaves the endpoint live, and a
+    used endpoint is refused as invalid first."""
+    g = comm(P, Q, Label("m", sort), end_())
+    sess = open_session(g, AsyncBuffered(1))
+    ep = sess.endpoints[P]
+    if admitted:
+        ep.send(Q, "m", value)
+        assert sess.endpoints[Q].receive(P)[1] is value
+    else:
+        _raises_kind(lambda: ep.send(Q, "m", value), ErrorKind.PAYLOAD_SORT_MISMATCH)
+        assert not ep.used
+    used = open_session(g, AsyncBuffered(1)).endpoints[P]
+    used.use()
+    _raises_kind(lambda: used.send(Q, "m", value), ErrorKind.INVALID_ENDPOINT)
 
 
 def test_a_used_sender_does_not_consume_the_endpoint_it_delegates():
