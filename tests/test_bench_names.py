@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -72,14 +73,14 @@ def test_a_pingpong_round_makes_21_python_calls_into_the_library():
     not passed to a check function."""
     import mpst
 
-    home = str(Path(mpst.__file__).parent)
+    home = os.path.join(os.path.dirname(mpst.__file__), "")  # the package directory, with its separator
     w = WORKLOADS["pingpong"](7)
     w.setup()
     calls = Counter()
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename.startswith(home):
-            calls[frame.f_globals["__name__"], frame.f_code.co_qualname] += 1
+            calls[frame.f_globals["__name__"], frame.f_code.co_name] += 1  # co_qualname is 3.11+
 
     sys.setprofile(profile)
     try:
@@ -88,11 +89,11 @@ def test_a_pingpong_round_makes_21_python_calls_into_the_library():
         sys.setprofile(None)
     assert ok and w.finish() == 0
     assert {key: n / 20 for key, n in calls.items()} == {
-        ("mpst.runtime", "Endpoint.send"): 3,
-        ("mpst.runtime", "Endpoint.receive"): 3,
-        ("mpst.runtime", "LinearityCell.use"): 6,
-        ("mpst.transport", "Channel.send"): 3,
-        ("mpst.transport", "Channel.receive"): 3,
+        ("mpst.runtime", "send"): 3,  # Endpoint.send
+        ("mpst.runtime", "receive"): 3,  # Endpoint.receive
+        ("mpst.runtime", "use"): 6,  # LinearityCell.use
+        ("mpst.transport", "send"): 3,  # Channel.send
+        ("mpst.transport", "receive"): 3,  # Channel.receive
         ("mpst.transport", "select"): 3,
     }
     assert sum(calls.values()) == 21 * 20

@@ -66,7 +66,7 @@ def test_a_role_is_its_name_in_a_session():
     named = open_session(g, AsyncBuffered(1), monitored=True, roles=("s", "c", "a"))
     assert named.roles == (S, C, A) and all(type(r) is Role for r in named.roles)
     assert set(named.endpoints) == {"s", "c", "a"} and named.local_types == sess.local_types
-    named.endpoints["s"].send(C, "login", Role("u"))  # a role passes the string payload check
+    named.endpoints["s"].send(C, "login", Role("u"))  # a role passes as a string payload
     _, user, _ = named.endpoints[C].receive(S)
     assert got == "u" and user == "u"
     assert named.monitor.events[0].signature() == ("s", "send", "c", "login")
