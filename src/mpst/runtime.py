@@ -145,6 +145,7 @@ class _State:
     to a pure check, so threads that race only compute it twice."""
 
     stage: LocalType
+    role: Optional[Role] = None
     kind: EventKind = _CLOSE
     peer: Optional[Role] = None
     link: int = -1
@@ -168,7 +169,7 @@ def _state_table(t: LocalType, role: Role, links: dict[tuple[Role, Role], int]) 
             pos = pos.body
         if isinstance(pos, VarT):
             return env[pos.var]
-        state = _State(unfold_type(stage))
+        state = _State(unfold_type(stage), role)
         table.append(state)
         if isinstance(pos, DirectedChoice):
             env = {**env, **dict.fromkeys(binders, state)}
@@ -226,11 +227,11 @@ class SessionMonitor:
         _start_monitor(self, expected, {r: _state_table(t, r, {})[0] for r, t in expected.items()})
 
     def record(self, kind: EventKind, role: Role, peer: Optional[Role], label: Optional[Label]) -> None:
-        lock = self._lock
+        lock, cursors = self._lock, self._cursors
         lock.acquire()  # log order is seq order, and a role's cursor steps in that order
         try:  # not ``with``: its enter and exit calls cost twice the lock itself
             self._log.append((kind, role, peer, label))
-            state = self._cursors.get(role)
+            state = cursors.get(role)
             if state is None:  # a role with no local type here, or one already stopped
                 return
             nxt = None
@@ -244,7 +245,7 @@ class SessionMonitor:
                 if nxt.__class__ is str:
                     self._stops[role] = (len(self._log) - 1, role, nxt)
                     nxt = None
-            self._cursors[role] = nxt
+            cursors[role] = nxt
         finally:
             lock.release()
 
@@ -266,7 +267,9 @@ class SessionMonitor:
         """Conformant iff every role's events walk its local type from the
         start to End, finishing with a close; otherwise the first role, in
         ``expected`` order, that did not, and why."""
-        with self._lock:
+        lock = self._lock
+        lock.acquire()  # as in ``record``
+        try:
             for role, state in self._cursors.items():
                 if state is None:
                     return False, self._stops[role][2]
@@ -274,6 +277,8 @@ class SessionMonitor:
                     if state.kind is _CLOSE:
                         return False, f"{role} never closed its endpoint"
                     return False, f"{role} stopped before finishing its protocol"
+        finally:
+            lock.release()
         return True, "conformant"
 
 
@@ -356,7 +361,7 @@ class _Seat:
     role, the session's links (indexed by ``_State.link``), its monitor and
     its timeout.  :func:`open_session` sets them."""
 
-    __slots__ = ("role", "links", "monitor", "timeout")
+    __slots__ = ("links", "monitor", "timeout")
 
 
 class Endpoint(LinearityCell):
@@ -382,7 +387,7 @@ class Endpoint(LinearityCell):
         """The error for a refused operation: ``InvalidEndpoint`` when this
         handle is used already, whatever else is wrong with the call."""
         if not self._flag:
-            return _already_used(self.seat.role)
+            return _already_used(self.state.role)
         return SessionRuntimeError(kind, detail)
 
     def send(self, peer: Role | str, label: Label | str, payload: object = None) -> "Endpoint":
@@ -391,12 +396,12 @@ class Endpoint(LinearityCell):
         if state.kind is not _SEND:
             raise self._refusal(
                 ErrorKind.WRONG_PEER,
-                f"{seat.role} tried to send but the protocol expects "
+                f"{state.role} tried to send but the protocol expects "
                 f"{'a receive' if state.kind is _RECEIVE else 'close'} here",
             )
         if peer is not state.peer and peer != state.peer:
             raise self._refusal(
-                ErrorKind.WRONG_PEER, f"{seat.role} must talk to {state.peer} here, not {peer}"
+                ErrorKind.WRONG_PEER, f"{state.role} must talk to {state.peer} here, not {peer}"
             )
         label_name = label.name if label.__class__ is Label or isinstance(label, Label) else label
         step = state.steps.get(label_name)
@@ -410,7 +415,7 @@ class Endpoint(LinearityCell):
         wire = payload
         if check is None:
             if not self._flag:  # refused as invalid before the payload's own errors
-                raise _already_used(seat.role)
+                raise _already_used(state.role)
             wire = _prepare_delegation(l.payload, payload, link)
         elif payload.__class__ is not check and (  # the exact class first, the general rule on a miss
             not isinstance(payload, check) or check is int and payload.__class__ is bool
@@ -422,10 +427,10 @@ class Endpoint(LinearityCell):
         if not self.use():
             if check is None:  # a racer took the sender after the payload: the payload stays whole
                 payload._flag.append(True)
-            raise _already_used(seat.role)
+            raise _already_used(state.role)
         link.send((l.name, wire), seat.timeout)
         if seat.monitor:  # only a send that happened is traced
-            seat.monitor.record(_SEND, seat.role, state.peer, l)
+            seat.monitor.record(_SEND, state.role, state.peer, l)
         ep = _new(Endpoint)  # the next state's handle, with a fresh flag
         ep.seat, ep.state, ep._flag = seat, nxt, [True]
         return ep
@@ -436,15 +441,15 @@ class Endpoint(LinearityCell):
         if state.kind is not _RECEIVE:
             raise self._refusal(
                 ErrorKind.WRONG_PEER,
-                f"{seat.role} tried to receive but the protocol expects "
+                f"{state.role} tried to receive but the protocol expects "
                 f"{'a send' if state.kind is _SEND else 'close'} here",
             )
         if peer is not state.peer and peer != state.peer:
             raise self._refusal(
-                ErrorKind.WRONG_PEER, f"{seat.role} must listen to {state.peer} here, not {peer}"
+                ErrorKind.WRONG_PEER, f"{state.role} must listen to {state.peer} here, not {peer}"
             )
         if not self.use():
-            raise _already_used(seat.role)
+            raise _already_used(state.role)
         label_name, value = seat.links[state.link].receive(seat.timeout)
         step = state.steps.get(label_name)
         if step is None:
@@ -453,21 +458,21 @@ class Endpoint(LinearityCell):
             )
         label, _, nxt = step
         if seat.monitor:
-            seat.monitor.record(_RECEIVE, seat.role, state.peer, label)
+            seat.monitor.record(_RECEIVE, state.role, state.peer, label)
         ep = _new(Endpoint)
         ep.seat, ep.state, ep._flag = seat, nxt, [True]
         return label, value, ep
 
     def close(self) -> None:
-        seat = self.seat
-        if self.state.kind is not _CLOSE:
+        state = self.state
+        if state.kind is not _CLOSE:
             raise self._refusal(
-                ErrorKind.PROTOCOL_NOT_FINISHED, f"{seat.role} closed with protocol steps remaining"
+                ErrorKind.PROTOCOL_NOT_FINISHED, f"{state.role} closed with protocol steps remaining"
             )
         if not self.use():
-            raise _already_used(seat.role)
-        if seat.monitor:
-            seat.monitor.record(_CLOSE, seat.role, None, None)
+            raise _already_used(state.role)
+        if self.seat.monitor:
+            self.seat.monitor.record(_CLOSE, state.role, None, None)
 
 
 _new = object.__new__  # bound once: a global name is cheaper than an attribute lookup
@@ -504,7 +509,7 @@ def _prepare_delegation(sort: SessionSort, payload: object, link) -> Endpoint:
             "delegated endpoint does not implement the declared session type",
         )
     if not payload.use():  # the sender's handle dies
-        raise _already_used(payload.seat.role)
+        raise _already_used(state.role)
     ep = _new(Endpoint)
     ep.seat, ep.state, ep._flag = payload.seat, state, [True]
     return ep
@@ -545,11 +550,10 @@ def open_session(
     compiled = _compiled_for(g, tuple(roles) if roles is not None else None)
     channels = SessionChannels(transport, compiled)
     monitor = _start_monitor(_new(SessionMonitor), compiled.local_types, compiled.starts) if monitored else None
-    links = channels.links
+    seat = _new(_Seat)
+    seat.links, seat.monitor, seat.timeout = channels.links, monitor, timeout
     endpoints = {}
     for r, start in compiled.starts.items():  # as an operation builds its next endpoint
-        seat = _new(_Seat)
-        seat.role, seat.links, seat.monitor, seat.timeout = r, links, monitor, timeout
         ep = endpoints[r] = _new(Endpoint)
         ep.seat, ep.state, ep._flag = seat, start, [True]
     session = _new(Session)  # the dataclass __init__ would only set the five fields

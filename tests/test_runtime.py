@@ -547,7 +547,7 @@ def test_a_used_endpoint_has_no_public_re_arm():
     _raises_kind(lambda: ep.receive(Q), ErrorKind.INVALID_ENDPOINT)
     _raises_kind(ep.close, ErrorKind.INVALID_ENDPOINT)
     assert not ep.use() and ep.used
-    assert ep.stage is ep.state.stage and ep.seat.role == P
+    assert ep.stage is ep.state.stage and ep.state.role == P
     assert ep.used
     dropped = open_session(g, AsyncBuffered(1)).endpoints[P]
     assert dropped.use() and dropped.used
