@@ -3,27 +3,25 @@
 A protocol is compiled once per protocol object and role tuple by
 ``types.type_global`` to one local type per role, then to each role's state
 table, the finite automaton of its local type (Deniélou & Yoshida, ESOP
-2012), whose states number each role pair they name as a link.  The
-compiled form is the template of all the protocol's sessions: its tables,
-start states and local types are shared and never change.  An open builds
-only the session's own: one link per directed role pair, a FIFO of ``(label
-name, payload)`` messages on every transport; one seat and one start
-endpoint per role; a copy of the local types; and, when monitored, a
-monitor on copies of the local types and start cursors.  A send puts its
-label and payload on the link to the peer, and a receive takes the head of
-the link from the peer and picks its branch by the label name.
+2012), whose states each belong to that role and number each role pair they
+name as a link.  The compiled form is the template of all the protocol's
+sessions: its tables, start states and local types are shared and never
+change.  An open builds only the session's own: one link per directed role
+pair, a FIFO of ``(label name, payload)`` messages on every transport; one
+seat; one start endpoint per role; a copy of the local types; and, when
+monitored, a monitor on copies of the local types and start cursors.  A
+send puts its label and payload on the link to the peer, and a receive
+takes the head of the link from the peer and picks its branch by the label
+name.
 
 An :class:`Endpoint` is one role's live handle into a session at one state:
-the role's seat (role, links, monitor and timeout, built once per session),
-the state, and its own flag, for an endpoint is a :class:`LinearityCell`.
-The flag is a one-item list, and taking it is one ``pop``, so exactly one
-caller wins it; only a refused delegating send puts a flag back, the one it
-took from the endpoint it carries, and no public call can.
-The first operation (send, receive, close, or being delegated away)
-consumes the endpoint, and any further use raises ``InvalidEndpoint``;
-``Endpoint.used`` reads the flag.  Consuming the flag covers all sibling
-labels of the stage: choosing one output among alternatives uses the stage
-exactly once.
+the session's seat (links, monitor and timeout, which all its endpoints
+share), the state, which names the role, and its own flag, for an endpoint
+is a :class:`LinearityCell`.  The first operation (send, receive, close,
+or being delegated away) consumes the endpoint, and any further use raises
+``InvalidEndpoint``; ``Endpoint.used`` reads the flag.  Consuming the flag
+covers all sibling labels of the stage: choosing one output among
+alternatives uses the stage exactly once.
 An operation makes its checks first and then takes the flag with one
 ``use`` call, before it touches the link.  A used endpoint is refused with
 ``InvalidEndpoint`` before any other error (wrong kind, peer, label or
@@ -36,6 +34,26 @@ refused sender never destroys the endpoint it carries.
 A monitored session's :class:`SessionMonitor` checks each event as it is
 recorded: it keeps one cursor per role on the same state tables, so a
 violation is found at the event that made it and the verdict costs O(roles).
+
+Thread-safety ledger: each mutable that threads share, who writes it, its
+guarantee, and the gate in ``tests/`` that forces its race in every run.
+
+==================  ====================  ===============================  ====
+shared mutable      written by            guarantee                        gate
+==================  ====================  ===============================  ====
+an endpoint's flag  every ``use``         one ``list.pop``: one winner     [1]
+a carried flag      a refused delegation  the item it popped is put back   [2]
+a parked record     the serving peer      the channel lock; a timed-out    [3]
+                                          wait re-checks ``done`` under it
+``g._compiled``     a first open          benign: each racer compiles a    [4]
+                                          self-consistent template, and
+                                          the last store wins
+==================  ====================  ===============================  ====
+
+[1] ``test_runtime.py::test_concurrent_sends_have_one_winner_when_the_cell_check_is_slow``
+[2] ``test_runtime.py::test_a_sender_lost_to_a_racer_does_not_consume_the_endpoint_it_delegates``
+[3] ``test_transport.py::test_wait_that_times_out_after_being_served_completes``
+[4] ``test_runtime.py::test_racing_first_opens_each_build_a_self_consistent_template``
 """
 
 from __future__ import annotations
@@ -138,11 +156,12 @@ def _payload_class(sort: PayloadSort):
 
 @dataclass(slots=True, eq=False)
 class _State:
-    """A stage of a role's state table: the event it admits, its peer, its
-    link's index in ``SessionChannels.links``, ``(label, payload class, next
-    state)`` per label name, and its closed local type.  ``subtypes`` caches
-    delegation's ``subtype`` result per declared type: it maps a frozen type
-    to a pure check, so threads that race only compute it twice."""
+    """A stage of a role's state table: the role, the event it admits, its
+    peer, its link's index in ``SessionChannels.links``, ``(label, payload
+    class, next state)`` per label name, and its closed local type.
+    ``subtypes`` caches delegation's ``subtype`` result per declared type: it
+    maps a frozen type to a pure check, so threads that race only compute it
+    twice."""
 
     stage: LocalType
     role: Optional[Role] = None
@@ -357,9 +376,9 @@ class SessionChannels:
 
 
 class _Seat:
-    """What a role's endpoints share across the stages of one session: its
-    role, the session's links (indexed by ``_State.link``), its monitor and
-    its timeout.  :func:`open_session` sets them."""
+    """What all endpoints of one session share: its links (indexed by
+    ``_State.link``), its monitor and its timeout.  :func:`open_session`
+    builds one per session; an endpoint's role is its state's."""
 
     __slots__ = ("links", "monitor", "timeout")
 
@@ -541,7 +560,7 @@ def open_session(
     ``g`` is compiled on its first open with these ``roles``; shape and
     typing failures are raised before any transport is bound.  An open then
     builds only what is the session's own from the compiled template: its
-    links, one seat and start endpoint per role, a copy of the local types,
+    links, one seat, one start endpoint per role, a copy of the local types,
     and, when monitored, a monitor on copies of the template's local types
     and start cursors.  Each endpoint starts at its role's start
     state, whose stage is the unfolded local type that the monitor and

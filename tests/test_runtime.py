@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from corpus import A, C, P, Q, S, calc, g_auth, oauth
+from corpus import A, C, P, Q, R, S, calc, g_auth, oauth
 from mpst import (
     ErrorKind,
     Label,
@@ -736,6 +736,40 @@ def test_reuse_after_delegation_is_invalid():
     assert e.value.kind is ErrorKind.INVALID_ENDPOINT
 
 
+def test_a_delegated_endpoint_keeps_its_own_role_and_monitor():
+    """As in a chameleons pairing, a broker delegates one endpoint of a
+    monitored p2p session through a monitored assignment session.  The
+    carried endpoint is refused under its own role, and its events go to its
+    own session's monitor under that role."""
+    from mpst.bench import BROKER, BYE, CHAT, L, PEER_ROLE, R, assignment_protocol, p2p_protocol
+
+    assign = open_session(assignment_protocol(), AsyncBuffered(1), monitored=True, timeout=1.0)
+    p2p = open_session(p2p_protocol(), AsyncBuffered(1), monitored=True, timeout=1.0)
+    assign.endpoints[BROKER].send(PEER_ROLE, "left", p2p.endpoints[L]).close()
+    label, carried, ep = assign.endpoints[PEER_ROLE].receive(BROKER)
+    ep.close()
+    assert label.name == "left" and carried.seat is p2p.endpoints[R].seat
+    assert carried.state is p2p.endpoints[L].state and carried.state.role == L
+    with pytest.raises(SessionRuntimeError) as e:
+        carried.receive(R)
+    assert (e.value.kind, e.value.detail) == (
+        ErrorKind.WRONG_PEER, "left tried to receive but the protocol expects a send here")
+    left = carried.send(R, CHAT, 7)
+    with pytest.raises(SessionRuntimeError) as e:
+        carried.send(R, CHAT, 8)
+    assert (e.value.kind, e.value.detail) == (ErrorKind.INVALID_ENDPOINT, "endpoint of left was already used")
+    assert p2p.monitor.events == [runtime.TraceEvent(0, EventKind.SEND, L, R, CHAT)]
+    assert [ev.signature() for ev in assign.monitor.events] == [
+        ("broker", "send", "peer", "left"), ("broker", "close", "", ""),
+        ("peer", "receive", "broker", "left"), ("peer", "close", "", ""),
+    ]
+    _, got, right = p2p.endpoints[R].receive(L)
+    right.send(L, BYE, None).close()
+    left.receive(R)[2].close()
+    assert got == 7
+    assert p2p.monitor.verdict() == assign.monitor.verdict() == (True, "conformant")
+
+
 def test_framed_transport_full_protocol():
     sess = open_session(g_auth(), FramedSocket(), monitored=True)
     try:
@@ -891,6 +925,71 @@ def test_each_role_order_gets_its_own_compiled_form(monkeypatch):
     assert len(compiles) == 2
 
 
+def _assert_self_consistent(compiled) -> None:
+    """Each state is its table's role's, its link names that role and its
+    peer in the direction of its event, and the links are exactly the pairs
+    the states name, numbered in the order the tables first name them."""
+    named = []
+    for r, table in compiled.tables.items():
+        assert compiled.starts[r] is table[0]
+        for state in table:
+            assert state.role == r
+            if state.kind is EventKind.CLOSE:
+                assert state.link == -1
+                continue
+            pair = (r, state.peer) if state.kind is EventKind.SEND else (state.peer, r)
+            assert compiled.pairs[state.link] == pair
+            if pair not in named:
+                named.append(pair)
+    assert compiled.pairs == tuple(named)
+
+
+def test_racing_first_opens_each_build_a_self_consistent_template(monkeypatch):
+    """The compile cache's race, forced: eight first opens of one protocol
+    meet at a barrier inside ``_compile``, so each misses the cache and
+    compiles.  Every open works, every template is self-consistent, and the
+    cache keeps one of them."""
+    compile_ = runtime._compile
+    built = []
+    x, y = Label("x", INT), Label("y", INT)
+    three = comm(Q, R, x, comm(P, Q, y, comm(R, P, x, end_())))
+    for g in (comm(P, Q, x, comm(Q, P, y, end_())), comm(Q, P, x, comm(P, Q, y, end_())), three):
+        meet = threading.Barrier(8)
+        built.clear()
+
+        def racing(g, roles):
+            meet.wait(10)  # every racer has missed the cache before any stores
+            compiled = compile_(g, roles)
+            built.append(compiled)
+            return compiled
+
+        monkeypatch.setattr(runtime, "_compile", racing)
+        verdicts = []
+
+        def open_and_run():
+            sess = open_session(g, AsyncBuffered(1), monitored=True, timeout=1.0)
+            eps = dict(sess.endpoints)
+            while ready := [r for r, ep in eps.items()  # a sender whose peer waits for it
+                            if ep.state.kind is EventKind.SEND and eps[ep.state.peer].state.peer == r]:
+                ep = eps[ready[0]]
+                (name,) = ep.state.steps
+                sent = ep.send(ep.state.peer, name, 1)
+                _, got, eps[ep.state.peer] = eps[ep.state.peer].receive(ready[0])
+                eps[ready[0]] = sent
+                assert got == 1
+            for ep in eps.values():
+                ep.close()
+            verdicts.append(sess.monitor.verdict())
+
+        run_threads(*[open_and_run] * 8)
+        monkeypatch.setattr(runtime, "_compile", compile_)
+        assert verdicts == [(True, "conformant")] * 8
+        assert len(built) == 8
+        for compiled in built:
+            _assert_self_consistent(compiled)
+        assert any(g._compiled[None] is compiled for compiled in built)
+
+
 def test_links_are_numbered_by_sender_and_receiver():
     """Each compiled link is one directed role pair that carries messages,
     and every state's link is its own (sender, receiver) pair."""
@@ -909,14 +1008,7 @@ def test_links_are_numbered_by_sender_and_receiver():
         generated += i >= len(corpus)
         _, table = eval_global(g, None)
         assert set(compiled.pairs) == {(n.from_role.name, n.to_role.name) for n in table.names}, repr(g)
-        for role, states in compiled.tables.items():
-            for state in states:
-                if state.kind is EventKind.CLOSE:
-                    assert state.link == -1
-                    continue
-                own = (role.name, state.peer.name) if state.kind is EventKind.SEND else (
-                    state.peer.name, role.name)
-                assert compiled.pairs[state.link] == own, repr(g)
+        _assert_self_consistent(compiled)
     assert generated >= 2000
 
 
@@ -1009,7 +1101,8 @@ def test_local_types_are_per_session():
 def test_sessions_of_one_template_share_no_mutable_state():
     """Two monitored opens of one compiled protocol share its states and
     nothing a session changes: links, seats, expected types, local types,
-    cursors and logs are each session's own."""
+    cursors and logs are each session's own.  All endpoints of one session,
+    at its start and later, share its one seat."""
     ping, pong = Label("ping", INT), Label("pong", INT)
     g = comm(P, Q, ping, comm(Q, P, pong, end_()))
     s1 = open_session(g, AsyncBuffered(1), monitored=True, timeout=1.0)
@@ -1020,6 +1113,8 @@ def test_sessions_of_one_template_share_no_mutable_state():
         assert one.seat is not two.seat and one.state is two.state
         assert (one.seat.links, one.seat.monitor) == (s1.channels.links, s1.monitor)
         assert (two.seat.links, two.seat.monitor) == (s2.channels.links, s2.monitor)
+    seat1, seat2 = s1.endpoints[P].seat, s2.endpoints[P].seat
+    assert s1.endpoints[Q].seat is seat1 and s2.endpoints[Q].seat is seat2
     expected, local = dict(s2.monitor.expected), dict(s2.local_types)
     s1.monitor.expected.clear()
     s1.local_types[P] = s1.local_types[Q]
@@ -1033,9 +1128,11 @@ def test_sessions_of_one_template_share_no_mutable_state():
     assert s2.monitor._cursors == {"p": s2.endpoints[P].state, "q": s2.endpoints[Q].state}
     p = s2.endpoints[P].send(Q, ping, 1)
     _, got, q = s2.endpoints[Q].receive(P)
-    q.send(P, pong, got + 1).close()
-    _, back, p = p.receive(Q)
-    p.close()
+    q2 = q.send(P, pong, got + 1)
+    _, back, p2 = p.receive(Q)
+    assert all(ep.seat is seat2 for ep in (p, q, q2, p2))
+    q2.close()
+    p2.close()
     assert back == 2 and s2.monitor.verdict() == (True, "conformant")
     assert s1.monitor.verdict() == (False, "p stopped before finishing its protocol")
     assert len(s1.monitor.events) == 1 and len(s2.monitor.events) == 6
@@ -1172,6 +1269,39 @@ def test_state_table_has_one_state_per_position_at_most():
             states = set(map(id, table))
             for state in table:
                 assert all(id(nxt) in states for _, _, nxt in state.steps.values())
+
+
+def _reachable(start) -> list:
+    """Every state reachable from ``start`` along its steps."""
+    seen, todo = {}, [start]
+    while todo:
+        state = todo.pop()
+        if id(state) not in seen:
+            seen[id(state)] = state
+            todo.extend(nxt for _, _, nxt in state.steps.values())
+    return list(seen.values())
+
+
+def test_every_state_belongs_to_the_role_of_its_table():
+    """A state is one role's: every state of ``tables[r]`` has role r, and
+    so does every state that a stand-alone monitor's cursor for r reaches."""
+    from corpus import generated_candidates, hand_written, well_typed_corpus
+    from mpst.errors import MpstError
+    from mpst.runtime import SessionMonitor, _compiled_for
+
+    accepted = 0
+    for g in [*hand_written(), *well_typed_corpus().values(), *generated_candidates(2000)]:
+        try:
+            compiled = _compiled_for(g, None)
+        except MpstError:
+            continue
+        accepted += 1
+        for r, table in compiled.tables.items():
+            assert {state.role for state in table} == {r}, repr(g)
+        monitor = SessionMonitor(compiled.local_types)
+        for r, cursor in monitor._cursors.items():
+            assert {state.role for state in _reachable(cursor)} == {r}, repr(g)
+    assert accepted >= 500
 
 
 def test_warm_delegation_checks_its_subtype_once(monkeypatch):
