@@ -74,30 +74,35 @@ class ChannelName(NamedTuple):
         return f"<{self.from_role},{self.to_role},{self.label.name},{self.index}>"
 
 
+def _vector_init(self, peer: Role, branches: tuple) -> None:
+    """Set a vector node's two fields without the frozen dataclass ``__init__``.
+    It checks nothing: a vector's branches keep the order they are built in."""
+    fields = self.__dict__
+    fields["peer"], fields["branches"] = peer, branches
+
+
 @dataclass(frozen=True, eq=False)
 class OutRec(DirectedChoice):
     """Output record toward ``peer``: branches of (label, channel, continuation)."""
 
     output = True
+    __init__ = _vector_init
 
 
 @dataclass(frozen=True, eq=False)
 class WrappedInp(DirectedChoice):
     """Multiplexed input from ``peer``: branches of (label, channel, continuation)."""
 
-
-def _node(cls: type, peer: Role, branches: tuple) -> DirectedChoice:
-    """An OutRec or WrappedInp built without calling its dataclass ``__init__``, which checks nothing."""
-    node = object.__new__(cls)
-    fields = node.__dict__
-    fields["peer"], fields["branches"] = peer, branches
-    return node
+    __init__ = _vector_init
 
 
 class ChannelTable:
     """Channel registry: allocation counters plus union-find over slots.
 
-    ``names`` lists every allocated name by slot.  Output-merging across
+    ``eval_global`` allocates names in its Comm loop: a name's ``index``
+    counts its (sender, receiver, label name) in ``_counters``, its ``key``
+    is its slot, and it starts as its own parent.  ``names`` lists every
+    allocated name by slot.  Output-merging across
     choice branches unifies the names of shared labels; after evaluation,
     `find` maps every slot to its class representative.  ``roles`` is the
     role tuple that the vectors evaluated with this table are indexed by.
@@ -109,15 +114,6 @@ class ChannelTable:
         self._counters: dict[tuple[Role, Role, str], int] = {}
         self._parent: list[int] = []
         self.names: list[ChannelName] = []
-
-    def alloc(self, from_role: Role, to_role: Role, label: Label) -> ChannelName:
-        ckey = (from_role, to_role, label.name)
-        i = self._counters.get(ckey, 0)
-        self._counters[ckey] = i + 1
-        name = tuple.__new__(ChannelName, (from_role, to_role, label, i, len(self.names)))
-        self._parent.append(name.key)
-        self.names.append(name)
-        return name
 
     def find(self, key: int) -> int:
         root = key
@@ -177,6 +173,7 @@ def eval_global(
     idx = {r: i for i, r in enumerate(tuple_roles)}
     n = len(tuple_roles)
     table = ChannelTable(session, tuple_roles)
+    counters, parent, allocated, new = table._counters, table._parent, table.names, object.__new__
     namer = count(1)
 
     escapes: dict[str, object] = {}  # a discharged loop variable -> its closed_at's steps
@@ -202,11 +199,22 @@ def eval_global(
                 run.append(node)
                 node, steps = node.cont, (steps, "cont")
             vs = go(node, env, steps, closed)
-            for c in reversed(run):
-                name = table.alloc(c.from_role, c.to_role, c.label)
-                i, j = idx[c.from_role], idx[c.to_role]
-                vs[i] = _node(OutRec, c.to_role, ((c.label, name, vs[i]),))
-                vs[j] = _node(WrappedInp, c.from_role, ((c.label, name, vs[j]),))
+            for c in reversed(run):  # no Python call per Comm: the allocation and the nodes are inline
+                a, b, label = c.from_role, c.to_role, c.label
+                ckey = (a, b, label.name)
+                index = counters.get(ckey, 0)
+                counters[ckey] = index + 1
+                slot = len(allocated)
+                name = tuple.__new__(ChannelName, (a, b, label, index, slot))
+                parent.append(slot)
+                allocated.append(name)
+                i, j = idx[a], idx[b]
+                out, inp = new(OutRec), new(WrappedInp)  # their fields set as _vector_init sets them
+                fields = out.__dict__
+                fields["peer"], fields["branches"] = b, ((label, name, vs[i]),)
+                fields = inp.__dict__
+                fields["peer"], fields["branches"] = a, ((label, name, vs[j]),)
+                vs[i], vs[j] = out, inp
             return vs
         if isinstance(node, Choice):
             per_branch = [go(b, env, (steps, k), closed) for k, b in enumerate(node.branches)]
@@ -217,14 +225,16 @@ def eval_global(
                     for vs in per_branch:
                         discharge(vs, k, r, at)
             result = per_branch[0]
-            try:  # with the empty path: the Choice's own path is built only on failure
+            try:  # with the empty path: the Choice's own path is put in front only on failure
                 result[a] = _decider_output([vs[a] for vs in per_branch], node.at, ())
                 for k in range(n):
                     if k != a:
                         for vs in per_branch[1:]:
                             result[k] = merge(result[k], vs[k], (), namer, table)
-            except ProtocolTypeError as e:
-                raise ProtocolTypeError(e.kind, e.detail, _path(steps) + e.path) from None
+            except ProtocolTypeError as e:  # the same error, with the Choice's path in front
+                e.path = _path(steps) + e.path
+                e.args = (e.kind, e.detail, e.path)
+                raise
             return result
         if isinstance(node, Rec):
             names = [f"{node.var}@{i}" for i in range(n)]
@@ -258,7 +268,10 @@ def eval_global(
             return vs
         raise AssertionError(f"unknown node {node!r}")
 
-    vectors = go(g, {}, None, {})
+    try:
+        vectors = go(g, {}, None, {})
+    finally:
+        del go  # break the walker's cycle through its own cell, so refcounting frees it
     return tuple(vectors), table
 
 
@@ -298,7 +311,10 @@ def typecheck_cv(
             return cls(v.peer, tuple(out))
         raise AssertionError(f"unknown vector {v!r}")
 
-    return go(c)
+    try:
+        return go(c)
+    finally:
+        del go  # as in eval_global
 
 
 def dump_channel_vectors(

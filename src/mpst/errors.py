@@ -2,6 +2,9 @@
 
 Every failure carries a kind from the closed :class:`ErrorKind` enumeration so
 that callers (and tests) can match on categories instead of message strings.
+An error's message is built from its fields only when it is printed, and its
+``args`` are its constructor's own arguments, so every error survives
+``pickle`` and ``copy.copy``.
 """
 
 from __future__ import annotations
@@ -45,14 +48,21 @@ Path = tuple[str, ...]
 
 
 class MpstError(Exception):
-    """Base class; carries a kind, an AST path, and a human-readable detail."""
+    """Base class; carries a kind, an AST path, and a human-readable detail.
+
+    ``Exception.__new__`` keeps the constructor's arguments as ``args``, so
+    this does not call ``Exception.__init__``, and a subclass with its own
+    signature unpickles through it.  A caller that learns more of the path
+    may extend ``path`` (and ``args``) on the error it caught and re-raise it."""
 
     def __init__(self, kind: ErrorKind, detail: str, path: Path = ()) -> None:
         self.kind = kind
         self.detail = detail
         self.path = path
-        at = f" at {'/'.join(path) or 'root'}" if path else ""
-        super().__init__(f"{kind.value}: {detail}{at}")
+
+    def __str__(self) -> str:
+        at = f" at {'/'.join(self.path) or 'root'}" if self.path else ""
+        return f"{self.kind.value}: {self.detail}{at}"
 
 
 class SelfSendError(MpstError):
@@ -91,4 +101,6 @@ class ParseError(Exception):
         self.msg = msg
         self.line = line
         self.col = col
-        super().__init__(f"{line}:{col}: {msg}")
+
+    def __str__(self) -> str:
+        return f"{self.line}:{self.col}: {self.msg}"

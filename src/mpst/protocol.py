@@ -286,7 +286,10 @@ def _front(g: GlobalProtocol) -> tuple[ValidationReport, tuple[Role, ...]]:
             walk(node.cont, comms, (steps, "cont"))
         # End: nothing to check
 
-    walk(g, 0, None)
+    try:
+        walk(g, 0, None)
+    finally:
+        del walk  # break the walker's cycle through its own cell, so refcounting frees it
     found = tuple(r if r.__class__ is Role else Role(r) for r in roles)  # a plain name is checked too
     cached = g.__dict__["_front"] = (ValidationReport(tuple(findings)), found)
     return cached

@@ -174,7 +174,10 @@ def _subst(t: LocalType, var: str, repl: LocalType) -> LocalType:
             return type(t)(t.peer, tuple(e[:-1] + (go(e[-1]),) for e in t.branches))
         return t
 
-    return go(t)
+    try:
+        return go(t)
+    finally:
+        del go  # break the walker's cycle through its own cell, so refcounting frees it
 
 
 _MAX_UNFOLD = 10_000
@@ -257,7 +260,10 @@ def subtype(s: LocalType, t: LocalType) -> bool:
             return True
         return False
 
-    return go(s, t)
+    try:
+        return go(s, t)
+    finally:
+        del go  # as in _subst
 
 
 def type_equiv(s: LocalType, t: LocalType) -> bool:
@@ -466,7 +472,10 @@ def project(g: GlobalProtocol, r: Role) -> LocalType:
             return discharge(go(node.cont, path + ("cont",), path), path)
         raise AssertionError(f"unknown node {node!r}")
 
-    return go(g, (), None)
+    try:
+        return go(g, (), None)
+    finally:
+        del go  # as in _subst
 
 
 def _contradicts(role: Role, path: Path) -> ProtocolTypeError:

@@ -65,17 +65,12 @@ def test_the_tracer_counts_the_pingpong_hot_path():
     assert calls["transport.select"] == 3
 
 
-def test_a_pingpong_round_makes_21_python_calls_into_the_library():
-    """The call budget of the endpoint path: every Python function call whose
-    code lives in ``src/mpst`` during 20 untraced pingpong rounds, by module
-    and function.  Each operation builds its next endpoint inline, a receive
-    takes its value in ``select`` itself, and a payload's class is compared,
-    not passed to a check function."""
+def _library_calls(run):
+    """``run()``'s result, and every Python function call whose code lives in
+    ``src/mpst`` while it runs, by module and function."""
     import mpst
 
     home = os.path.join(os.path.dirname(mpst.__file__), "")  # the package directory, with its separator
-    w = WORKLOADS["pingpong"](7)
-    w.setup()
     calls = Counter()
 
     def profile(frame, event, arg):
@@ -84,9 +79,21 @@ def test_a_pingpong_round_makes_21_python_calls_into_the_library():
 
     sys.setprofile(profile)
     try:
-        ok = all(w.item() for _ in range(20))
+        result = run()
     finally:
         sys.setprofile(None)
+    return result, calls
+
+
+def test_a_pingpong_round_makes_21_python_calls_into_the_library():
+    """The call budget of the endpoint path: every Python function call whose
+    code lives in ``src/mpst`` during 20 untraced pingpong rounds, by module
+    and function.  Each operation builds its next endpoint inline, a receive
+    takes its value in ``select`` itself, and a payload's class is compared,
+    not passed to a check function."""
+    w = WORKLOADS["pingpong"](7)
+    w.setup()
+    ok, calls = _library_calls(lambda: all(w.item() for _ in range(20)))
     assert ok and w.finish() == 0
     assert {key: n / 20 for key, n in calls.items()} == {
         ("mpst.runtime", "send"): 3,  # Endpoint.send
@@ -97,6 +104,40 @@ def test_a_pingpong_round_makes_21_python_calls_into_the_library():
         ("mpst.transport", "select"): 3,
     }
     assert sum(calls.values()) == 21 * 20
+
+
+def test_compiling_a_chain_makes_no_python_call_per_comm():
+    """The call budget of the compile route: ``eval_global`` on a two-role
+    chain of 20 Comms makes the same Python calls into the library as on a
+    chain of one, since a run of Comms is one loop that allocates its names
+    and builds its vector nodes inline.  A generator's resumes count as
+    calls: ``_front`` makes each of the two roles a ``Role`` in one."""
+    from mpst import Label, Role, comm, end_
+    from mpst.chanvec import eval_global
+
+    p, q = Role("p"), Role("q")
+
+    def chain(k: int):
+        g = end_()
+        for i in range(k):
+            g = comm(p, q, Label("m"), g) if i % 2 else comm(q, p, Label("m"), g)
+        return g
+
+    budget = {
+        ("mpst.chanvec", "eval_global"): 1,
+        ("mpst.protocol", "_front"): 1,
+        ("mpst.protocol", "walk"): 1,
+        ("mpst.protocol", "ok"): 1,  # ValidationReport.ok
+        ("mpst.protocol", "<genexpr>"): 3,
+        ("mpst.chanvec", "<dictcomp>"): 1,  # the role index
+        ("mpst.chanvec", "__init__"): 1,  # ChannelTable
+        ("mpst.chanvec", "go"): 2,  # the run of Comms, then its End
+    }
+    for k in (1, 20):
+        g = chain(k)
+        (vectors, table), calls = _library_calls(lambda: eval_global(g, None))
+        assert len(table.names) == k
+        assert dict(calls) == budget, k
 
 
 def test_runtime_select_is_the_transport_select():

@@ -18,7 +18,7 @@ from corpus import (
     unclosed_loop,
     well_typed_corpus,
 )
-from helpers import channel_classes
+from helpers import alloc, channel_classes
 from mpst import (
     Label,
     Role,
@@ -268,7 +268,7 @@ def test_unfold_cv_trivia():
 
 def _fresh_name():
     t = ChannelTable("t")
-    return t.alloc(P, Q, Label("m"))
+    return alloc(t, P, Q, Label("m"))
 
 
 def test_fixv_rules():
@@ -305,7 +305,7 @@ def test_merge_cv_unit():
 
 def test_merge_cv_input_union():
     t = ChannelTable("t")
-    n1, n2 = t.alloc(S, A, Label("ok")), t.alloc(S, A, Label("cancel"))
+    n1, n2 = alloc(t, S, A, Label("ok")), alloc(t, S, A, Label("cancel"))
     left = WrappedInp(S, ((Label("ok"), n1, END_T),))
     right = WrappedInp(S, ((Label("cancel"), n2, END_T),))
     got = merge(left, right, table=t)
@@ -315,7 +315,7 @@ def test_merge_cv_input_union():
 
 def test_merge_cv_output_intersection_and_unification():
     t = ChannelTable("t")
-    n1, n2 = t.alloc(S, A, Label("m")), t.alloc(S, A, Label("m"))
+    n1, n2 = alloc(t, S, A, Label("m")), alloc(t, S, A, Label("m"))
     left = OutRec(A, ((Label("m"), n1, END_T),))
     right = OutRec(A, ((Label("m"), n2, END_T),))
     got = merge(left, right, table=t)
@@ -326,7 +326,7 @@ def test_merge_cv_output_intersection_and_unification():
 
 def test_merge_cv_output_menus_must_be_equal():
     t = ChannelTable("t")
-    x1, y1, x2 = t.alloc(S, A, Label("x")), t.alloc(S, A, Label("y")), t.alloc(S, A, Label("x"))
+    x1, y1, x2 = alloc(t, S, A, Label("x")), alloc(t, S, A, Label("y")), alloc(t, S, A, Label("x"))
     both = OutRec(A, ((Label("x"), x1, END_T), (Label("y"), y1, END_T)))
     only_x = OutRec(A, ((Label("x"), x2, END_T),))
     for left, right in ((both, only_x), (only_x, both)):
@@ -338,7 +338,7 @@ def test_merge_cv_output_menus_must_be_equal():
 
 def test_merge_cv_shape_and_peer_mismatch():
     t = ChannelTable("t")
-    n1 = t.alloc(S, A, Label("m"))
+    n1 = alloc(t, S, A, Label("m"))
     out, inp = OutRec(A, ((Label("m"), n1, END_T),)), WrappedInp(S, ((Label("m"), n1, END_T),))
     for left, right in ((out, END_T), (inp, VarT("X")), (out, inp)):
         with pytest.raises(ProtocolTypeError) as e:
@@ -354,7 +354,7 @@ def test_merge_cv_shape_and_peer_mismatch():
 
 def test_merge_cv_recursive_self_merge_terminates_alpha_equal():
     t = ChannelTable("t")
-    n = t.alloc(P, Q, Label("m"))
+    n = alloc(t, P, Q, Label("m"))
     loop = RecT("X", OutRec(Q, ((Label("m"), n, VarT("X")),)))
     got = merge(loop, loop, table=t)
     assert _cv_trees_equal(got, loop, 10)
@@ -362,8 +362,8 @@ def test_merge_cv_recursive_self_merge_terminates_alpha_equal():
 
 def test_merge_cv_asymmetric_recursion():
     t = ChannelTable("t")
-    n1 = t.alloc(P, Q, Label("go"))
-    n2 = t.alloc(P, Q, Label("halt"))
+    n1 = alloc(t, P, Q, Label("go"))
+    n2 = alloc(t, P, Q, Label("halt"))
     loop = RecT("X", WrappedInp(P, ((Label("go"), n1, VarT("X")),)))
     fin = WrappedInp(P, ((Label("halt"), n2, END_T),))
     got = merge(loop, fin, table=t)
@@ -386,7 +386,7 @@ def test_typecheck_payload_disagreement():
     from mpst.errors import CvTypeError
 
     t = ChannelTable("t")
-    n = t.alloc(P, Q, Label("m", INT))
+    n = alloc(t, P, Q, Label("m", INT))
     vec = OutRec(Q, ((Label("m", UNIT), n, END_T),))
     with pytest.raises(CvTypeError):
         typecheck_cv(vec, t.payload_env(), t)

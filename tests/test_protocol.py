@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
-from corpus import A, C, P, Q, S, g_auth, generated_candidates, hand_written, oauth
+from corpus import A, C, P, Q, S, g_auth, generated_candidates, hand_written, oauth, oauth4
+from helpers import alloc
 from mpst import (
     Choice,
     Comm,
@@ -25,8 +28,11 @@ from mpst import (
     validate_shape,
     var_,
 )
-from mpst.errors import EmptyChoiceError, SelfSendError
+from mpst.chanvec import ChannelTable, OutRec, typecheck_cv
+from mpst.dsl import parse_protocol
+from mpst.errors import EmptyChoiceError, MpstError, ParseError, SelfSendError
 from mpst.protocol import END, ClosedAt, Rec, bind_roles
+from mpst.types import END_T
 
 
 def test_comm_builds_nested_chain():
@@ -262,3 +268,37 @@ def test_scoping_matches_paths_on_corpus_and_generated():
     for g in protocols:
         _assert_scoping_matches_paths(g)
     assert sum(not validate_shape(g).ok for g in protocols) > 300
+
+
+def _raised(run) -> Exception:
+    with pytest.raises(Exception) as e:
+        run()
+    return e.value
+
+
+def _subclasses(cls: type) -> set[type]:
+    return {cls}.union(*(_subclasses(c) for c in cls.__subclasses__()))
+
+
+def test_every_error_survives_pickle_and_copy():
+    """An error keeps its constructor's arguments as ``args`` and builds its
+    message from its fields, so a copy or an unpickled error has the same
+    kind, detail, path, findings and message, for every error class.  The
+    typing error is raised below a Choice, whose path ``eval_global`` puts in
+    front of the caught error's."""
+    errors = [
+        _raised(lambda: comm(A, A, Label("m"), end_())),
+        _raised(lambda: choice_at(S, [])),
+        _raised(lambda: type_global(rec("X", var_("X")))),
+        _raised(lambda: type_global(comm(P, S, Label("go"), oauth4()))),
+        _raised(lambda: typecheck_cv(OutRec(Q, ((Label("m"), alloc(ChannelTable("t"), P, Q, Label("m")), END_T),)), {})),
+        _raised(lambda: open_session(oauth()).endpoints[S].send(A, "login", "Hi")),
+        _raised(lambda: parse_protocol("@")),
+    ]
+    assert {type(e) for e in errors} == _subclasses(MpstError) - {MpstError} | {ParseError}
+    assert errors[3].path == ("cont",) and str(errors[3]).endswith(" at cont")
+    for e in errors + [MpstError(ErrorKind.TIMEOUT, "late", ("cont",))]:
+        for again in (pickle.loads(pickle.dumps(e)), copy.copy(e)):
+            assert type(again) is type(e) and str(again) == str(e) and repr(again) == repr(e)
+            for field in ("kind", "detail", "path", "findings", "msg", "line", "col"):
+                assert getattr(again, field, None) == getattr(e, field, None), (e, field)
