@@ -4,7 +4,11 @@ Each role receives a nested record/variant value whose leaves are fresh
 binary channel names: outputs are records mapping labels to (name, cont)
 pairs, inputs are wrapped-name lists multiplexing several channels into one
 labelled receive.  Channel names are tuples (:class:`ChannelName`), vector
-nodes skip their dataclass ``__init__``, and a run of Comms is one loop.
+nodes skip their frozen dataclass ``__init__``, and a run of Comms is one
+loop that allocates its names and builds its nodes with no Python call.
+Each walker clears its own closure cell when it returns or raises, so a
+compile leaves no reference cycle for the collector, and a rejected choice
+extends the path of the error it caught and raises that error again.
 Vectors are built from the node set of ``types``: only :class:`OutRec` and
 :class:`WrappedInp` are vector-specific, and a local type is a vector with
 its channels erased (:func:`typecheck_cv`).  Choice branches
