@@ -11,7 +11,8 @@ gate moved into ``eval_global``, and ``eval_global``'s vectors, channel
 classes and payload sorts (or its and ``type_global``'s exact rejection) by
 a digest taken before the Comm-run loop and the cheap vector nodes; on every
 shape-faulted input, each compile entry must raise ``ShapeError`` with the
-former walk's findings.
+former walk's findings.  Compiling, typing and the oracle must leave no
+reference cycle but a loop's cached unfolding.
 """
 
 from __future__ import annotations
