@@ -6,13 +6,13 @@ table, the finite automaton of its local type (Deniélou & Yoshida, ESOP
 2012), whose states each belong to that role and number each role pair they
 name as a link.  The compiled form is the template of all the protocol's
 sessions: its tables, start states and local types are shared and never
-change.  An open builds only the session's own: one link per directed role
-pair, a FIFO of ``(label name, payload)`` messages on every transport; one
-seat; one start endpoint per role; a copy of the local types; and, when
-monitored, a monitor on copies of the local types and start cursors.  A
-send puts its label and payload on the link to the peer, and a receive
-takes the head of the link from the peer and picks its branch by the label
-name.
+change.  An open reads the template off the protocol and builds only the
+session's own: one link per directed role pair, a FIFO of ``(label name,
+payload)`` messages on every transport; one seat; one start endpoint per
+role; a copy of the local types; and, when monitored, a monitor on copies
+of the local types and start cursors.  A send puts its label and payload on
+the link to the peer, and a receive takes the head of the link from the
+peer and picks its branch by the label name.
 
 An :class:`Endpoint` is one role's live handle into a session at one state:
 the session's seat (links, monitor and timeout, which all its endpoints
@@ -32,28 +32,33 @@ between, it gives the carried endpoint's flag back and is refused.  So a
 refused sender never destroys the endpoint it carries.
 
 A monitored session's :class:`SessionMonitor` checks each event as it is
-recorded: it keeps one cursor per role on the same state tables, so a
-violation is found at the event that made it and the verdict costs O(roles).
+recorded: it keeps one cursor per role on the same state tables, which an
+endpoint's own step moves with one identity test, so a violation is found
+at the event that made it and the verdict costs O(roles).
 
 Thread-safety ledger: each mutable that threads share, who writes it, its
 guarantee, and the gate in ``tests/`` that forces its race in every run.
 
-==================  ====================  ===============================  ====
-shared mutable      written by            guarantee                        gate
-==================  ====================  ===============================  ====
-an endpoint's flag  every ``use``         one ``list.pop``: one winner     [1]
-a carried flag      a refused delegation  the item it popped is put back   [2]
-a parked record     the serving peer      the channel lock; a timed-out    [3]
-                                          wait re-checks ``done`` under it
-``g._compiled``     a first open          benign: each racer compiles a    [4]
-                                          self-consistent template, and
-                                          the last store wins
-==================  ====================  ===============================  ====
+======================  ====================  ===============================  ====
+shared mutable          written by            guarantee                        gate
+======================  ====================  ===============================  ====
+an endpoint's flag      every ``use``         one ``list.pop``: one winner     [1]
+a carried flag          a refused delegation  the item it popped is put back   [2]
+a parked record         the serving peer      the channel lock; a timed-out    [3]
+                                              wait re-checks ``done`` under it
+``g._compiled``         a first open          benign: each racer compiles a    [4]
+                                              self-consistent template, and
+                                              the last store wins
+``_log``, ``_cursors``  every ``record``      the lock spans append and step   [5]
+``_State.subtypes``     a first delegation    benign: racers store one answer  [6]
+======================  ====================  ===============================  ====
 
 [1] ``test_runtime.py::test_concurrent_sends_have_one_winner_when_the_cell_check_is_slow``
 [2] ``test_runtime.py::test_a_sender_lost_to_a_racer_does_not_consume_the_endpoint_it_delegates``
 [3] ``test_transport.py::test_wait_that_times_out_after_being_served_completes``
 [4] ``test_runtime.py::test_racing_first_opens_each_build_a_self_consistent_template``
+[5] ``test_monitor.py::test_a_record_forced_into_another_roles_step_keeps_its_seq``
+[6] ``test_runtime.py::test_two_first_delegations_meeting_inside_subtype_both_compute``
 """
 
 from __future__ import annotations
@@ -160,8 +165,8 @@ class _State:
     peer, its link's index in ``SessionChannels.links``, ``(label, payload
     class, next state)`` per label name, and its closed local type.
     ``subtypes`` caches delegation's ``subtype`` result per declared type: it
-    maps a frozen type to a pure check, so threads that race only compute it
-    twice."""
+    maps a frozen type to a pure check, so threads that race each compute
+    it and store the same answer, never a placeholder (ledger row [6])."""
 
     stage: LocalType
     role: Optional[Role] = None
@@ -232,10 +237,12 @@ class SessionMonitor:
     (Bocchi et al., *Monitoring Networks through Multiparty Session Types*,
     FORTE 2013).
 
-    ``record`` appends the event to the log and steps the role's cursor; a
-    role's first violation is kept with its event's seq and stops its
-    cursor.  ``verdict`` reads the cursors, so it costs O(roles) however
-    long the trace.  ``events`` builds each :class:`TraceEvent` on read.
+    ``record`` appends the event to the log and steps the role's cursor: to
+    ``to`` if it is at ``at``, the states an endpoint acted at and reached,
+    and else by ``_advance``.  A role's first violation is kept with its
+    event's seq and stops its cursor.  ``verdict`` reads the cursors, so it
+    costs O(roles) however long the trace.  ``events`` builds each
+    :class:`TraceEvent` on read.
     A session's monitor starts from its compiled protocol's template; one
     built here compiles the state tables of ``expected``'s closed types.
     """
@@ -245,7 +252,8 @@ class SessionMonitor:
     def __init__(self, expected: dict[Role, LocalType]) -> None:
         _start_monitor(self, expected, {r: _state_table(t, r, {})[0] for r, t in expected.items()})
 
-    def record(self, kind: EventKind, role: Role, peer: Optional[Role], label: Optional[Label]) -> None:
+    def record(self, kind: EventKind, role: Role, peer: Optional[Role], label: Optional[Label],
+               at: Optional[_State] = None, to: Optional[_State] = None) -> None:
         lock, cursors = self._lock, self._cursors
         lock.acquire()  # log order is seq order, and a role's cursor steps in that order
         try:  # not ``with``: its enter and exit calls cost twice the lock itself
@@ -253,18 +261,12 @@ class SessionMonitor:
             state = cursors.get(role)
             if state is None:  # a role with no local type here, or one already stopped
                 return
-            nxt = None
-            if kind is state.kind and peer is state.peer:  # the expected event, as an endpoint records it
-                if kind is _CLOSE:
-                    nxt = _CLOSED
-                elif label is not None and (step := state.steps.get(label.name)) is not None:
-                    nxt = step[2]
-            if nxt is None:
-                nxt = _advance(role, state, kind, peer, label)
-                if nxt.__class__ is str:
-                    self._stops[role] = (len(self._log) - 1, role, nxt)
-                    nxt = None
-            cursors[role] = nxt
+            if state is not at:  # an event given from outside, or a cursor it has moved
+                to = _advance(role, state, kind, peer, label)
+                if to.__class__ is str:
+                    self._stops[role] = (len(self._log) - 1, role, to)
+                    to = None
+            cursors[role] = to
         finally:
             lock.release()
 
@@ -307,9 +309,7 @@ def _start_monitor(monitor: SessionMonitor, expected: dict[Role, LocalType],
     start cursors, an empty log and no stops."""
     monitor.expected = expected.copy()
     monitor._cursors = starts.copy()  # None: stopped
-    monitor._stops = {}
-    monitor._log = []
-    monitor._lock = threading.Lock()
+    monitor._stops, monitor._log, monitor._lock = {}, [], threading.Lock()
     return monitor
 
 
@@ -339,32 +339,18 @@ def _compile(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledPr
 
 def _compiled_for(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledProtocol:
     """The compiled form of ``g`` for ``roles`` (``None``: the discovered
-    roles), kept on ``g`` like the unfolding kept on a ``RecT``.  Failures are
-    raised, not kept; two threads compiling at once both compile."""
-    try:
-        return g._compiled[roles]
-    except (AttributeError, KeyError):  # the first open of g, or of g with these roles
-        pass
-    compiled = g.__dict__.setdefault("_compiled", {})[roles] = _compile(g, roles)
-    return compiled
+    roles), kept on ``g`` like a ``RecT``'s unfolding; failures are not kept."""
+    cache = g.__dict__.setdefault("_compiled", {})
+    if roles not in cache:
+        cache[roles] = _compile(g, roles)
+    return cache[roles]
 
 
 class SessionChannels:
-    """One session's links, one per directed role pair: a :class:`Channel`
-    in process or a :class:`FramedLink` over TCP."""
+    """One session's links, one per directed role pair (a :class:`Channel`
+    or a :class:`FramedLink`), built without ``__init__`` by the open."""
 
     __slots__ = ("links", "pairs")
-
-    def __init__(self, transport: Transport, compiled: CompiledProtocol) -> None:
-        if isinstance(transport, AsyncBuffered):
-            self.links = [Channel(transport.capacity) for _ in compiled.pairs]
-        elif isinstance(transport, SyncRendezvous):
-            self.links = [Channel(0) for _ in compiled.pairs]
-        elif isinstance(transport, FramedSocket):
-            self.links = connect_pairs(transport.host, compiled.pairs)
-        else:
-            raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"unknown transport {transport!r}")
-        self.pairs = compiled.pairs
 
     def channel_for(self, sender: Role, receiver: Role):  # endpoints index links by state
         return self.links[self.pairs.index((sender, receiver))]
@@ -449,7 +435,7 @@ class Endpoint(LinearityCell):
             raise _already_used(state.role)
         link.send((l.name, wire), seat.timeout)
         if seat.monitor:  # only a send that happened is traced
-            seat.monitor.record(_SEND, state.role, state.peer, l)
+            seat.monitor.record(_SEND, state.role, state.peer, l, state, nxt)
         ep = _new(Endpoint)  # the next state's handle, with a fresh flag
         ep.seat, ep.state, ep._flag = seat, nxt, [True]
         return ep
@@ -477,7 +463,7 @@ class Endpoint(LinearityCell):
             )
         label, _, nxt = step
         if seat.monitor:
-            seat.monitor.record(_RECEIVE, state.role, state.peer, label)
+            seat.monitor.record(_RECEIVE, state.role, state.peer, label, state, nxt)
         ep = _new(Endpoint)
         ep.seat, ep.state, ep._flag = seat, nxt, [True]
         return label, value, ep
@@ -491,7 +477,7 @@ class Endpoint(LinearityCell):
         if not self.use():
             raise _already_used(state.role)
         if self.seat.monitor:
-            self.seat.monitor.record(_CLOSE, state.role, None, None)
+            self.seat.monitor.record(_CLOSE, state.role, None, None, state, _CLOSED)
 
 
 _new = object.__new__  # bound once: a global name is cheaper than an attribute lookup
@@ -559,18 +545,32 @@ def open_session(
 
     ``g`` is compiled on its first open with these ``roles``; shape and
     typing failures are raised before any transport is bound.  An open then
-    builds only what is the session's own from the compiled template: its
-    links, one seat, one start endpoint per role, a copy of the local types,
-    and, when monitored, a monitor on copies of the template's local types
-    and start cursors.  Each endpoint starts at its role's start
-    state, whose stage is the unfolded local type that the monitor and
-    ``Session.local_types`` hold.
+    reads the template off ``g`` and builds only what is the session's own:
+    its links, bound here for the transport, one seat, one start endpoint
+    per role, a copy of the local types, and, when monitored, a monitor on
+    copies of the template's local types and start cursors.  Each endpoint
+    starts at its role's start state, whose stage is the unfolded local
+    type that the monitor and ``Session.local_types`` hold.
     """
-    compiled = _compiled_for(g, tuple(roles) if roles is not None else None)
-    channels = SessionChannels(transport, compiled)
+    key = tuple(roles) if roles is not None else None
+    try:
+        compiled = g._compiled[key]
+    except (AttributeError, KeyError):  # the first open of g, or of g with these roles
+        compiled = _compiled_for(g, key)
+    pairs = compiled.pairs
+    if isinstance(transport, AsyncBuffered):
+        links = [Channel(transport.capacity) for _ in pairs]
+    elif isinstance(transport, SyncRendezvous):
+        links = [Channel(0) for _ in pairs]
+    elif isinstance(transport, FramedSocket):
+        links = connect_pairs(transport.host, pairs)
+    else:
+        raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"unknown transport {transport!r}")
+    channels = _new(SessionChannels)
+    channels.links, channels.pairs = links, pairs
     monitor = _start_monitor(_new(SessionMonitor), compiled.local_types, compiled.starts) if monitored else None
     seat = _new(_Seat)
-    seat.links, seat.monitor, seat.timeout = channels.links, monitor, timeout
+    seat.links, seat.monitor, seat.timeout = links, monitor, timeout
     endpoints = {}
     for r, start in compiled.starts.items():  # as an operation builds its next endpoint
         ep = endpoints[r] = _new(Endpoint)

@@ -106,6 +106,40 @@ def test_a_pingpong_round_makes_21_python_calls_into_the_library():
     assert sum(calls.values()) == 21 * 20
 
 
+def test_a_chameleons_pairing_makes_80_python_calls_into_the_library():
+    """The call budget of a monitored pairing: three warm opens, two
+    delegations and 14 recorded events, over 20 pairings after warm-up.
+    An open reads its template off the protocol and binds its links itself,
+    an endpoint hands the monitor the step it made, and a warm delegation
+    reads its subtype answer off the state, so ``_compiled_for``,
+    ``SessionChannels.__init__``, ``_advance`` and ``subtype`` never run."""
+    w = WORKLOADS["chameleons"](7)
+    w.setup()
+    assert all(w.item() for _ in range(5))  # compiles both protocols and caches both subtype answers
+    ok, calls = _library_calls(lambda: all(w.item() for _ in range(20)))
+    assert ok and w.finish() == 0
+    assert {key: n / 20 for key, n in calls.items()} == {
+        ("mpst.runtime", "open_session"): 3,
+        ("mpst.runtime", "<listcomp>"): 3,  # each open's links
+        ("mpst.runtime", "_start_monitor"): 3,
+        ("mpst.runtime", "send"): 4,  # Endpoint.send
+        ("mpst.runtime", "receive"): 4,  # Endpoint.receive
+        ("mpst.runtime", "close"): 6,  # Endpoint.close
+        ("mpst.runtime", "_prepare_delegation"): 2,
+        ("mpst.runtime", "use"): 16,  # LinearityCell.use: 14 operations and 2 delegations
+        ("mpst.runtime", "record"): 14,  # SessionMonitor.record
+        ("mpst.runtime", "verdict"): 3,  # SessionMonitor.verdict
+        ("mpst.runtime", "cell"): 2,  # Endpoint.cell, read by the workload
+        ("mpst.runtime", "used"): 2,  # LinearityCell.used
+        ("mpst.types", "__hash__"): 2,  # a declared type, as a subtype cache key
+        ("mpst.transport", "__init__"): 4,  # Channel.__init__
+        ("mpst.transport", "send"): 4,  # Channel.send
+        ("mpst.transport", "receive"): 4,  # Channel.receive
+        ("mpst.transport", "select"): 4,
+    }
+    assert sum(calls.values()) == 80 * 20
+
+
 def test_compiling_a_chain_makes_no_python_call_per_comm():
     """The call budget of the compile route: ``eval_global`` on a two-role
     chain of 20 Comms makes the same Python calls into the library as on a

@@ -14,8 +14,8 @@ import threading
 
 import pytest
 
-from corpus import C, S, calc, finite_corpus, oauth2, well_typed_corpus
-from mpst import Label, open_session
+from corpus import C, P, Q, S, calc, finite_corpus, oauth2, well_typed_corpus
+from mpst import INT, Label, comm, end_, open_session
 from mpst.gen import random_protocols
 from mpst.protocol import Choice, ClosedAt, Comm, End, Rec, Var, roles_of
 from mpst.runtime import EventKind, SessionMonitor, TraceEvent
@@ -270,3 +270,130 @@ def test_threaded_session_is_monitored_online(g, transport):
             assert [e.seq for e in events] == list(range(len(events)))
     finally:
         sys.setswitchinterval(old)
+
+
+def _logged(monitor) -> list[tuple]:
+    return [(e.kind, e.role, e.peer, e.label) for e in monitor.events]
+
+
+def _ping_pong(sess) -> None:
+    """Both roles of ``comm(p, q, ping, comm(q, p, pong, end))`` run to
+    their close through their endpoints, in this thread."""
+    p = sess.endpoints[P].send(Q, "ping", 1)
+    _, got, q = sess.endpoints[Q].receive(P)
+    q.send(P, "pong", got).close()
+    p.receive(Q)[2].close()
+
+
+def test_an_endpoint_whose_cursor_a_direct_record_moved_is_judged_by_equality():
+    """The monitor steps a role's cursor to the state its endpoint reached
+    only if the cursor is the state the endpoint acted at.  A direct
+    ``record`` that moved the cursor elsewhere leaves the endpoint's events
+    to the equality rule, so the verdict and the violation are the tree
+    walk's on the log; a loop that brings the cursor back to the endpoint's
+    state is judged alike either way."""
+    g = comm(P, Q, Label("ping", INT), comm(Q, P, Label("pong", INT), end_()))
+    sess = open_session(g, AsyncBuffered(1), monitored=True)
+    sess.monitor.record(SEND, P, Q, Label("ping", INT))  # p's cursor is now past its endpoint
+    _ping_pong(sess)
+    log = _logged(sess.monitor)
+    assert sess.monitor.verdict() == tree_verdict(sess.monitor.expected, sess.monitor.events)
+    assert sess.monitor.verdict() == (False, "p performed send at a Branch stage")
+    assert sess.monitor.violation == _first_violation(sess.monitor.expected, log) == (
+        1, "p", "p performed send at a Branch stage")
+
+    sess = open_session(calc(), AsyncBuffered(1), monitored=True)
+    sess.monitor.record(SEND, C, S, Label("loop"))  # c's loop returns its cursor to the start
+    client = sess.endpoints[C].send(S, "stop")
+    _, _, server = sess.endpoints[S].receive(C)
+    server.send(C, "bye").close()
+    client.receive(S)[2].close()
+    assert sess.monitor.verdict() == tree_verdict(sess.monitor.expected, sess.monitor.events) == (
+        True, "conformant")
+    assert sess.monitor.violation is None
+
+
+def test_a_role_stopped_by_a_direct_event_stays_stopped_when_its_endpoint_acts():
+    g = comm(P, Q, Label("ping", INT), comm(Q, P, Label("pong", INT), end_()))
+    sess = open_session(g, AsyncBuffered(1), monitored=True)
+    sess.monitor.record(SEND, P, Q, Label("bogus"))
+    _ping_pong(sess)
+    why = "p used unknown label bogus(unit)"
+    assert sess.monitor._cursors[P] is None
+    assert sess.monitor.violation == _first_violation(sess.monitor.expected, _logged(sess.monitor)) == (0, "p", why)
+    assert sess.monitor.verdict() == tree_verdict(sess.monitor.expected, sess.monitor.events) == (False, why)
+
+
+def test_a_delegated_endpoint_steps_the_cursor_of_its_own_session(monkeypatch):
+    """As in a chameleons pairing: the carried endpoint's events move its
+    own p2p session's cursor to the state it reached, with no ``_advance``,
+    and the assignment session's cursors do not move."""
+    from mpst import runtime
+    from mpst.bench import BROKER, BYE, CHAT, L, PEER_ROLE, R, assignment_protocol, p2p_protocol
+
+    assign = open_session(assignment_protocol(), AsyncBuffered(1), monitored=True, timeout=1.0)
+    p2p = open_session(p2p_protocol(), AsyncBuffered(1), monitored=True, timeout=1.0)
+
+    def advanced(*args):
+        raise AssertionError("an endpoint's own step went to the equality rule")
+
+    monkeypatch.setattr(runtime, "_advance", advanced)
+    assign.endpoints[BROKER].send(PEER_ROLE, "left", p2p.endpoints[L]).close()
+    _, carried, ep = assign.endpoints[PEER_ROLE].receive(BROKER)
+    ep.close()
+    assigned = dict(assign.monitor._cursors)
+    left = carried.send(R, CHAT, 7)
+    assert p2p.monitor._cursors[L] is left.state and p2p.monitor._cursors[R] is p2p.endpoints[R].state
+    _, got, right = p2p.endpoints[R].receive(L)
+    right = right.send(L, BYE, None)
+    left.receive(R)[2].close()
+    right.close()
+    assert assign.monitor._cursors == assigned and len(assign.monitor.events) == 4
+    assert [e.role for e in p2p.monitor.events] == [L, R, R, L, L, R]
+    assert got == 7 and p2p.monitor.verdict() == assign.monitor.verdict() == (True, "conformant")
+
+
+class _MeetingLog(list):
+    """A monitor's log whose first append, once its event is in, starts
+    ``second`` in a new thread and waits up to ``wait`` seconds for that
+    thread's own append.  A ``record`` that holds its lock from the append
+    to the cursor step keeps the second event out of that window until the
+    wait has passed; one that does not lets it in every time."""
+
+    def __init__(self, second, wait: float) -> None:
+        super().__init__()
+        self.second, self.wait = second, wait
+        self.appended = threading.Event()
+
+    def append(self, event) -> None:
+        super().append(event)
+        second, self.second = self.second, None
+        if second is None:
+            self.appended.set()
+            return
+        self.thread = threading.Thread(target=second, daemon=True)
+        self.thread.start()
+        self.appended.wait(self.wait)
+
+
+def test_a_record_forced_into_another_roles_step_keeps_its_seq():
+    """Ledger row [5] of ``mpst.runtime``, forced: q's ``record`` starts in
+    the window between the append of p's event and the step of p's cursor.
+    The monitor's lock holds it off, so p's stop keeps its own event's seq
+    and q's event follows it; without the lock q's event would be appended
+    first, and p's stop would name q's seq."""
+    g = comm(P, Q, Label("ping", INT), end_())
+    bogus = Label("bogus")
+    for _ in range(20):
+        monitor = open_session(g, AsyncBuffered(1), monitored=True).monitor
+        log = monitor._log = _MeetingLog(lambda: monitor.record(SEND, Q, P, bogus), wait=0.1)
+        monitor.record(SEND, P, Q, bogus)
+        log.thread.join(5)
+        assert not log.thread.is_alive()
+        assert [(e.seq, e.role) for e in monitor.events] == [(0, "p"), (1, "q")]
+        assert monitor._stops == {
+            "p": (0, "p", "p used unknown label bogus(unit)"),
+            "q": (1, "q", "q performed send at a Branch stage"),
+        }
+        assert monitor.violation == _first_violation(monitor.expected, _logged(monitor))
+        assert monitor.verdict() == tree_verdict(monitor.expected, monitor.events)

@@ -1373,3 +1373,48 @@ def test_racing_delegations_share_one_subtype_answer(monkeypatch):
         sys.setswitchinterval(old)
     assert len(sent) == 400
     assert 1 <= len(calls) <= 8  # a thread misses the cache at most once
+
+
+def test_two_first_delegations_meeting_inside_subtype_both_compute(monkeypatch):
+    """Ledger row [6] of ``mpst.runtime``, forced: the second of two first
+    delegations of one state and declared type starts once the first is
+    inside ``subtype``, and the two meet at a barrier there.  Both missed
+    the cache, so both compute and both are admitted, and the cache ends
+    with the answer.  A racer that stored a placeholder before computing
+    would refuse the second delegation, which would never reach the
+    barrier."""
+    from mpst import runtime
+
+    subtype = runtime.subtype
+    owner, taker = Role("owner"), Role("taker")
+    for _ in range(20):
+        inner_g = comm(P, Q, Label("bye", UNIT), end_())  # a fresh template: an empty cache
+        declared = project(inner_g, Q)
+        handoff = comm(owner, taker, Label("hand", SessionSort(declared)), end_())
+        meet, inside, calls = threading.Barrier(2), threading.Event(), []
+
+        def meeting(*args):
+            calls.append(args)
+            inside.set()
+            meet.wait(2)
+            return subtype(*args)
+
+        monkeypatch.setattr(runtime, "subtype", meeting)
+        inners = [open_session(inner_g, AsyncBuffered(1)) for _ in range(2)]
+        outers = [open_session(handoff, AsyncBuffered(1)) for _ in range(2)]
+        sent = []
+
+        def delegate(k):
+            def run():
+                if k:
+                    assert inside.wait(2)  # the first delegation is computing
+                outers[k].endpoints[owner].send(taker, "hand", inners[k].endpoints[Q]).close()
+                sent.append(k)
+
+            return run
+
+        run_threads(delegate(0), delegate(1))
+        monkeypatch.setattr(runtime, "subtype", subtype)
+        assert sorted(sent) == [0, 1] and len(calls) == 2
+        state = inners[0].endpoints[Q].state
+        assert state is inners[1].endpoints[Q].state and state.subtypes == {declared: True}
