@@ -33,8 +33,8 @@ refused sender never destroys the endpoint it carries.
 
 A monitored session's :class:`SessionMonitor` checks each event as it is
 recorded: it keeps one cursor per role on the same state tables, which an
-endpoint's own step moves with one identity test, so a violation is found
-at the event that made it and the verdict costs O(roles).
+endpoint's own step moves by identity, so a violation is found at the event
+that made it and the verdict costs O(roles).
 
 Thread-safety ledger: each mutable that threads share, who writes it, its
 guarantee, and the gate in ``tests/`` that forces its race in every run.
@@ -165,8 +165,8 @@ class _State:
     peer, its link's index in ``SessionChannels.links``, ``(label, payload
     class, next state)`` per label name, and its closed local type.
     ``subtypes`` caches delegation's ``subtype`` result per declared type: it
-    maps a frozen type to a pure check, so threads that race each compute
-    it and store the same answer, never a placeholder (ledger row [6])."""
+    maps a frozen type to a pure check, so threads that race only compute it
+    twice, and store one answer (ledger row [6])."""
 
     stage: LocalType
     role: Optional[Role] = None
@@ -238,11 +238,10 @@ class SessionMonitor:
     FORTE 2013).
 
     ``record`` appends the event to the log and steps the role's cursor: to
-    ``to`` if it is at ``at``, the states an endpoint acted at and reached,
-    and else by ``_advance``.  A role's first violation is kept with its
-    event's seq and stops its cursor.  ``verdict`` reads the cursors, so it
-    costs O(roles) however long the trace.  ``events`` builds each
-    :class:`TraceEvent` on read.
+    ``to`` if it is at ``at`` (an endpoint's own step), else by ``_advance``.
+    A role's first violation is kept with its event's seq and stops its
+    cursor.  ``verdict`` reads the cursors, so it costs O(roles) however
+    long the trace.  ``events`` builds each :class:`TraceEvent` on read.
     A session's monitor starts from its compiled protocol's template; one
     built here compiles the state tables of ``expected``'s closed types.
     """
@@ -261,7 +260,7 @@ class SessionMonitor:
             state = cursors.get(role)
             if state is None:  # a role with no local type here, or one already stopped
                 return
-            if state is not at:  # an event given from outside, or a cursor it has moved
+            if state is not at:  # a direct record, or an endpoint whose cursor one moved
                 to = _advance(role, state, kind, peer, label)
                 if to.__class__ is str:
                     self._stops[role] = (len(self._log) - 1, role, to)
@@ -309,7 +308,9 @@ def _start_monitor(monitor: SessionMonitor, expected: dict[Role, LocalType],
     start cursors, an empty log and no stops."""
     monitor.expected = expected.copy()
     monitor._cursors = starts.copy()  # None: stopped
-    monitor._stops, monitor._log, monitor._lock = {}, [], threading.Lock()
+    monitor._stops = {}
+    monitor._log = []
+    monitor._lock = threading.Lock()
     return monitor
 
 
@@ -338,12 +339,10 @@ def _compile(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledPr
 
 
 def _compiled_for(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> CompiledProtocol:
-    """The compiled form of ``g`` for ``roles`` (``None``: the discovered
-    roles), kept on ``g`` like a ``RecT``'s unfolding; failures are not kept."""
-    cache = g.__dict__.setdefault("_compiled", {})
-    if roles not in cache:
-        cache[roles] = _compile(g, roles)
-    return cache[roles]
+    """``g`` compiled for ``roles`` (``None``: the discovered roles) and kept on
+    ``g``, like a ``RecT``'s unfolding, for later opens; failures are not kept."""
+    compiled = g.__dict__.setdefault("_compiled", {})[roles] = _compile(g, roles)
+    return compiled
 
 
 class SessionChannels:
