@@ -276,9 +276,12 @@ def _logged(monitor) -> list[tuple]:
     return [(e.kind, e.role, e.peer, e.label) for e in monitor.events]
 
 
+PING_PONG = comm(P, Q, Label("ping", INT), comm(Q, P, Label("pong", INT), end_()))
+
+
 def _ping_pong(sess) -> None:
-    """Both roles of ``comm(p, q, ping, comm(q, p, pong, end))`` run to
-    their close through their endpoints, in this thread."""
+    """Both roles of a ``PING_PONG`` session run to their close through
+    their endpoints, in this thread."""
     p = sess.endpoints[P].send(Q, "ping", 1)
     _, got, q = sess.endpoints[Q].receive(P)
     q.send(P, "pong", got).close()
@@ -292,8 +295,7 @@ def test_an_endpoint_whose_cursor_a_direct_record_moved_is_judged_by_equality():
     to the equality rule, so the verdict and the violation are the tree
     walk's on the log; a loop that brings the cursor back to the endpoint's
     state is judged alike either way."""
-    g = comm(P, Q, Label("ping", INT), comm(Q, P, Label("pong", INT), end_()))
-    sess = open_session(g, AsyncBuffered(1), monitored=True)
+    sess = open_session(PING_PONG, AsyncBuffered(1), monitored=True)
     sess.monitor.record(SEND, P, Q, Label("ping", INT))  # p's cursor is now past its endpoint
     _ping_pong(sess)
     log = _logged(sess.monitor)
@@ -314,8 +316,7 @@ def test_an_endpoint_whose_cursor_a_direct_record_moved_is_judged_by_equality():
 
 
 def test_a_role_stopped_by_a_direct_event_stays_stopped_when_its_endpoint_acts():
-    g = comm(P, Q, Label("ping", INT), comm(Q, P, Label("pong", INT), end_()))
-    sess = open_session(g, AsyncBuffered(1), monitored=True)
+    sess = open_session(PING_PONG, AsyncBuffered(1), monitored=True)
     sess.monitor.record(SEND, P, Q, Label("bogus"))
     _ping_pong(sess)
     why = "p used unknown label bogus(unit)"
@@ -382,10 +383,9 @@ def test_a_record_forced_into_another_roles_step_keeps_its_seq():
     The monitor's lock holds it off, so p's stop keeps its own event's seq
     and q's event follows it; without the lock q's event would be appended
     first, and p's stop would name q's seq."""
-    g = comm(P, Q, Label("ping", INT), end_())
     bogus = Label("bogus")
     for _ in range(20):
-        monitor = open_session(g, AsyncBuffered(1), monitored=True).monitor
+        monitor = open_session(PING_PONG, AsyncBuffered(1), monitored=True).monitor
         log = monitor._log = _MeetingLog(lambda: monitor.record(SEND, Q, P, bogus), wait=0.1)
         monitor.record(SEND, P, Q, bogus)
         log.thread.join(5)
