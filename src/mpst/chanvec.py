@@ -8,7 +8,9 @@ nodes skip their frozen dataclass ``__init__``, and a run of Comms is one
 loop that allocates its names and builds its nodes with no Python call.
 Each walker clears its own closure cell when it returns or raises, so a
 compile leaves no reference cycle for the collector, and a rejected choice
-extends the path of the error it caught and raises that error again.
+extends the path of the error it caught and raises that error again.  A
+choice takes its branches in order and merges each one as soon as it is
+evaluated, so a rejection stops at its first bad branch.
 Vectors are built from the node set of ``types``: only :class:`OutRec` and
 :class:`WrappedInp` are vector-specific, and a local type is a vector with
 its channels erased (:func:`typecheck_cv`).  Choice branches
@@ -54,7 +56,8 @@ from .types import (
     Select,
     VarT,
     _contradicts,
-    _decider_output,
+    _decider_step,
+    _decision,
     _fix_unused,
     merge,
     unfold_type,
@@ -167,7 +170,10 @@ def eval_global(
     entry of ``protocol._front``) raises :class:`ShapeError` with all of
     them before anything is evaluated.  A shape-valid but ill-formed
     protocol raises :class:`ProtocolTypeError`, with the kind and path that
-    ``type_global`` reports for it.  ``roles``, when given, must name every
+    ``type_global`` reports for it.  Of several faults, the first met is
+    raised: a choice's branches are taken in order, and for each branch its
+    own errors come first, then its decider step, then its merges with the
+    branches before it.  ``roles``, when given, must name every
     role of ``g`` once, or ``bind_roles``'s ``ValueError`` is raised.
     """
     report, found = _front(g)
@@ -221,24 +227,26 @@ def eval_global(
                 vs[i], vs[j] = out, inp
             return vs
         if isinstance(node, Choice):
-            per_branch = [go(b, env, (steps, k), closed) for k, b in enumerate(node.branches)]
-            a = idx[node.at]
-            for r, at in closed.items():  # below closed_at(r), r is End in every branch
-                k = idx[r]
-                if k != a:
-                    for vs in per_branch:
-                        discharge(vs, k, r, at)
-            result = per_branch[0]
-            try:  # with the empty path: the Choice's own path is put in front only on failure
-                result[a] = _decider_output([vs[a] for vs in per_branch], node.at, ())
-                for k in range(n):
-                    if k != a:
-                        for vs in per_branch[1:]:
+            # each branch in turn: its own errors, its decider step, then its merges
+            a, first, decided = idx[node.at], None, {}
+            for j, b in enumerate(node.branches):
+                vs = go(b, env, (steps, j), closed)
+                for r, at in closed.items():  # below closed_at(r), r is End in every branch
+                    if idx[r] != a:
+                        discharge(vs, idx[r], r, at)
+                try:  # with the empty path: the Choice's own path is put in front only on failure
+                    first = _decider_step(vs[a], j, first, decided, node.at, ())
+                    if j == 0:
+                        result = vs
+                        continue
+                    for k in range(n):
+                        if k != a:
                             result[k] = merge(result[k], vs[k], (), namer, table)
-            except ProtocolTypeError as e:  # the same error, with the Choice's path in front
-                e.path = _path(steps) + e.path
-                e.args = (e.kind, e.detail, e.path)
-                raise
+                except ProtocolTypeError as e:  # the same error, with the Choice's path in front
+                    e.path = _path(steps) + e.path
+                    e.args = (e.kind, e.detail, e.path)
+                    raise
+            result[a] = _decision(first, decided)
             return result
         if isinstance(node, Rec):
             names = [f"{node.var}@{i}" for i in range(n)]

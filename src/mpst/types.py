@@ -347,38 +347,53 @@ def _merge(a: LocalType, b: LocalType, path: Path, namer: Iterator[int], table,
 
 def _decider_output(parts: Sequence[LocalType], at: Role, path: Path) -> DirectedChoice:
     """The deciding role's behaviour at a choice: its opening output in every
-    branch, concatenated into one output choice."""
-    outs = []
+    branch, concatenated into one output choice.  The branches are checked
+    in order, each by :func:`_decider_step`; ``eval_global`` takes the same
+    steps one branch at a time and builds with :func:`_decision`."""
+    first, decided = None, {}
     for k, t in enumerate(parts):
-        if isinstance(t, RecT):
-            t = unfold_type(t)
-        if not (isinstance(t, DirectedChoice) and t.output):
+        first = _decider_step(t, k, first, decided, at, path)
+    return _decision(first, decided)
+
+
+def _decider_step(t: LocalType, k: int, first: Optional[DirectedChoice], decided: dict,
+                  at: Role, path: Path) -> DirectedChoice:
+    """Check the deciding role's behaviour ``t`` in branch ``k`` against the
+    branches before it, and return branch 0's opening output (``first``, or
+    ``t``'s own when ``k`` is 0).  The branch must start with an output,
+    toward the same peer as branch 0, with no label that ``decided`` already
+    holds; its entries are then added to ``decided``, by label name."""
+    if isinstance(t, RecT):
+        t = unfold_type(t)
+    if not (isinstance(t, DirectedChoice) and t.output):
+        raise ProtocolTypeError(
+            ErrorKind.ACTIVE_ROLE_MISMATCH,
+            f"deciding role {at} does not start with an output in this branch",
+            path + (f"branch[{k}]",),
+        )
+    if first is None:
+        first = t
+    elif t.peer != first.peer:
+        raise ProtocolTypeError(
+            ErrorKind.ACTIVE_ROLE_MISMATCH,
+            f"active role mismatch: branch 0 decides toward {first.peer}, "
+            f"branch {k} toward {t.peer}",
+            path,
+        )
+    for e in t.branches:
+        if e[0].name in decided:
             raise ProtocolTypeError(
-                ErrorKind.ACTIVE_ROLE_MISMATCH,
-                f"deciding role {at} does not start with an output in this branch",
-                path + (f"branch[{k}]",),
-            )
-        outs.append(t)
-    peer = outs[0].peer
-    for i, p in enumerate(outs[1:], start=1):
-        if p.peer != peer:
-            raise ProtocolTypeError(
-                ErrorKind.ACTIVE_ROLE_MISMATCH,
-                f"active role mismatch: branch 0 decides toward {peer}, "
-                f"branch {i} toward {p.peer}",
+                ErrorKind.DUPLICATE_CHOICE_LABEL,
+                f"label {e[0].name} is offered by more than one branch of the choice",
                 path,
             )
-    out: dict[str, tuple] = {}  # by label name, in branch order
-    for p in outs:
-        for e in p.branches:
-            if e[0].name in out:
-                raise ProtocolTypeError(
-                    ErrorKind.DUPLICATE_CHOICE_LABEL,
-                    f"label {e[0].name} is offered by more than one branch of the choice",
-                    path,
-                )
-            out[e[0].name] = e
-    return type(outs[0])(peer, tuple(out.values()))
+        decided[e[0].name] = e
+    return first
+
+
+def _decision(first: DirectedChoice, decided: dict) -> DirectedChoice:
+    """The one output choice that :func:`_decider_step` collected, in branch order."""
+    return type(first)(first.peer, tuple(decided.values()))
 
 
 def type_global(g: GlobalProtocol, roles: Optional[Sequence[Role]] = None) -> dict[Role, LocalType]:
