@@ -51,6 +51,18 @@ a parked record         the serving peer      the channel lock; a timed-out    [
                                               the last store wins
 ``_log``, ``_cursors``  every ``record``      the lock spans append and step   [5]
 ``_State.subtypes``     a first delegation    benign: racers store one answer  [6]
+``g._front``            a first walk of g     benign: racers store equal       [7]
+                                              reports and role tuples, and
+                                              the last store wins; readers
+                                              compare roles by value, so only
+                                              ``is`` between calls that
+                                              straddle the race can differ
+``RecT._unfolded``      a first unfolding     benign: racers store equal       [8]
+                                              trees, and the last store wins;
+                                              merge's memo, subtype's assumed
+                                              set and a state's stage compare
+                                              and hash by value, so nothing
+                                              depends on which tree stands
 ======================  ====================  ===============================  ====
 
 [1] ``test_runtime.py::test_concurrent_sends_have_one_winner_when_the_cell_check_is_slow``
@@ -59,6 +71,8 @@ a parked record         the serving peer      the channel lock; a timed-out    [
 [4] ``test_runtime.py::test_racing_first_opens_each_build_a_self_consistent_template``
 [5] ``test_monitor.py::test_a_record_forced_into_another_roles_step_keeps_its_seq``
 [6] ``test_runtime.py::test_two_first_delegations_meeting_inside_subtype_both_compute``
+[7] ``test_front_end.py::test_two_first_walks_meeting_inside_front_both_walk``
+[8] ``test_types.py::test_two_first_unfoldings_meeting_inside_subst_both_substitute``
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Optional
+import threading
+from typing import Callable, Optional
 
 from mpst.chanvec import ChannelName, ChannelTable
 from mpst.dsl import ProtocolFile
@@ -41,3 +42,40 @@ def channel_classes(table: ChannelTable) -> set[tuple[frozenset[str], str, int]]
 def error_kinds(report: RunReport) -> set[ErrorKind]:
     """The error kinds of a scripted run's failed roles."""
     return {o.error_kind for o in report.outcomes.values() if o.error_kind is not None}
+
+
+def meet_inside(monkeypatch, owner: object, name: str, call: Callable[[], object]) -> list:
+    """Run ``call`` in two racing threads that meet at a barrier inside the
+    function ``owner.name``: the second starts once the first is inside it,
+    so both are past whatever ``call`` does before that function.  Returns
+    both results, the first racer's first, and raises a racer's error."""
+    original = getattr(owner, name)
+    meet, inside = threading.Barrier(2), threading.Event()
+
+    def meeting(*args):
+        inside.set()
+        meet.wait(2)
+        return original(*args)
+
+    results: list = [None, None]
+    errors: list[BaseException] = []
+
+    def racer(k: int) -> None:
+        try:
+            if k:
+                assert inside.wait(2), "the first racer never got inside"
+            results[k] = call()
+        except BaseException as e:  # surfaced to the test
+            errors.append(e)
+
+    monkeypatch.setattr(owner, name, meeting)
+    threads = [threading.Thread(target=racer, args=(k,), daemon=True) for k in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+    monkeypatch.setattr(owner, name, original)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+    return results

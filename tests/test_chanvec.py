@@ -9,7 +9,9 @@ from corpus import (
     C,
     P,
     Q,
+    R,
     S,
+    T,
     calc,
     g_auth,
     nonparticipant_choice,
@@ -24,10 +26,13 @@ from mpst import (
     Role,
     UNIT,
     choice_at,
+    closed_at,
     comm,
     end_,
     open_session,
+    rec,
     roles_of,
+    var_,
 )
 from mpst.chanvec import (
     ChannelName,
@@ -429,3 +434,97 @@ def test_dump_is_deterministic():
     one = dump_channel_vectors(*eval_global(g, "s0"), roles_of(g))
     two = dump_channel_vectors(*eval_global(g, "s0"), roles_of(g))
     assert one == two
+
+
+# The order in which a rejected choice reports its faults: its branches are
+# taken in order, and for each branch its own errors come first, then its
+# decider step, then its merges with the branches before it.
+L0, L1, L2, M, N = (Label(x, UNIT) for x in ("l0", "l1", "l2", "m", "n"))
+
+
+def _rejection(g) -> tuple[ErrorKind, str, tuple[str, ...]]:
+    with pytest.raises(ProtocolTypeError) as e:
+        eval_global(g, None)
+    with pytest.raises(ProtocolTypeError) as e2:
+        type_global(g)
+    got = (e.value.kind, e.value.detail, e.value.path)
+    assert (e2.value.kind, e2.value.detail, e2.value.path) == got
+    return got
+
+
+def test_a_choice_stops_at_its_first_bad_branch_before_a_later_inner_fault():
+    # r's outputs in branches 0 and 1 do not merge; branch 2 holds an inner
+    # choice whose decider q does not open its branch 1 with an output
+    inner = choice_at(Q, [comm(Q, R, M, end_()), comm(R, Q, N, end_())])
+    g = choice_at(P, [
+        comm(P, Q, L0, comm(R, Q, M, end_())),
+        comm(P, Q, L1, comm(R, Q, N, end_())),
+        comm(P, Q, L2, inner),
+    ])
+    assert _rejection(g) == (ErrorKind.OUTPUT_MERGE_MISMATCH,
+                             "output choices toward q differ: ['m'] vs ['n']", ())
+    assert _rejection(g.branches[2].cont)[0] is ErrorKind.ACTIVE_ROLE_MISMATCH
+
+
+def test_a_merge_fault_in_an_earlier_branch_comes_before_a_later_decider_fault():
+    g = comm(Q, P, L0, choice_at(P, [
+        comm(P, Q, L0, comm(R, Q, M, end_())),
+        comm(P, Q, L1, comm(R, Q, N, end_())),
+        comm(Q, P, L2, comm(R, Q, M, end_())),  # p does not open with an output
+    ]))
+    assert _rejection(g) == (ErrorKind.OUTPUT_MERGE_MISMATCH,
+                             "output choices toward q differ: ['m'] vs ['n']", ("cont",))
+
+
+def test_in_one_branch_the_decider_fault_comes_before_the_merge_fault():
+    g = choice_at(P, [
+        comm(P, Q, L0, comm(R, Q, M, end_())),
+        comm(Q, P, L1, comm(R, Q, N, end_())),
+    ])
+    assert _rejection(g) == (ErrorKind.ACTIVE_ROLE_MISMATCH,
+                             "deciding role p does not start with an output in this branch",
+                             ("branch[1]",))
+
+
+@pytest.mark.parametrize("g, want", [
+    (oauth4(), (ErrorKind.ACTIVE_ROLE_MISMATCH,
+                "active role mismatch: branch 0 decides toward c, branch 1 toward a", ())),
+    (comm(Q, P, L0, choice_at(P, [
+        comm(P, Q, L0, comm(R, Q, M, end_())),
+        comm(P, Q, L1, comm(R, Q, M, end_())),
+        comm(P, Q, L2, comm(R, Q, N, end_())),
+    ])), (ErrorKind.OUTPUT_MERGE_MISMATCH,
+          "output choices toward q differ: ['m'] vs ['n']", ("cont",))),
+    (choice_at(P, [comm(P, Q, L0, end_()), comm(P, Q, L1, end_()), comm(P, Q, L0, end_())]),
+     (ErrorKind.DUPLICATE_CHOICE_LABEL,
+      "label l0 is offered by more than one branch of the choice", ())),
+    (choice_at(P, [comm(P, Q, L0, end_()), comm(P, Q, L1, end_()), comm(Q, P, L2, end_())]),
+     (ErrorKind.ACTIVE_ROLE_MISMATCH,
+      "deciding role p does not start with an output in this branch", ("branch[2]",))),
+    (choice_at(P, [
+        comm(P, Q, L0, comm(R, Q, M, end_())),
+        comm(P, Q, L1, comm(R, Q, M, choice_at(Q, [comm(Q, R, M, end_()), comm(R, Q, N, end_())]))),
+    ]), (ErrorKind.ACTIVE_ROLE_MISMATCH,
+         "deciding role q does not start with an output in this branch",
+         ("branch[1]", "cont", "cont", "branch[1]"))),
+    (unclosed_loop(), (ErrorKind.UNCLOSED_ROLE,
+                       "role c takes no part in this loop; annotate it with closed_at",
+                       ("cont",))),
+], ids=["peer", "merge-in-branch-2", "duplicate-label", "no-opening-output", "inner", "unclosed"])
+def test_a_single_fault_is_reported_as_before(g, want):
+    assert _rejection(g) == want
+
+
+def test_fresh_binders_are_numbered_in_the_order_the_merges_run():
+    """A merge of two loops numbers its fresh binders from one counter per
+    compile, in the order the merges run: branch by branch, and role by role
+    within a branch.  Here r and t each merge a loop from three branches,
+    and each merge numbers two binders, so r keeps %5 from its second merge
+    and t keeps %7.  Before the branches were merged as they were evaluated,
+    all of r's merges ran before t's, and r kept %3.  Either way the types
+    are the oracle's up to the binder names."""
+    loop = rec("X", comm(R, T, L0, var_("X")))
+    g = choice_at(P, [comm(P, Q, l, closed_at(P, closed_at(Q, loop))) for l in (L0, L1, L2)])
+    local = type_global(g)
+    assert (local[R].var, local[T].var) == ("%5", "%7")
+    assert all(type_equiv(local[r], project(g, r)) for r in (P, Q, R, T))

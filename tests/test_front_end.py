@@ -43,7 +43,7 @@ from corpus import (
     oauth3,
     well_typed_corpus,
 )
-from helpers import channel_classes
+from helpers import channel_classes, meet_inside
 from mpst import (
     Label,
     choice_at,
@@ -344,6 +344,24 @@ def test_threads_walking_one_protocol_at_once_agree():
         sys.setswitchinterval(interval)
     assert all(out == want for out in got)
     assert all(validate_shape(g) is validate_shape(g) and roles_of(g) is roles_of(g) for g in protocols)
+
+
+def test_two_first_walks_meeting_inside_front_both_walk(monkeypatch):
+    """Ledger row [7] of ``mpst.runtime``, forced: of two first walks of one
+    protocol, the second starts once the first is inside ``_front``, at the
+    ``ValidationReport`` call between its walk and its store, and the two
+    meet at a barrier there.  Both missed, so both walk, both get the former
+    walks' findings and roles, and one of the two entries stands.  A walk
+    that stored an in-progress marker before walking would hand the second
+    caller that marker, and the second would never reach the barrier."""
+    from mpst import protocol
+
+    for _ in range(20):
+        g = rec("X", choice_at(S, [comm(S, C, LOGIN, var_("Y")), var_("X")]))  # fresh: no entry
+        want = (walk_validate_shape(g).findings, [r.name for r in walk_roles_of(g)])
+        got = meet_inside(monkeypatch, protocol, "ValidationReport", lambda: protocol._front(g))
+        assert [(report.findings, [r.name for r in roles]) for report, roles in got] == [want] * 2
+        assert any(protocol._front(g) is entry for entry in got)
 
 
 def test_compile_entries_refuse_roles_that_miss_or_repeat_a_protocol_role():

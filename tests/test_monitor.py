@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import time
 
 import pytest
 
@@ -397,3 +398,33 @@ def test_a_record_forced_into_another_roles_step_keeps_its_seq():
         }
         assert monitor.violation == _first_violation(monitor.expected, _logged(monitor))
         assert monitor.verdict() == tree_verdict(monitor.expected, monitor.events)
+
+
+@pytest.mark.parametrize("transport", [
+    pytest.param(lambda: AsyncBuffered(1), id="buffered"),
+    pytest.param(lambda: SyncRendezvous(), id="rendezvous", marks=pytest.mark.xfail(
+        strict=True, reason="Endpoint.send records after link.send returns, and a blocked "
+        "sender wakes after the receiver has recorded the receive that took its message")),
+])
+def test_a_send_is_logged_before_the_receive_that_takes_its_message(transport):
+    """The trace comes in true order: p's ping is sent before q receives it,
+    so p's send precedes q's receive in the log.  Here q arrives 1 ms after
+    p has started its send.  On a rendezvous p is blocked in ``link.send``
+    by then, and records its send only once q has taken the message and
+    recorded its receive.  Recording before the send would not do either:
+    a send that times out would then be traced."""
+    ping = comm(P, Q, Label("ping", INT), end_())
+    for _ in range(20):
+        sess = open_session(ping, transport(), monitored=True, timeout=5)
+
+        def late_receiver():
+            time.sleep(0.001)
+            sess.endpoints[Q].receive(P)[2].close()
+
+        q = threading.Thread(target=late_receiver, daemon=True)
+        q.start()
+        sess.endpoints[P].send(Q, "ping", 1).close()
+        q.join(5)
+        assert not q.is_alive()
+        logged = [(e.kind, e.role) for e in sess.monitor.events]
+        assert logged.index((SEND, P)) < logged.index((RECEIVE, Q)), logged

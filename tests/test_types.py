@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from helpers import meet_inside
 from universe import (
     build_universe,
     enumerate_closed,
@@ -309,3 +310,20 @@ class TestPropertySuite:
             extra = Label("m9", UNIT)
             wide = Branch(t.peer, t.branches + ((extra, END_T),))
             assert subtype(t, wide)
+
+
+def test_two_first_unfoldings_meeting_inside_subst_both_substitute(monkeypatch):
+    """Ledger row [8] of ``mpst.runtime``, forced: of two first unfoldings of
+    one loop, the second starts once the first is inside ``_subst``, between
+    its cache miss and its store, and the two meet at a barrier there.  Both missed,
+    so both substitute, both get the loop's one-step unfolding, and one of
+    the two stands.  An unfolding that stored the unsubstituted body before
+    ``_subst`` would hand the second caller a free variable, and the second
+    would never reach the barrier."""
+    from mpst import types
+
+    for _ in range(20):
+        loop = RecT("X", sel(P, (OK, VarT("X")), (CANCEL, END_T)))  # fresh: nothing cached
+        got = meet_inside(monkeypatch, types, "_subst", lambda: unfold_type(loop))
+        assert got == [sel(P, (OK, loop), (CANCEL, END_T))] * 2
+        assert any(loop.__dict__["_unfolded"] is u for u in got)
