@@ -520,9 +520,7 @@ def test_fresh_binders_are_numbered_in_the_order_the_merges_run():
     compile, in the order the merges run: branch by branch, and role by role
     within a branch.  Here r and t each merge a loop from three branches,
     and each merge numbers two binders, so r keeps %5 from its second merge
-    and t keeps %7.  Before the branches were merged as they were evaluated,
-    all of r's merges ran before t's, and r kept %3.  Either way the types
-    are the oracle's up to the binder names."""
+    and t keeps %7.  The types are the oracle's up to the binder names."""
     loop = rec("X", comm(R, T, L0, var_("X")))
     g = choice_at(P, [comm(P, Q, l, closed_at(P, closed_at(Q, loop))) for l in (L0, L1, L2)])
     local = type_global(g)
