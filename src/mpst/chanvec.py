@@ -1,11 +1,14 @@
 """Compilation of global protocols into channel vectors: the one compile route.
 
 Each role receives a nested record/variant value whose leaves are fresh
-binary channel names: outputs are records mapping labels to (name, cont)
-pairs, inputs are wrapped-name lists multiplexing several channels into one
-labelled receive.  Channel names are tuples (:class:`ChannelName`), vector
-nodes skip their frozen dataclass ``__init__``, and a run of Comms is one
-loop that allocates its names and builds its nodes with no Python call.
+binary channels: outputs are records mapping labels to (channel, cont)
+pairs, inputs are wrapped-channel lists multiplexing several channels into
+one labelled receive.  A vector entry holds its channel as the channel's
+allocation slot, an ``int``; ``table.names[slot]`` is the channel's name
+(:class:`ChannelName`), which the :class:`ChannelTable` builds only when it
+is read.  Vector nodes skip their frozen dataclass ``__init__``, and a run
+of Comms is one loop that allocates its slots and builds its nodes with no
+Python call.
 Each walker clears its own closure cell when it returns or raises, so a
 compile leaves no reference cycle for the collector, and a rejected choice
 extends the path of the error it caught and raises that error again.  A
@@ -14,11 +17,11 @@ evaluated, so a rejection stops at its first bad branch.
 Vectors are built from the node set of ``types``: only :class:`OutRec` and
 :class:`WrappedInp` are vector-specific, and a local type is a vector with
 its channels erased (:func:`typecheck_cv`).  Choice branches
-are merged per role by ``types.merge``, which unifies the channel names of
-shared labels through a union-find kept in the :class:`ChannelTable`.  Vectors
-and the table live at compile time only: the table gives each class its
-payload sort (a name's key is its allocation slot), and the runtime walks
-the re-typed local types that ``types.type_global`` returns.
+are merged per role by ``types.merge``, which unifies the channels of
+shared labels through a union-find over slots kept in the
+:class:`ChannelTable`.  Vectors and the table live at compile time only: the
+table gives each class its payload sort, and the runtime walks the re-typed
+local types that ``types.type_global`` returns.
 :func:`eval_global` is the one shape gate: every compile, typing and
 session open passes through it, so none evaluates a protocol with shape
 findings.
@@ -104,23 +107,41 @@ class WrappedInp(DirectedChoice):
 
 
 class ChannelTable:
-    """Channel registry: allocation counters plus union-find over slots.
+    """Channel registry: one slot per allocated channel, a union-find over
+    the slots, and the channels' names, built when first read.
 
-    ``eval_global`` allocates names in its Comm loop: a name's ``index``
-    counts its (sender, receiver, label name) in ``_counters``, its ``key``
-    is its slot, and it starts as its own parent.  ``names`` lists every
-    allocated name by slot.  Output-merging across
-    choice branches unifies the names of shared labels; after evaluation,
-    `find` maps every slot to its class representative.  ``roles`` is the
-    role tuple that the vectors evaluated with this table are indexed by.
+    ``eval_global`` allocates in its Comm loop: a channel's slot is its
+    position in ``_comms``, which holds the Comm's (sender, receiver,
+    label), and the slot starts as its own parent in ``_parent``.  A vector
+    entry carries the slot; ``names[slot]`` is its :class:`ChannelName`,
+    whose ``index`` counts its (sender, receiver, label name) in slot order
+    and whose ``key`` is the slot.  ``names`` names the slots allocated
+    since its last read, so it stays right as slots are added.
+    Output-merging across choice branches unifies the slots of shared
+    labels; after evaluation, `find` maps every slot to its class
+    representative.  ``roles`` is the role tuple that the vectors evaluated
+    with this table are indexed by.
     """
 
     def __init__(self, session: object, roles: tuple[Role, ...] = ()) -> None:
         self.session = session
         self.roles = roles
-        self._counters: dict[tuple[Role, Role, str], int] = {}
+        self._comms: list[tuple[Role, Role, Label]] = []
         self._parent: list[int] = []
-        self.names: list[ChannelName] = []
+        self._names: list[ChannelName] = []
+        self._counters: dict[tuple[Role, Role, str], int] = {}
+
+    @property
+    def names(self) -> list[ChannelName]:
+        """Every allocated channel's name, by slot."""
+        names, counters = self._names, self._counters
+        for slot in range(len(names), len(self._comms)):
+            a, b, label = self._comms[slot]
+            ckey = (a, b, label.name)
+            index = counters.get(ckey, 0)
+            counters[ckey] = index + 1
+            names.append(ChannelName(a, b, label, index, slot))
+        return names
 
     def find(self, key: int) -> int:
         root = key
@@ -130,13 +151,13 @@ class ChannelTable:
             self._parent[key], key = root, self._parent[key]
         return root
 
-    def unify(self, a: ChannelName, b: ChannelName) -> None:
-        ra, rb = self.find(a.key), self.find(b.key)
+    def unify(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self._parent[rb] = ra
 
-    def canonical(self, name: ChannelName) -> ChannelName:
-        return self.names[self.find(name.key)]
+    def canonical(self, slot: int) -> ChannelName:
+        return self.names[self.find(slot)]
 
     def classes(self) -> list[ChannelName]:
         """One representative per class, in (sender, receiver, label, index) order."""
@@ -145,7 +166,8 @@ class ChannelTable:
 
     def payload_env(self) -> dict[int, PayloadSort]:
         """Every slot's payload sort, which is that of its class representative."""
-        return {n.key: self.canonical(n).label.payload for n in self.names}
+        comms = self._comms
+        return {slot: comms[self.find(slot)][2].payload for slot in range(len(comms))}
 
 
 def fixv(var: str, c: LocalType) -> LocalType:
@@ -183,7 +205,7 @@ def eval_global(
     idx = {r: i for i, r in enumerate(tuple_roles)}
     n = len(tuple_roles)
     table = ChannelTable(session, tuple_roles)
-    counters, parent, allocated, new = table._counters, table._parent, table.names, object.__new__
+    comms, parent, new = table._comms, table._parent, object.__new__
     namer = count(1)
 
     escapes: dict[str, object] = {}  # a discharged loop variable -> its closed_at's steps
@@ -211,19 +233,15 @@ def eval_global(
             vs = go(node, env, steps, closed)
             for c in reversed(run):  # no Python call per Comm: the allocation and the nodes are inline
                 a, b, label = c.from_role, c.to_role, c.label
-                ckey = (a, b, label.name)
-                index = counters.get(ckey, 0)
-                counters[ckey] = index + 1
-                slot = len(allocated)
-                name = tuple.__new__(ChannelName, (a, b, label, index, slot))
+                slot = len(parent)  # a new slot, its own parent; the table names it when asked
                 parent.append(slot)
-                allocated.append(name)
+                comms.append((a, b, label))
                 i, j = idx[a], idx[b]
                 out, inp = new(OutRec), new(WrappedInp)  # their fields set as _vector_init sets them
                 fields = out.__dict__
-                fields["peer"], fields["branches"] = b, ((label, name, vs[i]),)
+                fields["peer"], fields["branches"] = b, ((label, slot, vs[i]),)
                 fields = inp.__dict__
-                fields["peer"], fields["branches"] = a, ((label, name, vs[j]),)
+                fields["peer"], fields["branches"] = a, ((label, slot, vs[j]),)
                 vs[i], vs[j] = out, inp
             return vs
         if isinstance(node, Choice):
@@ -295,8 +313,9 @@ def typecheck_cv(
     """Reconstruct the principal local type of a channel vector.
 
     ``env`` maps channel slots (find-normalized through ``table`` when one is
-    given) to their payload sorts; a disagreement between a name's registered
-    sort and the label it is used under is a :class:`CvTypeError`.
+    given) to their payload sorts; a disagreement between a channel's
+    registered sort and the label it is used under is a :class:`CvTypeError`,
+    whose message names the channel through ``table``, or its slot without one.
     """
 
     def go(v: LocalType) -> LocalType:
@@ -307,16 +326,16 @@ def typecheck_cv(
         if isinstance(v, (OutRec, WrappedInp)):
             out = []
             for l, s, k in v.branches:
-                key = table.find(s.key) if table is not None else s.key
+                key = table.find(s) if table is not None else s
                 if key not in env:
                     raise CvTypeError(ErrorKind.PAYLOAD_MISMATCH,
-                                      f"channel {s} is not covered by the environment")
+                                      f"channel {_channel(s, table)} is not covered by the environment")
                 sort = env[key]
                 if sort != l.payload:
                     raise CvTypeError(
                         ErrorKind.PAYLOAD_MISMATCH,
-                        f"channel {s} is registered with sort {sort.sort_name()} but used "
-                        f"under label {l}",
+                        f"channel {_channel(s, table)} is registered with sort "
+                        f"{sort.sort_name()} but used under label {l}",
                     )
                 out.append((l, go(k)))
             cls = Select if isinstance(v, OutRec) else Branch
@@ -327,6 +346,12 @@ def typecheck_cv(
         return go(c)
     finally:
         del go  # as in eval_global
+
+
+def _channel(slot: int, table: Optional[ChannelTable]) -> str:
+    """A channel as an error message names it: by its name, or by its slot
+    when there is no table to name it."""
+    return str(table.names[slot]) if table is not None else f"slot {slot}"
 
 
 def dump_channel_vectors(

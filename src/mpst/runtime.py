@@ -63,6 +63,10 @@ a parked record         the serving peer      the channel lock; a timed-out    [
                                               set and a state's stage compare
                                               and hash by value, so nothing
                                               depends on which tree stands
+``_hash`` of a type     a first hash of a     benign: racers store equal ints  [9]
+                        compound node         of the node's structural hash,
+                                              and nothing depends on which
+                                              store wins
 ======================  ====================  ===============================  ====
 
 [1] ``test_runtime.py::test_concurrent_sends_have_one_winner_when_the_cell_check_is_slow``
@@ -73,6 +77,7 @@ a parked record         the serving peer      the channel lock; a timed-out    [
 [6] ``test_runtime.py::test_two_first_delegations_meeting_inside_subtype_both_compute``
 [7] ``test_front_end.py::test_two_first_walks_meeting_inside_front_both_walk``
 [8] ``test_types.py::test_two_first_unfoldings_meeting_inside_subst_both_substitute``
+[9] ``test_types.py::test_two_first_hashes_meeting_inside_the_structural_hash_both_compute``
 """
 
 from __future__ import annotations

@@ -52,7 +52,10 @@ class LocalType:
 def _hash_once(cls):
     """Keep a compound node's structural hash on it after its first use, as
     ``_unfolded`` is kept: ``subtype``'s assumed set and ``merge``'s memo
-    hash whole trees at every step.  The node is frozen, so the hash holds."""
+    hash whole trees at every step.  The node is frozen, so the hash holds.
+    Neither cache is part of the state that ``pickle`` and ``copy`` take: a
+    string's hash is seeded per process, so a stored hash would not hold
+    where the node is loaded."""
     structural = cls.__hash__
 
     def __hash__(self) -> int:
@@ -61,7 +64,10 @@ def _hash_once(cls):
             h = self.__dict__["_hash"] = structural(self)
         return h
 
-    cls.__hash__ = __hash__
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash" and k != "_unfolded"}
+
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
     return cls
 
 

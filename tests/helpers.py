@@ -5,7 +5,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Optional
 
-from mpst.chanvec import ChannelName, ChannelTable
+from mpst.chanvec import ChannelTable
 from mpst.dsl import ProtocolFile
 from mpst.errors import ErrorKind
 from mpst.protocol import GlobalProtocol, Label, Role, roles_of
@@ -19,16 +19,14 @@ def protocol_file_for(name: str, g: GlobalProtocol,
     return ProtocolFile(name, roles if roles is not None else roles_of(g), g)
 
 
-def alloc(table: ChannelTable, from_role: Role, to_role: Role, label: Label) -> ChannelName:
-    """A fresh name in ``table``, numbered as ``eval_global``'s Comm loop
-    numbers it: per (sender, receiver, label name), in the next slot."""
-    ckey = (from_role, to_role, label.name)
-    index = table._counters.get(ckey, 0)
-    table._counters[ckey] = index + 1
-    name = ChannelName(from_role, to_role, label, index, len(table.names))
-    table._parent.append(name.key)
-    table.names.append(name)
-    return name
+def alloc(table: ChannelTable, from_role: Role, to_role: Role, label: Label) -> int:
+    """A fresh channel in ``table``, allocated as ``eval_global``'s Comm loop
+    allocates it: in the next slot, which is its own parent.  Returns the
+    slot; ``table.names[slot]`` names it."""
+    slot = len(table._parent)
+    table._parent.append(slot)
+    table._comms.append((from_role, to_role, label))
+    return slot
 
 
 def channel_classes(table: ChannelTable) -> set[tuple[frozenset[str], str, int]]:

@@ -143,7 +143,7 @@ def test_a_chameleons_pairing_makes_80_python_calls_into_the_library():
 def test_compiling_a_chain_makes_no_python_call_per_comm():
     """The call budget of the compile route: ``eval_global`` on a two-role
     chain of 20 Comms makes the same Python calls into the library as on a
-    chain of one, since a run of Comms is one loop that allocates its names
+    chain of one, since a run of Comms is one loop that allocates its slots
     and builds its vector nodes inline.  A generator's resumes count as
     calls: ``_front`` makes each of the two roles a ``Role`` in one."""
     from mpst import Label, Role, comm, end_

@@ -54,7 +54,8 @@ def test_eval_g_auth_structure():
     vs, table = eval_global(g, "s0")
     c_vec, s_vec = vs
     assert isinstance(c_vec, OutRec) and c_vec.peer == S
-    (label, name, cont) = c_vec.branches[0]
+    (label, slot, cont) = c_vec.branches[0]
+    name = table.names[slot]
     assert label.name == "auth" and name.index == 0
     assert (name.from_role, name.to_role) == (C, S)
     assert isinstance(cont, WrappedInp) and cont.peer == S
@@ -85,7 +86,8 @@ def test_eval_nonparticipant_choice_merges_arms():
     a_vec = vs[list(r.name for r in roles_of(g)).index("a")]
     assert isinstance(a_vec, WrappedInp) and a_vec.peer == S
     assert sorted(a_vec.labels()) == ["cancel", "ok"]
-    names = {(n.from_role.name, n.to_role.name, n.label.name, n.index) for _, n, _ in a_vec.branches}
+    names = {(n.from_role.name, n.to_role.name, n.label.name, n.index)
+             for n in (table.names[s] for _, s, _ in a_vec.branches)}
     assert names == {("s", "a", "ok", 0), ("s", "a", "cancel", 0)}
 
 
@@ -101,16 +103,17 @@ def _nodes(v, out):
 
 
 def test_evaluated_nodes_keep_the_public_constructors_contract():
-    """Names and vector nodes are made without their constructors, and must
-    still be frozen, equal to and hash like the constructors' nodes, and
-    print as before."""
-    vs, _ = eval_global(g_auth(), "s0")
-    name = vs[0].branches[0][1]
+    """Vector nodes are made without their constructors, and must still be
+    frozen, equal to and hash like the constructors' nodes, and print as
+    before; so must the channel names that the table builds for their slots."""
+    vs, table = eval_global(g_auth(), "s0")
+    slot = vs[0].branches[0][1]
+    name = table.names[slot]
     assert repr(name) == ("ChannelName(from_role=Role(name='c'), to_role=Role(name='s'), "
                           "label=Label(name='auth', payload=string), index=0, key=2)")
     assert str(name) == "<c,s,auth,0>"
-    assert repr(OutRec(S, ((Label("m"), name, END_T),))) == (
-        f"OutRec(peer=Role(name='s'), branches=((Label(name='m', payload=unit), {name!r}, EndT()),))")
+    assert repr(OutRec(S, ((Label("m"), slot, END_T),))) == (
+        f"OutRec(peer=Role(name='s'), branches=((Label(name='m', payload=unit), {slot!r}, EndT()),))")
     for g in well_typed_corpus().values():
         vs, table = eval_global(g, "s0")
         for name in table.names:
@@ -254,7 +257,7 @@ def test_two_endpoint_property_on_corpus():
         sides: dict = {}
         for v in vs:
             for chan, side in _reachable_names(v):
-                key = table.find(chan.key)
+                key = table.find(chan)
                 sides.setdefault(key, []).append(side)
         for key, uses in sides.items():
             assert sorted(set(uses)) == ["in", "out"], (name, key, uses)
@@ -296,7 +299,7 @@ def _cv_trees_equal(a, b, depth: int) -> bool:
             return False
         ia = sorted(a.branches, key=lambda x: x[0].name)
         ib = sorted(b.branches, key=lambda x: x[0].name)
-        if [(l.name, s.key) for l, s, _ in ia] != [(l.name, s.key) for l, s, _ in ib]:
+        if [(l.name, s) for l, s, _ in ia] != [(l.name, s) for l, s, _ in ib]:
             return False
         return all(_cv_trees_equal(x, y, depth - 1) for (_, _, x), (_, _, y) in zip(ia, ib))
     if isinstance(a, VarT):
@@ -325,8 +328,8 @@ def test_merge_cv_output_intersection_and_unification():
     right = OutRec(A, ((Label("m"), n2, END_T),))
     got = merge(left, right, table=t)
     assert isinstance(got, OutRec)
-    assert t.find(n1.key) == t.find(n2.key)
-    assert got.branches[0][1] == n1  # left name kept
+    assert t.find(n1) == t.find(n2)
+    assert got.branches[0][1] == n1  # left slot kept
 
 
 def test_merge_cv_output_menus_must_be_equal():
@@ -338,7 +341,7 @@ def test_merge_cv_output_menus_must_be_equal():
         with pytest.raises(ProtocolTypeError) as e:
             merge(left, right, table=t)
         assert e.value.kind is ErrorKind.OUTPUT_MERGE_MISMATCH
-    assert t.find(x1.key) != t.find(x2.key)  # nothing unified on failure
+    assert t.find(x1) != t.find(x2)  # nothing unified on failure
 
 
 def test_merge_cv_shape_and_peer_mismatch():
@@ -387,14 +390,42 @@ def test_typecheck_unit_is_end():
 
 
 def test_typecheck_payload_disagreement():
+    """A disagreement, or a channel the environment does not cover, is a
+    ``CvTypeError`` whose message names the channel through the table, or
+    its slot when no table is given."""
     from mpst import INT
     from mpst.errors import CvTypeError
 
     t = ChannelTable("t")
     n = alloc(t, P, Q, Label("m", INT))
     vec = OutRec(Q, ((Label("m", UNIT), n, END_T),))
-    with pytest.raises(CvTypeError):
-        typecheck_cv(vec, t.payload_env(), t)
+    misused = "is registered with sort int but used under label m(unit)"
+    cases = [
+        ((t.payload_env(), t), f"channel <p,q,m,0> {misused}"),
+        ((t.payload_env(),), f"channel slot 0 {misused}"),
+        (({}, t), "channel <p,q,m,0> is not covered by the environment"),
+        (({},), "channel slot 0 is not covered by the environment"),
+    ]
+    for args, detail in cases:
+        with pytest.raises(CvTypeError) as e:
+            typecheck_cv(vec, *args)
+        assert e.value.detail == detail
+
+
+def test_names_stay_right_when_a_slot_is_allocated_after_a_read():
+    """The table names its slots when ``names`` is read; a slot allocated
+    after a read is named at the next one, numbered after the names before it."""
+    m = Label("m")
+    t = ChannelTable("t")
+    first = alloc(t, P, Q, m)
+    assert [str(n) for n in t.names] == ["<p,q,m,0>"]
+    second, back = alloc(t, P, Q, m), alloc(t, Q, P, m)
+    assert [(str(n), n.key) for n in t.names] == [("<p,q,m,0>", first), ("<p,q,m,1>", second),
+                                                  ("<q,p,m,0>", back)]
+    once = ChannelTable("t")
+    for a, b in ((P, Q), (P, Q), (Q, P)):
+        alloc(once, a, b, m)
+    assert once.names == t.names
 
 
 def test_realisability_on_corpus():

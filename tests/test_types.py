@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from universe import (
     subtype_bounded,
     trees_equal_bounded,
 )
+import mpst
 from mpst import INT, Label, Role, STRING, UNIT
 from mpst.errors import ErrorKind, ProtocolTypeError
 from mpst.types import (
@@ -327,3 +331,58 @@ def test_two_first_unfoldings_meeting_inside_subst_both_substitute(monkeypatch):
         got = meet_inside(monkeypatch, types, "_subst", lambda: unfold_type(loop))
         assert got == [sel(P, (OK, loop), (CANCEL, END_T))] * 2
         assert any(loop.__dict__["_unfolded"] is u for u in got)
+
+
+def test_two_first_hashes_meeting_inside_the_structural_hash_both_compute(monkeypatch):
+    """Ledger row [9] of ``mpst.runtime``, forced: of two first hashes of one
+    node, the second starts once the first is inside the node's structural
+    hash, between its cache miss and its store, and the two meet at a barrier
+    in the hash of the node's payload sort.  Both missed, so both compute,
+    both return the structural hash, and the stored one equals it.  A hash
+    that stored a placeholder before computing would hand the second caller
+    the placeholder, and the second would never reach the barrier."""
+    from mpst.protocol import _BaseSort
+
+    for _ in range(20):
+        want = hash(sel(P, (Label("m", INT), END_T)))
+        node = sel(P, (Label("m", INT), END_T))  # fresh: nothing cached
+        got = meet_inside(monkeypatch, _BaseSort, "__hash__", lambda: hash(node))
+        assert got == [want, want] and node.__dict__["_hash"] == want
+
+
+PICKLE_IN_ONE_PROCESS = """
+import pickle, sys
+from mpst import Label, Role
+from mpst.types import END_T, RecT, Select, VarT, unfold_type
+
+def types():
+    p, m = Role("p"), Label("m")
+    return [Select(p, ((m, END_T),)), RecT("X", Select(p, ((m, VarT("X")),)))]
+
+if sys.argv[1] == "dump":
+    ts = types()
+    for t in ts:
+        hash(t)
+    unfold_type(ts[1])
+    sys.stdout.buffer.write(pickle.dumps(ts))
+else:
+    loaded, fresh = pickle.loads(sys.stdin.buffer.read()), types()
+    print([not {"_hash", "_unfolded"} & x.__dict__.keys() and x == y and x in {y}
+           for x, y in zip(loaded, fresh)])
+"""
+
+
+def test_a_type_pickled_in_one_process_hashes_as_a_fresh_one_in_another():
+    """A node's cached hash and unfolding stay behind when it is pickled: a
+    role's hash is seeded per process, so a type hashed and unfolded under one
+    seed and loaded under another equals and hashes as a fresh equal type,
+    and holds neither cache."""
+    src = str(Path(mpst.__file__).parents[1])
+
+    def run(seed: str, mode: str, given: bytes = b"") -> bytes:
+        env = {"PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", PICKLE_IN_ONE_PROCESS, mode], input=given,
+                              env=env, capture_output=True, timeout=60, check=True)
+        return done.stdout
+
+    assert run("2", "load", run("1", "dump")).decode().strip() == "[True, True]"
