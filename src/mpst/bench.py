@@ -65,13 +65,13 @@ def _compare(suite: str, transport: Transport, iters: int,
 
 
 def _bare_capacity(transport: Transport) -> int:
-    """The capacity of a bare baseline's channels on ``transport``: 0 for a
-    rendezvous, the buffer's for a buffered one.  Framed TCP has no bare
+    """The capacity of a bare baseline's channels on ``transport``, the
+    capacity its session's links are bound with.  Framed TCP has no bare
     baseline, and a chameleons session cannot delegate across it, so every
     suite refuses it here, before any thread starts."""
     if isinstance(transport, FramedSocket):
         raise ValueError("bench baselines are defined for in-process transports")
-    return transport.capacity if isinstance(transport, AsyncBuffered) else 0
+    return transport.capacity
 
 
 def _in_thread(fn: Callable[[], None]) -> threading.Thread:

@@ -5,13 +5,13 @@ comments to the end of the line are skipped; punctuation is ``->`` or one
 of ``(){},;:.|!?@%``; a string is double-quoted and may span lines, and a
 backslash escapes the next character (``\\n`` and ``\\t`` are a newline and a
 tab); an int is digits after an optional ``-``; an identifier is a letter or
-``_`` and then letters, digits or ``_``.  A token's line and column, both
-1-based, are those of its first character.
+``_`` and then letters, digits or ``_`` (``protocol.NAME``).  A token's line
+and column, both 1-based, are those of its first character.
 
 Protocol grammar::
 
     protocol NAME (roles r1, r2, ...) { STMT* }
-    STMT ::= A -> B : LABEL;
+    STMT ::= A -> B : LABEL;                (A may be named like a keyword)
            | choice at R { STMT* } or { STMT* } (or { STMT* })*
            | rec X { STMT* }
            | continue X;
@@ -51,6 +51,7 @@ from .protocol import (
     End,
     GlobalProtocol,
     Label,
+    NAME,
     PayloadSort,
     Rec,
     Role,
@@ -80,7 +81,7 @@ _TOKEN = re.compile(r"""
   | (?P<punct>-> | [(){},;:.|!?@%])
   | (?P<string>"(?:[^"\\] | \\.)*")         # may span lines; a backslash escapes any character
   | (?P<int>-?\d+)
-  | (?P<ident>[^\W\d]\w*)
+  | (?P<ident>""" + NAME.pattern + r""")
   | (?P<unterminated>")
   | (?P<unexpected>.)
 """, re.VERBOSE | re.DOTALL)
@@ -251,17 +252,18 @@ class _Parser:
         t = self.peek()
         if t.kind == "}":  # implicit end at block close
             return END
-        if self.accept_keyword("end"):
+        sender = t.kind == "ident" and self.toks[self.pos + 1].kind == "->"  # even one named like a keyword
+        if not sender and self.accept_keyword("end"):
             self.expect(";")
             return END
-        if self.accept_keyword("continue"):
+        if not sender and self.accept_keyword("continue"):
             var = self.expect("ident", "a recursion variable").text
             self.expect(";")
             return Var(var)
-        if self.accept_keyword("rec"):
+        if not sender and self.accept_keyword("rec"):
             var = self.expect("ident", "a recursion variable").text
             return Rec(var, self.parse_braced(path + ("body",)))
-        if self.accept_keyword("choice"):
+        if not sender and self.accept_keyword("choice"):
             self.keyword("at")
             at = Role(self.expect("ident", "a role name").text)
             branches = [self.parse_braced(path + ("branch[0]",))]
@@ -270,7 +272,7 @@ class _Parser:
             if len(branches) == 1:
                 self.fail("choice needs at least one 'or' branch", t)
             return Choice(at, tuple(branches))
-        if self.accept_keyword("closed"):
+        if not sender and self.accept_keyword("closed"):
             role = Role(self.expect("ident", "a role name").text)
             self.expect(";")
             return ClosedAt(role, self.parse_block(path + ("cont",)))

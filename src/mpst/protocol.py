@@ -9,10 +9,13 @@ from one walk, kept on the protocol (``_front``).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import EmptyChoiceError, ErrorKind, Path, SelfSendError
+
+NAME = re.compile(r"[^\W\d]\w*")  # a role's or label's name: ``dsl`` reads it back as one token
 
 
 class Role(str):
@@ -24,7 +27,7 @@ class Role(str):
     __slots__ = ()
 
     def __new__(cls, name: str) -> "Role":
-        if not name or not all(c.isalnum() or c == "_" for c in name):
+        if not NAME.fullmatch(name):
             raise ValueError(f"role name must be a nonempty word: {name!r}")
         return str.__new__(cls, name)
 
@@ -102,7 +105,7 @@ class Label:
     payload: PayloadSort = UNIT
 
     def __post_init__(self) -> None:
-        if not self.name or not all(c.isalnum() or c == "_" for c in self.name):
+        if not NAME.fullmatch(self.name):
             raise ValueError(f"label name must be a nonempty word: {self.name!r}")
 
     def __str__(self) -> str:
@@ -113,6 +116,9 @@ class GlobalProtocol:
     """Base class of the global-combinator AST."""
 
     __slots__ = ()
+
+    def __getstate__(self) -> dict:  # without the caches kept on it, as a type node's
+        return {k: v for k, v in self.__dict__.items() if k != "_front" and k != "_compiled"}
 
     def children(self) -> Iterator[tuple[str, "GlobalProtocol"]]:
         return iter(())

@@ -15,8 +15,8 @@ the link to the peer, and a receive takes the head of the link from the
 peer and picks its branch by the label name.
 
 An :class:`Endpoint` is one role's live handle into a session at one state:
-the session's seat (links, monitor and timeout, which all its endpoints
-share), the state, which names the role, and its own flag, for an endpoint
+the session's seat (its one :class:`SessionChannels`: links, monitor and
+timeout), the state, which names the role, and its own flag, for an endpoint
 is a :class:`LinearityCell`.  The first operation (send, receive, close,
 or being delegated away) consumes the endpoint, and any further use raises
 ``InvalidEndpoint``; ``Endpoint.used`` reads the flag.  Consuming the flag
@@ -67,6 +67,7 @@ a parked record         the serving peer      the channel lock; a timed-out    [
                         compound node         of the node's structural hash,
                                               and nothing depends on which
                                               store wins
+``FramedLink.partial``  every framed receive  its link's ``read_lock``       [10]
 ======================  ====================  ===============================  ====
 
 [1] ``test_runtime.py::test_concurrent_sends_have_one_winner_when_the_cell_check_is_slow``
@@ -78,6 +79,7 @@ a parked record         the serving peer      the channel lock; a timed-out    [
 [7] ``test_front_end.py::test_two_first_walks_meeting_inside_front_both_walk``
 [8] ``test_types.py::test_two_first_unfoldings_meeting_inside_subst_both_substitute``
 [9] ``test_types.py::test_two_first_hashes_meeting_inside_the_structural_hash_both_compute``
+[10] ``test_transport.py::test_two_receives_meeting_inside_fill_each_take_one_whole_frame``
 """
 
 from __future__ import annotations
@@ -365,26 +367,15 @@ def _compiled_for(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> Compi
 
 
 class SessionChannels:
-    """One session's links, one per directed role pair (a :class:`Channel`
-    or a :class:`FramedLink`), built without ``__init__`` by the open."""
+    """One session's seat, which all its endpoints share, built without
+    ``__init__`` by the open: its links (a :class:`Channel` or a
+    :class:`FramedLink` per ``pairs`` entry, indexed by ``_State.link``), its
+    monitor and its timeout."""
 
-    __slots__ = ("links", "pairs")
+    __slots__ = ("links", "pairs", "monitor", "timeout")
 
     def channel_for(self, sender: Role, receiver: Role):  # endpoints index links by state
         return self.links[self.pairs.index((sender, receiver))]
-
-    def close(self) -> None:
-        for link in self.links:
-            if isinstance(link, FramedLink):
-                link.close()
-
-
-class _Seat:
-    """What all endpoints of one session share: its links (indexed by
-    ``_State.link``), its monitor and its timeout.  :func:`open_session`
-    builds one per session; an endpoint's role is its state's."""
-
-    __slots__ = ("links", "monitor", "timeout")
 
 
 class Endpoint(LinearityCell):
@@ -540,7 +531,7 @@ def _prepare_delegation(sort: SessionSort, payload: object, link) -> Endpoint:
 
 @dataclass
 class Session:
-    """A live session: endpoints plus the shared monitor and transports."""
+    """A live session: its endpoints, and ``channels``, the seat they share."""
 
     roles: tuple[Role, ...]
     endpoints: dict[Role, Endpoint]
@@ -549,7 +540,9 @@ class Session:
     local_types: dict[Role, LocalType] = field(default_factory=dict)
 
     def close_transport(self) -> None:
-        self.channels.close()
+        for link in self.channels.links:
+            if isinstance(link, FramedLink):
+                link.close()
 
 
 def open_session(
@@ -564,11 +557,11 @@ def open_session(
     ``g`` is compiled on its first open with these ``roles``; shape and
     typing failures are raised before any transport is bound.  An open then
     reads the template off ``g`` and builds only what is the session's own:
-    its links, bound here for the transport, one seat, one start endpoint
-    per role, a copy of the local types, and, when monitored, a monitor on
-    copies of the template's local types and start cursors.  Each endpoint
-    starts at its role's start state, whose stage is the unfolded local
-    type that the monitor and ``Session.local_types`` hold.
+    its links, bound for the transport, one seat (``Session.channels``), one
+    start endpoint per role, a copy of the local types, and, when monitored,
+    a monitor on copies of the template's local types and start cursors.
+    Each endpoint starts at its role's start state, whose stage is the
+    unfolded local type that the monitor and ``Session.local_types`` hold.
     """
     key = tuple(roles) if roles is not None else None
     try:
@@ -576,24 +569,20 @@ def open_session(
     except (AttributeError, KeyError):  # the first open of g, or of g with these roles
         compiled = _compiled_for(g, key)
     pairs = compiled.pairs
-    if isinstance(transport, AsyncBuffered):
+    if isinstance(transport, (AsyncBuffered, SyncRendezvous)):
         links = [Channel(transport.capacity) for _ in pairs]
-    elif isinstance(transport, SyncRendezvous):
-        links = [Channel(0) for _ in pairs]
     elif isinstance(transport, FramedSocket):
         links = connect_pairs(transport.host, pairs)
     else:
         raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"unknown transport {transport!r}")
-    channels = _new(SessionChannels)
-    channels.links, channels.pairs = links, pairs
     monitor = _start_monitor(_new(SessionMonitor), compiled.local_types, compiled.starts) if monitored else None
-    seat = _new(_Seat)
-    seat.links, seat.monitor, seat.timeout = links, monitor, timeout
+    seat = _new(SessionChannels)
+    seat.links, seat.pairs, seat.monitor, seat.timeout = links, pairs, monitor, timeout
     endpoints = {}
     for r, start in compiled.starts.items():  # as an operation builds its next endpoint
         ep = endpoints[r] = _new(Endpoint)
         ep.seat, ep.state, ep._flag = seat, start, [True]
     session = _new(Session)  # the dataclass __init__ would only set the five fields
     session.roles, session.endpoints, session.monitor = compiled.roles, endpoints, monitor
-    session.channels, session.local_types = channels, compiled.local_types.copy()
+    session.channels, session.local_types = seat, compiled.local_types.copy()
     return session

@@ -47,6 +47,8 @@ from .errors import ErrorKind, SessionRuntimeError
 class SyncRendezvous:
     """Capacity 0: a send completes only when the matching receive is pending."""
 
+    capacity = 0  # a class constant, not a field: every rendezvous is alike
+
 
 @dataclass(frozen=True)
 class AsyncBuffered:

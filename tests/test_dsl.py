@@ -6,7 +6,7 @@ import pytest
 
 from corpus import finite_corpus, oauth
 from helpers import protocol_file_for
-from mpst import Label, Role, SessionSort, parse_protocol, parse_scenario, print_protocol
+from mpst import INT, Label, Role, SessionSort, comm, end_, parse_protocol, parse_scenario, print_protocol
 from mpst.dsl import _Parser, _tokenize
 from mpst.errors import ParseError
 from mpst.protocol import Comm
@@ -65,6 +65,20 @@ def test_builder_roundtrip_through_dsl():
         assert back.body == g, name
         assert back.roles == pf.roles
         assert print_protocol(back) == text  # printing is canonical
+
+
+@pytest.mark.parametrize("word", ["end", "rec", "choice", "closed", "continue"])
+def test_a_role_named_like_a_keyword_round_trips(word):
+    """A statement that starts with a name and ``->`` is a communication, so
+    a role named like a statement keyword reads back as a sender, as it does
+    as a receiver."""
+    kw, b = Role(word), Role("b")
+    g = comm(kw, b, Label("m", INT), comm(b, kw, Label("n"), end_()))
+    pf = protocol_file_for("Keyword", g)
+    text = print_protocol(pf)
+    back = parse_protocol(text)
+    assert back.body == g and back.roles == pf.roles
+    assert print_protocol(back) == text
 
 
 def test_builder_roundtrip_on_generated_protocols():

@@ -77,6 +77,15 @@ def test_role_is_its_name():
     assert "index" not in Role.__dict__ and Role.index is str.index  # only str's own method
 
 
+def test_a_role_or_label_name_that_starts_with_a_digit_is_refused():
+    """A name is a word that does not start with a digit, the DSL's
+    identifier, so that ``print_protocol``'s output reads every name back."""
+    with pytest.raises(ValueError, match=r"^role name must be a nonempty word: '1a'$"):
+        Role("1a")
+    with pytest.raises(ValueError, match=r"^label name must be a nonempty word: '1m'$"):
+        Label("1m")
+
+
 def test_label_identity_includes_payload():
     from mpst import INT, STRING
 

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import sys
 import threading
 import time
 
 import pytest
 
-from corpus import A, C, P, Q, R, S, calc, g_auth, oauth
+from corpus import A, C, P, Q, R, S, calc, g_auth, oauth, oauth2
 from mpst import (
     ErrorKind,
     Label,
@@ -1088,6 +1090,22 @@ def test_compile_failures_are_raised_on_every_open():
         assert e2.value.kind is ErrorKind.UNGUARDED_RECURSION
 
 
+def test_a_pickled_protocol_leaves_its_compile_caches_behind():
+    """``_front`` and ``_compiled`` are caches kept on a protocol, not part of
+    it: a protocol pickles to as many bytes after an open as before, and a
+    loaded or copied one holds neither cache, equals the original and opens."""
+    g = oauth2()
+    fresh = pickle.dumps(g)
+    open_session(g, AsyncBuffered(1), monitored=True)
+    assert {"_front", "_compiled"} <= set(vars(g))
+    assert len(pickle.dumps(g)) == len(fresh)
+    for again in (pickle.loads(pickle.dumps(g)), copy.copy(g)):
+        assert not {"_front", "_compiled"} & set(vars(again))
+        assert again == g
+        sess = open_session(again, AsyncBuffered(1), monitored=True)
+        assert set(sess.endpoints) == set(roles_of(g))
+
+
 def test_local_types_are_per_session():
     g = oauth()
     first = open_session(g, SyncRendezvous())
@@ -1110,6 +1128,7 @@ def test_sessions_of_one_template_share_no_mutable_state():
     assert not {id(link) for link in s1.channels.links} & {id(link) for link in s2.channels.links}
     for r in (P, Q):
         one, two = s1.endpoints[r], s2.endpoints[r]
+        assert one.seat is s1.channels and two.seat is s2.channels  # one object per session
         assert one.seat is not two.seat and one.state is two.state
         assert (one.seat.links, one.seat.monitor) == (s1.channels.links, s1.monitor)
         assert (two.seat.links, two.seat.monitor) == (s2.channels.links, s2.monitor)

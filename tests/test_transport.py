@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 import socket
 import struct
@@ -78,6 +79,16 @@ def test_a_buffer_capacity_that_is_not_an_int_of_at_least_0_is_refused(capacity)
 
 def test_a_buffer_capacity_of_0_is_allowed():
     assert transport.AsyncBuffered(0).capacity == 0
+
+
+def test_a_rendezvous_has_capacity_0_as_a_constant_not_a_field():
+    """A rendezvous binds its links with its ``capacity`` as a buffered
+    transport does; the class constant adds no field to its equality or
+    ``repr``."""
+    r = transport.SyncRendezvous()
+    assert r.capacity == 0
+    assert r == transport.SyncRendezvous() and r != transport.AsyncBuffered(0)
+    assert repr(r) == "SyncRendezvous()"
 
 
 def test_buffered_fifo_order():
@@ -469,3 +480,48 @@ def test_framed_receive_that_times_out_mid_frame_resumes_it():
         assert link.receive(timeout=0.5) == ("n", 2)
     finally:
         link.close()
+
+
+def test_two_receives_meeting_inside_fill_each_take_one_whole_frame(monkeypatch):
+    """Ledger row [10] of ``mpst.runtime``, forced: a second receive on a
+    link is started once the first waits at a barrier inside
+    ``transport._fill``, where a receive reads into the link's ``partial``.
+    The link's ``read_lock`` holds the second off, so the first waits out
+    the barrier's window and takes the first frame whole, and the second
+    then takes the second.  Without the lock the two would meet there and
+    read one stream into one buffer: both would parse the first frame's
+    header, and the frames are of different lengths, so neither reads both."""
+    left, right = socket.socketpair()
+    link = transport.FramedLink(left, right)
+    meet = threading.Barrier(2, timeout=0.1)
+    fill = transport._fill
+
+    def fill_after_meeting(sock, buf, n):
+        with contextlib.suppress(threading.BrokenBarrierError):  # broken: the window passed
+            meet.wait()
+        fill(sock, buf, n)
+
+    got = {}
+
+    def receive(i):
+        try:
+            got[i] = link.receive(timeout=1)
+        except Exception as e:  # a frame read in pieces may not parse
+            got[i] = e
+
+    monkeypatch.setattr(transport, "_fill", fill_after_meeting)
+    try:
+        link.send(("m", 1), timeout=1)
+        link.send(("n", "x" * 40), timeout=1)
+        first = threading.Thread(target=receive, args=(0,), daemon=True)
+        first.start()
+        while meet.n_waiting == 0 and first.is_alive():  # the first holds the lock inside _fill
+            time.sleep(0.001)
+        second = threading.Thread(target=receive, args=(1,), daemon=True)
+        second.start()
+        for t in (first, second):
+            t.join(5)
+            assert not t.is_alive()
+    finally:
+        link.close()
+    assert got == {0: ("m", 1), 1: ("n", "x" * 40)}
