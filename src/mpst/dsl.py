@@ -22,7 +22,8 @@ Protocol grammar::
     LOCAL ::= end | VAR | rec VAR . LOCAL
             | !R{ LABEL: LOCAL, ... }       (internal choice)
             | ?R{ LABEL: LOCAL, ... }       (external choice)
-    VAR ::= X | X@N | %N                    (N: the binders compiling and merging make)
+    VAR ::= X | X@N | %N                    (N: the binders compiling and merging make;
+                                             X@N may be end@N, X may not be end)
 
 A block ends at its first terminal statement (``end``, ``continue``, a
 ``choice``, or a ``rec``); a block that just closes gets an implicit
@@ -194,10 +195,14 @@ class _Parser:
                 branches.append((label, self.parse_local()))
             self.expect("}")
             return (Select if t.kind == "!" else Branch)(peer, tuple(branches))
-        if self.accept_keyword("end"):
+        keyword = t.kind == "ident" and self.toks[self.pos + 1].kind != "@"  # not a binder like end@0
+        if keyword and self.accept_keyword("end"):
             return END_T
-        if self.accept_keyword("rec"):
+        if keyword and self.accept_keyword("rec"):
+            at = self.peek()
             var = self.parse_local_var()
+            if var == "end":  # its body's end would read as End
+                self.fail("a local type's loop variable cannot be named 'end'", at)
             self.expect(".")
             return RecT(var, self.parse_local())
         if t.kind in ("ident", "%"):

@@ -14,24 +14,9 @@ import random
 from typing import Optional
 
 from .errors import MpstError
-from .protocol import (
-    BOOL,
-    Choice,
-    Comm,
-    END,
-    End,
-    GlobalProtocol,
-    INT,
-    Label,
-    Rec,
-    Role,
-    STRING,
-    UNIT,
-    Var,
-)
+from .protocol import BASE_SORTS, Choice, Comm, END, End, GlobalProtocol, Label, Rec, Role, Var
 from .types import type_global
 
-_SORTS = (UNIT, BOOL, INT, STRING)
 _LABEL_NAMES = ("m0", "m1", "m2", "m3", "m4", "m5")
 _ROLE_NAMES = ("p", "q", "r", "t")
 
@@ -49,7 +34,7 @@ class ProtocolGenerator:
         self.rng = rng
         self.roles = [Role(n) for n in _ROLE_NAMES[: max(2, max_roles)]]
         self.labels = [
-            Label(name, rng.choice(_SORTS))
+            Label(name, rng.choice(list(BASE_SORTS.values())))
             for name in _LABEL_NAMES[: max(1, max_labels)]
         ]
         self.max_depth = max_depth
@@ -129,15 +114,7 @@ class ProtocolGenerator:
         raise RuntimeError("could not generate a well-typed protocol; generator mistuned")
 
 
-def random_protocols(
-    count: int,
-    seed: int = 0,
-    max_roles: int = 4,
-    max_labels: int = 3,
-    max_depth: int = 5,
-    allow_rec: bool = True,
-    allow_choice: bool = True,
-) -> list[GlobalProtocol]:
-    rng = random.Random(seed)
-    gen = ProtocolGenerator(rng, max_roles, max_labels, max_depth, allow_rec, allow_choice)
+def random_protocols(count: int, seed: int = 0, **options) -> list[GlobalProtocol]:
+    """``count`` well-typed protocols from a :class:`ProtocolGenerator` with ``options``."""
+    gen = ProtocolGenerator(random.Random(seed), **options)
     return [gen.well_typed() for _ in range(count)]

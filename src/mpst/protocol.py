@@ -50,10 +50,13 @@ class PayloadSort:
 
 
 class _BaseSort(PayloadSort):
-    __slots__ = ("_name",)
+    """A base sort: its name, the class its payloads are instances of (a
+    send takes no bool for int), and the literal a derived script sends."""
 
-    def __init__(self, name: str) -> None:
-        self._name = name
+    __slots__ = ("_name", "payload_class", "literal")
+
+    def __init__(self, name: str, payload_class: type, literal: object) -> None:
+        self._name, self.payload_class, self.literal = name, payload_class, literal
 
     def sort_name(self) -> str:
         return self._name
@@ -67,11 +70,14 @@ class _BaseSort(PayloadSort):
     def __hash__(self) -> int:
         return hash(("sort", self._name))
 
+    def __reduce__(self) -> str:  # pickled and copied as this module's constant of that name
+        return self._name.upper()
 
-UNIT = _BaseSort("unit")
-BOOL = _BaseSort("bool")
-INT = _BaseSort("int")
-STRING = _BaseSort("string")
+
+UNIT = _BaseSort("unit", type(None), None)
+BOOL = _BaseSort("bool", bool, True)
+INT = _BaseSort("int", int, 42)
+STRING = _BaseSort("string", str, "x")
 
 BASE_SORTS = {s.sort_name(): s for s in (UNIT, BOOL, INT, STRING)}
 

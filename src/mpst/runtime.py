@@ -3,16 +3,17 @@
 A protocol is compiled once per protocol object and role tuple by
 ``types.type_global`` to one local type per role, then to each role's state
 table, the finite automaton of its local type (Deniélou & Yoshida, ESOP
-2012), whose states each belong to that role and number each role pair they
-name as a link.  The compiled form is the template of all the protocol's
-sessions: its tables, start states and local types are shared and never
-change.  An open reads the template off the protocol and builds only the
-session's own: one link per directed role pair, a FIFO of ``(label name,
-payload)`` messages on every transport; one seat; one start endpoint per
-role; a copy of the local types; and, when monitored, a monitor on copies
-of the local types and start cursors.  A send puts its label and payload on
-the link to the peer, and a receive takes the head of the link from the
-peer and picks its branch by the label name.
+2012): one state per distinct stage, the unfolded type that remains there.
+Its states each belong to that role and number each role pair they name as
+a link.  The compiled form is the template of all the protocol's sessions:
+its tables, start states and local types are shared and never change.  An
+open reads the template off the protocol and builds only the session's own:
+one link per directed role pair, a FIFO of ``(label name, payload)``
+messages on every transport; one seat; one start endpoint per role; a copy
+of the local types; and, when monitored, a monitor on a copy of the start
+cursors.  A send puts its label and payload on the link to the peer, and a
+receive takes the head of the link from the peer and picks its branch by
+the label name.
 
 An :class:`Endpoint` is one role's live handle into a session at one state:
 the session's seat (its one :class:`SessionChannels`: links, monitor and
@@ -90,17 +91,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import ErrorKind, SessionRuntimeError
-from .protocol import (
-    BOOL,
-    GlobalProtocol,
-    INT,
-    Label,
-    PayloadSort,
-    Role,
-    SessionSort,
-    STRING,
-    UNIT,
-)
+from .protocol import GlobalProtocol, Label, PayloadSort, Role, SessionSort
 from .transport import (
     AsyncBuffered,
     Channel,
@@ -111,7 +102,7 @@ from .transport import (
     connect_pairs,
     select,  # not called here; re-exported for callers that look up runtime.select
 )
-from .types import END_T, DirectedChoice, LocalType, RecT, VarT, subtype, type_global, unfold_type
+from .types import END_T, DirectedChoice, LocalType, subtype, type_global, unfold_type
 
 DEFAULT_TIMEOUT = 5.0
 
@@ -170,14 +161,10 @@ class LinearityCell:
         return not self._flag
 
 
-# The payload class of each base sort.  A send admits an instance of it, never
-# a bool for int; any other sort's class is ``()``, of which nothing is one.
-_CLASSES = {UNIT: type(None), BOOL: bool, INT: int, STRING: str}
-
-
 def _payload_class(sort: PayloadSort):
-    """A label's payload class, chosen at compile time; a delegation has none."""
-    return None if isinstance(sort, SessionSort) else _CLASSES.get(sort, ())
+    """A label's payload class, chosen at compile time; a delegation has none,
+    and a sort that is neither base nor session has ``()``, of which nothing is one."""
+    return None if isinstance(sort, SessionSort) else getattr(sort, "payload_class", ())
 
 
 @dataclass(slots=True, eq=False)
@@ -199,36 +186,30 @@ class _State:
 
 
 def _state_table(t: LocalType, role: Role, links: dict[tuple[Role, Role], int]) -> list[_State]:
-    """A role's states, the start first: one per Select, Branch or End
-    position of its closed local type ``t``, a loop variable being an edge to
-    its binder's state.  A stage is ``t`` unfolded along the path to it;
-    ``t`` is closed, so unfolding renames no binder and keeps the shape.
+    """A role's states, the start first: one per stage of its closed local
+    type ``t``, the unfolded type that remains there.  States are keyed by
+    stage, by value, so equal stages share one state and a loop's
+    continuation, its binder's ``RecT``, unfolds to its binder's stage.
     ``links`` numbers each (sender, receiver) pair the first time a state
     names it, across all the roles that share it."""
-    table: list[_State] = []
+    states: dict[LocalType, _State] = {}
 
-    def build(pos: LocalType, stage: LocalType, env: dict[str, _State]) -> _State:
-        binders = []
-        while isinstance(pos, RecT):
-            binders.append(pos.var)
-            pos = pos.body
-        if isinstance(pos, VarT):
-            return env[pos.var]
-        state = _State(unfold_type(stage), role)
-        table.append(state)
-        if isinstance(pos, DirectedChoice):
-            env = {**env, **dict.fromkeys(binders, state)}
-            state.kind, state.peer = (_SEND if pos.output else _RECEIVE), pos.peer
-            pair = (role, pos.peer) if pos.output else (pos.peer, role)
-            state.link = links.setdefault(pair, len(links))
-            state.steps = {
-                l.name: (l, _payload_class(l.payload), build(cont, stage_cont, env))
-                for (l, cont), (_, stage_cont) in zip(pos.branches, state.stage.branches)
-            }
+    def build(stage: LocalType) -> _State:
+        stage = unfold_type(stage)
+        state = states.get(stage)
+        if state is None:
+            state = states[stage] = _State(stage, role)
+            if isinstance(stage, DirectedChoice):
+                state.kind, state.peer = (_SEND if stage.output else _RECEIVE), stage.peer
+                pair = (role, stage.peer) if stage.output else (stage.peer, role)
+                state.link = links.setdefault(pair, len(links))
+                state.steps = {
+                    l.name: (l, _payload_class(l.payload), build(cont)) for l, cont in stage.branches
+                }
         return state
 
-    build(t, t, {})
-    return table
+    build(t)
+    return list(states.values())
 
 
 _CLOSED = _State(END_T, kind=None)  # a role's cursor after its close; admits no event
@@ -267,10 +248,10 @@ class SessionMonitor:
     built here compiles the state tables of ``expected``'s closed types.
     """
 
-    __slots__ = ("expected", "_cursors", "_stops", "_log", "_lock")
+    __slots__ = ("_cursors", "_stops", "_log", "_lock")
 
     def __init__(self, expected: dict[Role, LocalType]) -> None:
-        _start_monitor(self, expected, {r: _state_table(t, r, {})[0] for r, t in expected.items()})
+        _start_monitor(self, {r: _state_table(t, r, {})[0] for r, t in expected.items()})
 
     def record(self, kind: EventKind, role: Role, peer: Optional[Role], label: Optional[Label],
                at: Optional[_State] = None, to: Optional[_State] = None) -> None:
@@ -307,7 +288,7 @@ class SessionMonitor:
     def verdict(self) -> tuple[bool, str]:
         """Conformant iff every role's events walk its local type from the
         start to End, finishing with a close; otherwise the first role, in
-        ``expected`` order, that did not, and why."""
+        role order, that did not, and why."""
         lock = self._lock
         lock.acquire()  # as in ``record``
         try:
@@ -323,11 +304,9 @@ class SessionMonitor:
         return True, "conformant"
 
 
-def _start_monitor(monitor: SessionMonitor, expected: dict[Role, LocalType],
-                   starts: dict[Role, _State]) -> SessionMonitor:
-    """Set ``monitor`` at the start: its own copies of ``expected`` and of the
-    start cursors, an empty log and no stops."""
-    monitor.expected = expected.copy()
+def _start_monitor(monitor: SessionMonitor, starts: dict[Role, _State]) -> SessionMonitor:
+    """Set ``monitor`` at the start: its own copy of the start cursors, an
+    empty log and no stops."""
     monitor._cursors = starts.copy()  # None: stopped
     monitor._stops = {}
     monitor._log = []
@@ -341,8 +320,7 @@ class CompiledProtocol:
     sessions.  ``pairs`` are the directed (sender, receiver) role pairs that
     carry messages, indexed by ``_State.link``; ``tables`` hold each role's
     states, its start state first; ``starts`` maps each role, in ``roles``
-    order, to its start state.  A session's monitor copies ``starts`` and
-    ``local_types``."""
+    order, to its start state.  A session's monitor copies ``starts``."""
 
     roles: tuple[Role, ...]
     local_types: dict[Role, LocalType]
@@ -559,9 +537,9 @@ def open_session(
     reads the template off ``g`` and builds only what is the session's own:
     its links, bound for the transport, one seat (``Session.channels``), one
     start endpoint per role, a copy of the local types, and, when monitored,
-    a monitor on copies of the template's local types and start cursors.
-    Each endpoint starts at its role's start state, whose stage is the
-    unfolded local type that the monitor and ``Session.local_types`` hold.
+    a monitor on a copy of the template's start cursors.  Each endpoint
+    starts at its role's start state, whose stage is the unfolded local type
+    that ``Session.local_types`` holds.
     """
     key = tuple(roles) if roles is not None else None
     try:
@@ -575,7 +553,7 @@ def open_session(
         links = connect_pairs(transport.host, pairs)
     else:
         raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"unknown transport {transport!r}")
-    monitor = _start_monitor(_new(SessionMonitor), compiled.local_types, compiled.starts) if monitored else None
+    monitor = _start_monitor(_new(SessionMonitor), compiled.starts) if monitored else None
     seat = _new(SessionChannels)
     seat.links, seat.pairs, seat.monitor, seat.timeout = links, pairs, monitor, timeout
     endpoints = {}

@@ -18,19 +18,15 @@ from typing import Optional, Sequence
 
 from .errors import ErrorKind, MpstError, SessionRuntimeError
 from .protocol import (
-    BOOL,
     ClosedAt,
     Choice,
     Comm,
     End,
     GlobalProtocol,
-    INT,
     Label,
     PayloadSort,
     Rec,
     Role,
-    STRING,
-    UNIT,
     Var,
     roles_of,
 )
@@ -156,20 +152,20 @@ def run_scripted(
     timeout: float = DEFAULT_TIMEOUT,
     roles: Optional[tuple[Role, ...]] = None,
 ) -> RunReport:
-    """Run one worker per role against a monitored session."""
+    """Run one worker per role against a monitored session.  Every declared
+    role needs a script, and every script a declared role; the session opens
+    from the template that ``open_session(g, roles=roles)`` would use."""
     declared = roles if roles is not None else roles_of(g)
     missing = [str(r) for r in declared if r not in scripts]
-    if missing:
-        return RunReport(
-            "error",
-            {
-                m: RoleOutcome(m, False, None, "no script for role")
-                for m in missing
-            },
-            detail=f"missing scripts for {missing}",
-        )
+    undeclared = [r for r in scripts if r not in declared]
+    if missing or undeclared:
+        outcomes = {m: RoleOutcome(m, False, None, "no script for role") for m in missing}
+        outcomes.update((u, RoleOutcome(u, False, None, "no such role in the protocol")) for u in undeclared)
+        details = (("missing scripts for", missing), ("scripts for undeclared roles", undeclared))
+        detail = "; ".join(f"{what} {names}" for what, names in details if names)
+        return RunReport("error", outcomes, detail=detail)
     try:
-        session = open_session(g, transport, monitored=True, roles=declared, timeout=timeout)
+        session = open_session(g, transport, monitored=True, roles=roles, timeout=timeout)
     except MpstError as e:
         return RunReport(
             "error",
@@ -206,15 +202,10 @@ def run_scripted(
 
 
 def default_payload(sort: PayloadSort) -> object:
-    if sort == UNIT:
-        return None
-    if sort == BOOL:
-        return True
-    if sort == INT:
-        return 42
-    if sort == STRING:
-        return "x"
-    raise ValueError(f"no scripted literal for sort {sort.sort_name()}")
+    try:
+        return sort.literal  # a base sort's
+    except AttributeError:
+        raise ValueError(f"no scripted literal for sort {sort.sort_name()}") from None
 
 
 _INF = float("inf")

@@ -303,6 +303,14 @@ def test_simulate_reuse_surfaces_invalid_endpoint(oauth_file, tmp_path, capsys):
     assert "InvalidEndpoint" in capsys.readouterr().out
 
 
+def test_simulate_refuses_a_script_for_an_undeclared_role(oauth_file, tmp_path, capsys):
+    sc = tmp_path / "extra.scn"
+    sc.write_text(SCENARIO.replace("\n}\n", "\n  role zz { send s bogus; close; }\n}\n"))
+    assert main(["simulate", str(oauth_file), str(sc)]) == 1
+    out = capsys.readouterr().out
+    assert "zz: failed: no such role in the protocol" in out and "verdict: error" in out
+
+
 def test_simulate_transport_flag(oauth_file, tmp_path, capsys):
     sc = tmp_path / "ok.scn"
     sc.write_text(SCENARIO)

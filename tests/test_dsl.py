@@ -145,6 +145,26 @@ def test_printed_local_types_parse_back_with_compiled_and_merged_binders():
             _parse_local(bad)
 
 
+def test_a_loop_variable_named_end_parses_back_or_is_refused():
+    """A global loop named ``end`` compiles to the binders ``end@0`` and
+    ``end@1``, which parse back as binders.  A local ``rec end .`` would read
+    its body's ``end`` as End, a different type, so it is refused."""
+    p, q, m, s = Role("p"), Role("q"), Label("m"), Label("s")
+    text = "protocol P (roles p, q) { rec end { choice at p { p -> q : m; continue end; } or { p -> q : s; end; } } }"
+    local = type_global(parse_protocol(text).body)
+    assert format_local_type(local[p]) == "rec end@0 . !q{m(unit): end@0, s(unit): end}"
+    for t in local.values():
+        assert _parse_local(format_local_type(t)) == t
+    looped = SessionSort(RecT("end", Select(q, ((m, VarT("end")), (s, VarT("end"))))))
+    printed = print_protocol(protocol_file_for("Stream", comm(p, q, Label("hand", looped), end_())))
+    assert "session(rec end . !q{m(unit): end, s(unit): end})" in printed
+    for bad in (printed, "protocol P (roles p, q) { p -> q : hand(session(rec end . !q{m: end})); }"):
+        with pytest.raises(ParseError, match="loop variable cannot be named 'end'"):
+            parse_protocol(bad)
+    with pytest.raises(ParseError, match="loop variable cannot be named 'end'"):
+        _parse_local("rec end . !q{m(unit): end, s(unit): end}")
+
+
 def test_closed_statement_roundtrip():
     from corpus import closed_exit
 

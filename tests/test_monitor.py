@@ -120,7 +120,7 @@ def _check(g, trace) -> tuple[bool, str]:
     for monitor in monitors:
         for kind, role, peer, label in trace:
             monitor.record(kind, role, peer, label)
-    want = tree_verdict(sess.monitor.expected, sess.monitor.events)
+    want = tree_verdict(sess.local_types, sess.monitor.events)
     for monitor in monitors:
         assert monitor.verdict() == want, trace
         assert [(e.seq, e.kind, e.role, e.peer, e.label) for e in monitor.events] == [
@@ -212,7 +212,7 @@ def _first_violation(expected, trace):
 def test_violation_is_the_earliest_offending_event():
     rng = random.Random(5)
     for name, g, trace in _TRACES:
-        expected = open_session(g, AsyncBuffered(1), monitored=True).monitor.expected
+        expected = open_session(g, AsyncBuffered(1), monitored=True).local_types
         for broken in [trace] + _mutations(trace, roles_of(g), rng)[-12:]:
             monitor = open_session(g, AsyncBuffered(1), monitored=True).monitor
             for event in broken:
@@ -256,7 +256,7 @@ def test_threaded_session_is_monitored_online(g, transport):
             assert all(o.ok for o in outcomes.values()), outcomes
             events = sess.monitor.events
             assert [e.seq for e in events] == list(range(len(events)))
-            assert sess.monitor.verdict() == (True, "conformant") == tree_verdict(sess.monitor.expected, events)
+            assert sess.monitor.verdict() == (True, "conformant") == tree_verdict(sess.local_types, events)
             assert sess.monitor.violation is None
 
             # one role's wrong label, recorded directly while the roles run
@@ -266,7 +266,7 @@ def test_threaded_session_is_monitored_online(g, transport):
             _run_threads(sess, scripts, lambda: sess.monitor.record(SEND, first, peer, Label("bogus")))
             events = sess.monitor.events
             ok, why = sess.monitor.verdict()
-            assert not ok and (ok, why) == tree_verdict(sess.monitor.expected, events)
+            assert not ok and (ok, why) == tree_verdict(sess.local_types, events)
             assert sess.monitor.violation[1:] == (first.name, why)
             assert [e.seq for e in events] == list(range(len(events)))
     finally:
@@ -300,9 +300,9 @@ def test_an_endpoint_whose_cursor_a_direct_record_moved_is_judged_by_equality():
     sess.monitor.record(SEND, P, Q, Label("ping", INT))  # p's cursor is now past its endpoint
     _ping_pong(sess)
     log = _logged(sess.monitor)
-    assert sess.monitor.verdict() == tree_verdict(sess.monitor.expected, sess.monitor.events)
+    assert sess.monitor.verdict() == tree_verdict(sess.local_types, sess.monitor.events)
     assert sess.monitor.verdict() == (False, "p performed send at a Branch stage")
-    assert sess.monitor.violation == _first_violation(sess.monitor.expected, log) == (
+    assert sess.monitor.violation == _first_violation(sess.local_types, log) == (
         1, "p", "p performed send at a Branch stage")
 
     sess = open_session(calc(), AsyncBuffered(1), monitored=True)
@@ -311,7 +311,7 @@ def test_an_endpoint_whose_cursor_a_direct_record_moved_is_judged_by_equality():
     _, _, server = sess.endpoints[S].receive(C)
     server.send(C, "bye").close()
     client.receive(S)[2].close()
-    assert sess.monitor.verdict() == tree_verdict(sess.monitor.expected, sess.monitor.events) == (
+    assert sess.monitor.verdict() == tree_verdict(sess.local_types, sess.monitor.events) == (
         True, "conformant")
     assert sess.monitor.violation is None
 
@@ -322,8 +322,8 @@ def test_a_role_stopped_by_a_direct_event_stays_stopped_when_its_endpoint_acts()
     _ping_pong(sess)
     why = "p used unknown label bogus(unit)"
     assert sess.monitor._cursors[P] is None
-    assert sess.monitor.violation == _first_violation(sess.monitor.expected, _logged(sess.monitor)) == (0, "p", why)
-    assert sess.monitor.verdict() == tree_verdict(sess.monitor.expected, sess.monitor.events) == (False, why)
+    assert sess.monitor.violation == _first_violation(sess.local_types, _logged(sess.monitor)) == (0, "p", why)
+    assert sess.monitor.verdict() == tree_verdict(sess.local_types, sess.monitor.events) == (False, why)
 
 
 def test_a_delegated_endpoint_steps_the_cursor_of_its_own_session(monkeypatch):
@@ -386,7 +386,8 @@ def test_a_record_forced_into_another_roles_step_keeps_its_seq():
     first, and p's stop would name q's seq."""
     bogus = Label("bogus")
     for _ in range(20):
-        monitor = open_session(PING_PONG, AsyncBuffered(1), monitored=True).monitor
+        sess = open_session(PING_PONG, AsyncBuffered(1), monitored=True)
+        monitor = sess.monitor
         log = monitor._log = _MeetingLog(lambda: monitor.record(SEND, Q, P, bogus), wait=0.1)
         monitor.record(SEND, P, Q, bogus)
         log.thread.join(5)
@@ -396,8 +397,8 @@ def test_a_record_forced_into_another_roles_step_keeps_its_seq():
             "p": (0, "p", "p used unknown label bogus(unit)"),
             "q": (1, "q", "q performed send at a Branch stage"),
         }
-        assert monitor.violation == _first_violation(monitor.expected, _logged(monitor))
-        assert monitor.verdict() == tree_verdict(monitor.expected, monitor.events)
+        assert monitor.violation == _first_violation(sess.local_types, _logged(monitor))
+        assert monitor.verdict() == tree_verdict(sess.local_types, monitor.events)
 
 
 @pytest.mark.parametrize("transport", [

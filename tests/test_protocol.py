@@ -311,3 +311,18 @@ def test_every_error_survives_pickle_and_copy():
             assert type(again) is type(e) and str(again) == str(e) and repr(again) == repr(e)
             for field in ("kind", "detail", "path", "findings", "msg", "line", "col"):
                 assert getattr(again, field, None) == getattr(e, field, None), (e, field)
+
+
+def test_a_base_sort_pickles_and_copies_as_its_module_constant():
+    """A base sort carries its payload class and scripted literal, and a
+    pickled or copied one is the module's own constant, so a protocol's
+    pickle holds each sort's name only."""
+    from mpst.protocol import BASE_SORTS
+
+    assert [(s.payload_class, s.literal) for s in BASE_SORTS.values()] == [
+        (type(None), None), (bool, True), (int, 42), (str, "x")]
+    for sort in BASE_SORTS.values():
+        for again in (pickle.loads(pickle.dumps(sort)), copy.copy(sort), copy.deepcopy(sort)):
+            assert again is sort
+    label = Label("m", BASE_SORTS["int"])
+    assert pickle.loads(pickle.dumps(label)).payload is BASE_SORTS["int"]

@@ -1014,6 +1014,29 @@ def test_links_are_numbered_by_sender_and_receiver():
     assert generated >= 2000
 
 
+def test_no_two_states_of_a_table_have_equal_stages():
+    """A state is keyed by its stage: in each role's table of the corpus that
+    ``test_links_are_numbered_by_sender_and_receiver`` compiles, no two
+    states hold equal stages, so both ends of the chameleons assignment
+    protocol's choice meet at one End state per role."""
+    from corpus import generated_candidates, hand_written
+    from mpst.bench import assignment_protocol
+    from mpst.errors import MpstError
+    from mpst.runtime import _compiled_for
+
+    compiled_count = 0
+    for g in [assignment_protocol(), *hand_written(), *generated_candidates(6100)]:
+        try:
+            compiled = _compiled_for(g, None)
+        except MpstError:
+            continue
+        compiled_count += 1
+        for r, table in compiled.tables.items():
+            assert len({state.stage for state in table}) == len(table), (r, repr(g))
+    assert compiled_count >= 2000
+    assert all(len(table) == 2 for table in _compiled_for(assignment_protocol(), None).tables.values())
+
+
 def test_two_senders_to_one_receiver_use_two_links():
     r = Role("r")
     a, b = Label("a", INT), Label("b", INT)
@@ -1113,13 +1136,12 @@ def test_local_types_are_per_session():
     first.local_types.clear()
     second = open_session(g, SyncRendezvous(), monitored=True)
     assert second.local_types == want
-    assert second.monitor.expected == {r.name: t for r, t in want.items()}
 
 
 def test_sessions_of_one_template_share_no_mutable_state():
     """Two monitored opens of one compiled protocol share its states and
-    nothing a session changes: links, seats, expected types, local types,
-    cursors and logs are each session's own.  All endpoints of one session,
+    nothing a session changes: links, seats, local types, cursors and logs
+    are each session's own.  All endpoints of one session,
     at its start and later, share its one seat."""
     ping, pong = Label("ping", INT), Label("pong", INT)
     g = comm(P, Q, ping, comm(Q, P, pong, end_()))
@@ -1134,12 +1156,11 @@ def test_sessions_of_one_template_share_no_mutable_state():
         assert (two.seat.links, two.seat.monitor) == (s2.channels.links, s2.monitor)
     seat1, seat2 = s1.endpoints[P].seat, s2.endpoints[P].seat
     assert s1.endpoints[Q].seat is seat1 and s2.endpoints[Q].seat is seat2
-    expected, local = dict(s2.monitor.expected), dict(s2.local_types)
-    s1.monitor.expected.clear()
+    local = dict(s2.local_types)
     s1.local_types[P] = s1.local_types[Q]
-    assert (s2.monitor.expected, s2.local_types) == (expected, local)
+    assert s2.local_types == local
     s3 = open_session(g, AsyncBuffered(1), monitored=True)
-    assert (s3.monitor.expected, s3.local_types) == (expected, local)  # the template is untouched
+    assert s3.local_types == local  # the template is untouched
     s1.monitor.record(EventKind.SEND, Q, P, pong)  # q sends before it has received
     assert s1.monitor.violation == (0, "q", "q performed send at a Branch stage")
     assert s1.monitor._cursors["q"] is None and s1.monitor._cursors["p"] is s1.endpoints[P].state

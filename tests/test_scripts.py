@@ -10,7 +10,7 @@ import pytest
 
 from corpus import P, Q, calc, finite_corpus, g_auth, oauth, oauth2, well_typed_corpus
 from helpers import error_kinds
-from mpst import INT, STRING, ErrorKind, Label, Role, choice_at, comm, end_, rec, roles_of, var_
+from mpst import INT, STRING, ErrorKind, Label, Role, choice_at, comm, end_, open_session, rec, roles_of, var_
 from mpst.gen import random_protocols
 from mpst.scripts import (
     CloseStep,
@@ -83,6 +83,29 @@ def test_script_missing_role_is_error():
     report = run_scripted(oauth(), {"s": (CloseStep(),)})
     assert report.verdict == "error"
     assert report.detail == "missing scripts for ['c', 'a']" and set(report.outcomes) == {"c", "a"}
+
+
+def test_a_script_for_an_undeclared_role_is_error():
+    scripts = {**OAUTH_SCRIPTS, "zz": (SendStep("s", "bogus"), CloseStep())}
+    report = run_scripted(oauth(), scripts)
+    assert report.verdict == "error" and report.trace == []
+    assert report.detail == "scripts for undeclared roles ['zz']" and set(report.outcomes) == {"zz"}
+    assert report.outcomes["zz"].detail == "no such role in the protocol"
+    report = run_scripted(oauth(), {"s": OAUTH_SCRIPTS["s"], "zz": (CloseStep(),)})
+    assert report.detail == "missing scripts for ['c', 'a']; scripts for undeclared roles ['zz']"
+    assert set(report.outcomes) == {"c", "a", "zz"}
+
+
+def test_a_scripted_run_opens_from_the_template_an_open_made():
+    """``run_scripted`` opens with its own ``roles``, so after ``open_session(g)``
+    a run with no roles adds no second template to ``g``."""
+    from mpst.bench import pingpong_protocol
+
+    g = pingpong_protocol()
+    open_session(g, AsyncBuffered(1))
+    scripts = compliant_scripts(g, random.Random(3))
+    assert run_scripted(g, scripts).verdict == "conformant"
+    assert len(g._compiled) == 1
 
 
 def test_receive_branch_choice_dispatch():
