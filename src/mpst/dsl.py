@@ -23,7 +23,7 @@ Protocol grammar::
             | !R{ LABEL: LOCAL, ... }       (internal choice)
             | ?R{ LABEL: LOCAL, ... }       (external choice)
     VAR ::= X | X@N | %N                    (N: the binders compiling and merging make;
-                                             X@N may be end@N, X may not be end)
+                                             X may not be end or rec, but X@N may)
 
 A block ends at its first terminal statement (``end``, ``continue``, a
 ``choice``, or a ``rec``); a block that just closes gets an implicit
@@ -201,8 +201,8 @@ class _Parser:
         if keyword and self.accept_keyword("rec"):
             at = self.peek()
             var = self.parse_local_var()
-            if var == "end":  # its body's end would read as End
-                self.fail("a local type's loop variable cannot be named 'end'", at)
+            if var in ("end", "rec"):  # its body would read the variable as the keyword
+                self.fail(f"a local type's loop variable cannot be named {var!r}", at)
             self.expect(".")
             return RecT(var, self.parse_local())
         if t.kind in ("ident", "%"):

@@ -148,7 +148,8 @@ def test_printed_local_types_parse_back_with_compiled_and_merged_binders():
 def test_a_loop_variable_named_end_parses_back_or_is_refused():
     """A global loop named ``end`` compiles to the binders ``end@0`` and
     ``end@1``, which parse back as binders.  A local ``rec end .`` would read
-    its body's ``end`` as End, a different type, so it is refused."""
+    its body's ``end`` as End, a different type, so it is refused, as is a
+    local ``rec rec .``, whose body's ``rec`` would start a loop."""
     p, q, m, s = Role("p"), Role("q"), Label("m"), Label("s")
     text = "protocol P (roles p, q) { rec end { choice at p { p -> q : m; continue end; } or { p -> q : s; end; } } }"
     local = type_global(parse_protocol(text).body)
@@ -161,8 +162,10 @@ def test_a_loop_variable_named_end_parses_back_or_is_refused():
     for bad in (printed, "protocol P (roles p, q) { p -> q : hand(session(rec end . !q{m: end})); }"):
         with pytest.raises(ParseError, match="loop variable cannot be named 'end'"):
             parse_protocol(bad)
-    with pytest.raises(ParseError, match="loop variable cannot be named 'end'"):
-        _parse_local("rec end . !q{m(unit): end, s(unit): end}")
+    for bad, name in (("rec end . !q{m(unit): end, s(unit): end}", "end"), ("rec rec . !q{m(unit): rec}", "rec")):
+        with pytest.raises(ParseError, match=f"loop variable cannot be named '{name}'"):
+            _parse_local(bad)
+    assert _parse_local("rec rec@0 . !q{m(unit): rec@0}") == RecT("rec@0", Select(q, ((m, VarT("rec@0")),)))
 
 
 def test_closed_statement_roundtrip():
