@@ -51,7 +51,9 @@ class PayloadSort:
 
 class _BaseSort(PayloadSort):
     """A base sort: its name, the class its payloads are instances of (a
-    send takes no bool for int), and the literal a derived script sends."""
+    send takes no bool for int), and the literal a derived script sends.
+    Each is one of this module's four constants, which ``pickle`` and
+    ``copy`` return too, so it compares and hashes by identity."""
 
     __slots__ = ("_name", "payload_class", "literal")
 
@@ -63,12 +65,6 @@ class _BaseSort(PayloadSort):
 
     def __repr__(self) -> str:
         return self._name
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _BaseSort) and other._name == self._name
-
-    def __hash__(self) -> int:
-        return hash(("sort", self._name))
 
     def __reduce__(self) -> str:  # pickled and copied as this module's constant of that name
         return self._name.upper()

@@ -86,6 +86,7 @@ a parked record         the serving peer      the channel lock; a timed-out    [
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -250,8 +251,9 @@ class SessionMonitor:
 
     __slots__ = ("_cursors", "_stops", "_log", "_lock")
 
-    def __init__(self, expected: dict[Role, LocalType]) -> None:
-        _start_monitor(self, {r: _state_table(t, r, {})[0] for r, t in expected.items()})
+    def __init__(self, expected: dict[Role, LocalType]) -> None:  # an open starts its own inline
+        self._cursors = {r: _state_table(t, r, {})[0] for r, t in expected.items()}  # None: stopped
+        self._stops, self._log, self._lock = {}, [], threading.Lock()
 
     def record(self, kind: EventKind, role: Role, peer: Optional[Role], label: Optional[Label],
                at: Optional[_State] = None, to: Optional[_State] = None) -> None:
@@ -302,16 +304,6 @@ class SessionMonitor:
         finally:
             lock.release()
         return True, "conformant"
-
-
-def _start_monitor(monitor: SessionMonitor, starts: dict[Role, _State]) -> SessionMonitor:
-    """Set ``monitor`` at the start: its own copy of the start cursors, an
-    empty log and no stops."""
-    monitor._cursors = starts.copy()  # None: stopped
-    monitor._stops = {}
-    monitor._log = []
-    monitor._lock = threading.Lock()
-    return monitor
 
 
 @dataclass(frozen=True)
@@ -468,6 +460,7 @@ class Endpoint(LinearityCell):
 
 
 _new = object.__new__  # bound once: a global name is cheaper than an attribute lookup
+_Lock = threading.Lock
 
 
 def _already_used(role: Role) -> SessionRuntimeError:
@@ -548,12 +541,21 @@ def open_session(
         compiled = _compiled_for(g, key)
     pairs = compiled.pairs
     if isinstance(transport, (AsyncBuffered, SyncRendezvous)):
-        links = [Channel(transport.capacity) for _ in pairs]
+        capacity, links = transport.capacity, []
+        for _ in pairs:  # each as Channel.__init__ builds it, without a call per link
+            link = _new(Channel)
+            link.capacity, link._lock, link._buf, link._blocked, link._receiver = (
+                capacity, _Lock(), deque(), [], None)
+            links.append(link)
     elif isinstance(transport, FramedSocket):
         links = connect_pairs(transport.host, pairs)
     else:
         raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"unknown transport {transport!r}")
-    monitor = _start_monitor(_new(SessionMonitor), compiled.starts) if monitored else None
+    monitor = None
+    if monitored:  # as SessionMonitor.__init__ starts one, on a copy of the template's starts
+        monitor = _new(SessionMonitor)
+        monitor._cursors, monitor._stops, monitor._log, monitor._lock = (
+            compiled.starts.copy(), {}, [], _Lock())
     seat = _new(SessionChannels)
     seat.links, seat.pairs, seat.monitor, seat.timeout = links, pairs, monitor, timeout
     endpoints = {}

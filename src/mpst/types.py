@@ -158,16 +158,21 @@ def _subst(t: LocalType, var: str, repl: LocalType) -> LocalType:
 
     Shadowed binders stop the walk; a binder that would capture a free
     variable of ``repl`` is renamed first (same-named nested recursions are
-    legal, so this case is reachable).
+    legal, so this case is reachable).  ``repl``'s free variables are walked
+    only when the walk meets such a binder, so unfolding a loop with no
+    nested binder walks it once.
     """
-    repl_free = _free_vars(repl)
+    repl_free = None
 
     def go(t: LocalType) -> LocalType:
+        nonlocal repl_free
         if isinstance(t, VarT):
             return repl if t.var == var else t
         if isinstance(t, RecT):
             if t.var == var:  # shadowed
                 return t
+            if repl_free is None:
+                repl_free = _free_vars(repl)
             if t.var in repl_free and var in _free_vars(t.body):
                 fresh = t.var + "'"
                 taken = repl_free | _free_vars(t.body)

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+from mpst.transport import AsyncBuffered, SyncRendezvous
+
 LAYERBENCH = Path(__file__).resolve().parents[1] / "layerbench"
 
 
@@ -106,13 +108,14 @@ def test_a_pingpong_round_makes_21_python_calls_into_the_library():
     assert sum(calls.values()) == 21 * 20
 
 
-def test_a_chameleons_pairing_makes_80_python_calls_into_the_library():
+def test_a_chameleons_pairing_makes_70_python_calls_into_the_library():
     """The call budget of a monitored pairing: three warm opens, two
     delegations and 14 recorded events, over 20 pairings after warm-up.
-    An open reads its template off the protocol and binds its links itself,
-    an endpoint hands the monitor the step it made, and a warm delegation
-    reads its subtype answer off the state, so ``_compiled_for``,
-    ``SessionChannels.__init__``, ``_advance`` and ``subtype`` never run."""
+    An open reads its template off the protocol, builds its links and
+    starts its monitor inline, an endpoint hands the monitor the step it
+    made, and a warm delegation reads its subtype answer off the state, so
+    ``_compiled_for``, ``Channel.__init__``, ``_advance`` and ``subtype``
+    never run."""
     w = WORKLOADS["chameleons"](7)
     w.setup()
     assert all(w.item() for _ in range(5))  # compiles both protocols and caches both subtype answers
@@ -120,8 +123,6 @@ def test_a_chameleons_pairing_makes_80_python_calls_into_the_library():
     assert ok and w.finish() == 0
     assert {key: n / 20 for key, n in calls.items()} == {
         ("mpst.runtime", "open_session"): 3,
-        ("mpst.runtime", "<listcomp>"): 3,  # each open's links
-        ("mpst.runtime", "_start_monitor"): 3,
         ("mpst.runtime", "send"): 4,  # Endpoint.send
         ("mpst.runtime", "receive"): 4,  # Endpoint.receive
         ("mpst.runtime", "close"): 6,  # Endpoint.close
@@ -132,12 +133,26 @@ def test_a_chameleons_pairing_makes_80_python_calls_into_the_library():
         ("mpst.runtime", "cell"): 2,  # Endpoint.cell, read by the workload
         ("mpst.runtime", "used"): 2,  # LinearityCell.used
         ("mpst.types", "__hash__"): 2,  # a declared type, as a subtype cache key
-        ("mpst.transport", "__init__"): 4,  # Channel.__init__
         ("mpst.transport", "send"): 4,  # Channel.send
         ("mpst.transport", "receive"): 4,  # Channel.receive
         ("mpst.transport", "select"): 4,
     }
-    assert sum(calls.values()) == 80 * 20
+    assert sum(calls.values()) == 70 * 20
+
+
+@pytest.mark.parametrize("monitored", [False, True])
+@pytest.mark.parametrize("transport", [AsyncBuffered(1), SyncRendezvous()], ids=repr)
+def test_a_warm_open_makes_one_python_call_into_the_library(transport, monitored):
+    """A warm open builds its links, its seat, its endpoints and, when
+    monitored, its monitor inline: ``open_session`` is its only call."""
+    from mpst import open_session
+    from mpst.bench import assignment_protocol
+
+    g = assignment_protocol()
+    open_session(g, transport, monitored)  # compiles g
+    session, calls = _library_calls(lambda: open_session(g, transport, monitored))
+    assert (session.monitor is not None) is monitored
+    assert dict(calls) == {("mpst.runtime", "open_session"): 1}
 
 
 def test_compiling_a_chain_makes_no_python_call_per_comm():

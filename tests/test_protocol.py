@@ -326,3 +326,24 @@ def test_a_base_sort_pickles_and_copies_as_its_module_constant():
             assert again is sort
     label = Label("m", BASE_SORTS["int"])
     assert pickle.loads(pickle.dumps(label)).payload is BASE_SORTS["int"]
+
+
+def test_base_sorted_labels_hash_and_compare_with_no_python_call_into_the_library():
+    """A base sort compares and hashes by identity, so hashing a label and
+    comparing payloads, as ``merge``, ``typecheck_cv`` and ``_payload_sub``
+    do, runs no Python code of the library."""
+    from mpst.protocol import BASE_SORTS
+    from test_bench_names import _library_calls
+
+    sorts = list(BASE_SORTS.values())
+    labels = [Label("m", s) for s in sorts]
+    again = [Label("m", s) for s in sorts]
+
+    def use():
+        return ([hash(l) for l in labels], [l == k for l in labels for k in again],
+                [s == t for s in sorts for t in sorts], len(set(labels + again)))
+
+    (hashes, labels_equal, sorts_equal, distinct), calls = _library_calls(use)
+    assert dict(calls) == {}
+    assert hashes == [hash(l) for l in again] and distinct == 4
+    assert labels_equal == sorts_equal == [i == j for i in range(4) for j in range(4)]

@@ -7,6 +7,7 @@ import pickle
 import sys
 import threading
 import time
+from collections import deque
 
 import pytest
 
@@ -1176,6 +1177,44 @@ def test_sessions_of_one_template_share_no_mutable_state():
     assert back == 2 and s2.monitor.verdict() == (True, "conformant")
     assert s1.monitor.verdict() == (False, "p stopped before finishing its protocol")
     assert len(s1.monitor.events) == 1 and len(s2.monitor.events) == 6
+
+
+def _alike_and_own(built: list, fresh: object, slots: tuple[str, ...]) -> None:
+    """Each object in ``built`` holds in every slot what ``fresh`` holds: a
+    value of the same type, equal to it, or for a lock an unlocked one; and
+    no lock or container is shared with ``fresh`` or with another of them."""
+    lock = type(threading.Lock())
+    shared = (lock, deque, list, dict)
+    seen = {id(getattr(fresh, slot)) for slot in slots if type(getattr(fresh, slot)) in shared}
+    for obj in built:
+        for slot in slots:
+            mine, theirs = getattr(obj, slot), getattr(fresh, slot)
+            assert type(mine) is type(theirs), slot
+            assert not mine.locked() if type(mine) is lock else mine == theirs, slot
+            if type(mine) in shared:
+                assert id(mine) not in seen, slot
+                seen.add(id(mine))
+
+
+@pytest.mark.parametrize("transport", [SyncRendezvous(), AsyncBuffered(1), AsyncBuffered(4)], ids=repr)
+def test_an_open_builds_its_links_and_monitor_as_their_constructors_do(transport):
+    """Drift gate: an open builds each in-process link and starts its
+    monitor inline, so each must match what ``Channel(capacity)`` and a
+    stand-alone ``SessionMonitor`` build, slot by slot, except that the
+    monitor's cursors are the template's start states.  A slot that either
+    constructor gains, and the open does not set, fails here."""
+    from mpst.runtime import SessionMonitor
+    from mpst.transport import Channel
+
+    g = oauth()
+    opened = [open_session(g, transport, monitored=True) for _ in range(2)]
+    links = [link for s in opened for link in s.channels.links]
+    assert len(links) == 2 * len(g._compiled[None].pairs) > 2
+    assert all(type(link) is Channel for link in links)
+    _alike_and_own(links, Channel(transport.capacity), Channel.__slots__)
+    fresh = SessionMonitor(opened[0].local_types)
+    fresh._cursors = g._compiled[None].starts
+    _alike_and_own([s.monitor for s in opened], fresh, SessionMonitor.__slots__)
 
 
 def test_an_unknown_transport_is_refused_and_subclasses_keep_their_capacity():

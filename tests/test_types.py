@@ -195,6 +195,21 @@ class TestUnfold:
         assert inner[CANCEL] == VarT(got.var)  # old bound uses follow the rename
         assert inner[OK] == b(Q, (OK, VarT("Y")))  # the free Y stayed free
 
+    def test_unfolding_a_loop_with_no_nested_binder_walks_no_free_variables(self, monkeypatch):
+        """``_subst`` walks its replacement's free variables only at a nested
+        binder that could capture them, so a first unfolding of each
+        pingpong loop, closed and with one binder, walks none."""
+        from mpst import types
+        from mpst.bench import pingpong_protocol
+
+        loops = types.type_global(pingpong_protocol()).values()
+        assert all(isinstance(t, RecT) and "_unfolded" not in t.__dict__ for t in loops)
+        walked = []
+        free_vars = types._free_vars
+        monkeypatch.setattr(types, "_free_vars", lambda *a: walked.append(a) or free_vars(*a))
+        assert all(isinstance(unfold_type(t), Select | Branch) for t in loops)
+        assert walked == []
+
 
 class TestEquiv:
     def test_unfolding_equiv(self):
