@@ -11,9 +11,12 @@ open reads the template off the protocol and builds only the session's own:
 one link per directed role pair, a FIFO of ``(label name, payload)``
 messages on every transport; one seat; one start endpoint per role; a copy
 of the local types; and, when monitored, a monitor on a copy of the start
-cursors.  A send puts its label and payload on the link to the peer, and a
-receive takes the head of the link from the peer and picks its branch by
-the label name.
+cursors.  It builds all of these inline, an in-process link as
+``Channel.__init__`` does and a monitor as ``SessionMonitor.__init__``
+does, so a warm in-process open makes no Python call into the library
+besides its own.  A send puts its label and payload on the link to the
+peer, and a receive takes the head of the link from the peer and picks its
+branch by the label name.
 
 An :class:`Endpoint` is one role's live handle into a session at one state:
 the session's seat (its one :class:`SessionChannels`: links, monitor and
@@ -245,13 +248,14 @@ class SessionMonitor:
     A role's first violation is kept with its event's seq and stops its
     cursor.  ``verdict`` reads the cursors, so it costs O(roles) however
     long the trace.  ``events`` builds each :class:`TraceEvent` on read.
-    A session's monitor starts from its compiled protocol's template; one
-    built here compiles the state tables of ``expected``'s closed types.
+    A session's monitor is started by its open, on a copy of its compiled
+    protocol's start states; one built here compiles the state tables of
+    ``expected``'s closed types.
     """
 
     __slots__ = ("_cursors", "_stops", "_log", "_lock")
 
-    def __init__(self, expected: dict[Role, LocalType]) -> None:  # an open starts its own inline
+    def __init__(self, expected: dict[Role, LocalType]) -> None:
         self._cursors = {r: _state_table(t, r, {})[0] for r, t in expected.items()}  # None: stopped
         self._stops, self._log, self._lock = {}, [], threading.Lock()
 
@@ -530,9 +534,12 @@ def open_session(
     reads the template off ``g`` and builds only what is the session's own:
     its links, bound for the transport, one seat (``Session.channels``), one
     start endpoint per role, a copy of the local types, and, when monitored,
-    a monitor on a copy of the template's start cursors.  Each endpoint
-    starts at its role's start state, whose stage is the unfolded local type
-    that ``Session.local_types`` holds.
+    a monitor on a copy of the template's start cursors.  An in-process
+    link is built here slot by slot as ``Channel.__init__`` builds one, and
+    the monitor as ``SessionMonitor.__init__`` starts one, with no call per
+    link; ``tests/test_runtime.py`` holds both to their constructors.  Each
+    endpoint starts at its role's start state, whose stage is the unfolded
+    local type that ``Session.local_types`` holds.
     """
     key = tuple(roles) if roles is not None else None
     try:

@@ -107,7 +107,8 @@ class _Parked:
 class Channel:
     """A link with one receiving role: rendezvous when ``capacity`` is 0,
     FIFO otherwise.  At most one receive may be pending; a second concurrent
-    receive raises ``TransportError``."""
+    receive raises ``TransportError``.  ``runtime.open_session`` builds a
+    session's links slot by slot as ``__init__`` does, without calling it."""
 
     __slots__ = ("capacity", "_lock", "_buf", "_blocked", "_receiver")
 

@@ -1184,14 +1184,14 @@ def _alike_and_own(built: list, fresh: object, slots: tuple[str, ...]) -> None:
     value of the same type, equal to it, or for a lock an unlocked one; and
     no lock or container is shared with ``fresh`` or with another of them."""
     lock = type(threading.Lock())
-    shared = (lock, deque, list, dict)
-    seen = {id(getattr(fresh, slot)) for slot in slots if type(getattr(fresh, slot)) in shared}
+    mutable = (lock, deque, list, dict)
+    seen = {id(getattr(fresh, slot)) for slot in slots if type(getattr(fresh, slot)) in mutable}
     for obj in built:
         for slot in slots:
             mine, theirs = getattr(obj, slot), getattr(fresh, slot)
             assert type(mine) is type(theirs), slot
             assert not mine.locked() if type(mine) is lock else mine == theirs, slot
-            if type(mine) in shared:
+            if type(mine) in mutable:
                 assert id(mine) not in seen, slot
                 seen.add(id(mine))
 
