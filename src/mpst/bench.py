@@ -2,9 +2,9 @@
 
 Both variants run the same message pattern over the same transport
 machinery, item for item, with every thread started outside the clock; the
-session rows therefore isolate the cost of walking local types, linearity
-cells, and endpoint bookkeeping.  Absolute numbers are machine noise; the
-interesting column is the ratio.
+session rows therefore isolate the cost of stepping each role's state
+table, using each endpoint's linearity flag once, and endpoint bookkeeping.
+Absolute numbers are machine noise; the interesting column is the ratio.
 """
 
 from __future__ import annotations

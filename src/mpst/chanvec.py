@@ -159,11 +159,6 @@ class ChannelTable:
     def canonical(self, slot: int) -> ChannelName:
         return self.names[self.find(slot)]
 
-    def classes(self) -> list[ChannelName]:
-        """One representative per class, in (sender, receiver, label, index) order."""
-        roots = [n for n in self.names if self.find(n.key) == n.key]
-        return sorted(roots, key=lambda n: (n.from_role, n.to_role, n.label.name, n.index))
-
     def payload_env(self) -> dict[int, PayloadSort]:
         """Every slot's payload sort, which is that of its class representative."""
         comms = self._comms

@@ -180,7 +180,10 @@ class _Parser:
             self.expect("(")
             local = self.parse_local()
             self.expect(")")
-            return SessionSort(local)
+            try:
+                return SessionSort(local)
+            except ValueError as e:  # an open or unguarded type
+                raise ParseError(str(e), t.line, t.col) from None
         self.fail(f"unknown payload sort {t.text!r}", t)
 
     def parse_local(self) -> LocalType:
@@ -194,7 +197,10 @@ class _Parser:
                 self.expect(":")
                 branches.append((label, self.parse_local()))
             self.expect("}")
-            return (Select if t.kind == "!" else Branch)(peer, tuple(branches))
+            try:
+                return (Select if t.kind == "!" else Branch)(peer, tuple(branches))
+            except ValueError as e:  # a repeated label
+                raise ParseError(str(e), t.line, t.col) from None
         keyword = t.kind == "ident" and self.toks[self.pos + 1].kind != "@"  # not a binder like end@0
         if keyword and self.accept_keyword("end"):
             return END_T

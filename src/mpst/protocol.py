@@ -82,7 +82,8 @@ BASE_SORTS = {s.sort_name(): s for s in (UNIT, BOOL, INT, STRING)}
 class SessionSort(PayloadSort):
     """Delegation payload: the message carries a live endpoint of this type.
 
-    The carried local type must be closed (no free recursion variables).
+    The carried local type must be closed (no free recursion variables) and
+    guarded (no loop comes back to its variable before a choice).
     """
 
     local: object  # a types.LocalType; kept loose to avoid an import cycle
@@ -91,6 +92,8 @@ class SessionSort(PayloadSort):
         free = getattr(self.local, "free_vars", None)
         if free is not None and free():
             raise ValueError("session payload types must be closed")
+        if free is not None and not self.local.guarded():
+            raise ValueError("session payload types must be guarded: a loop comes back before any choice")
 
     def sort_name(self) -> str:
         return "session"

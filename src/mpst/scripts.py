@@ -187,7 +187,7 @@ def run_scripted(
     for w in workers:
         w.join(timeout + 2.0)
     try:
-        trace = session.monitor.events if session.monitor else []
+        trace = session.monitor.events
         timed_out = any(
             o.error_kind is ErrorKind.TIMEOUT for o in outcomes.values()
         ) or any(w.is_alive() for w in workers)
@@ -195,7 +195,7 @@ def run_scripted(
             return RunReport("deadlocked", outcomes, trace, "at least one role timed out")
         if not all(o.ok for o in outcomes.values()):
             return RunReport("error", outcomes, trace, "a role failed")
-        ok, why = session.monitor.verdict()  # type: ignore[union-attr]
+        ok, why = session.monitor.verdict()
         return RunReport("conformant" if ok else "nonconformant", outcomes, trace, why)
     finally:
         session.close_transport()

@@ -23,10 +23,12 @@ handoff completes as if the wait had not timed out.
 
 A channel has one receiving role, so it has one receiver slot, an operation
 takes no lock but its channel's, and a second concurrent receive raises
-``TransportError``.  ``Channel.send`` and ``select`` take that lock with
-``acquire`` and release it in a ``finally``, not in a ``with`` block, whose
-enter and exit calls cost about as much as the lock itself; only the
-re-checks after a timed-out wait use ``with``.
+``TransportError``.  A receive is one call of the module function
+``select``, which waits on the one channel it is given and returns its next
+value; ``Channel.receive`` calls it.  ``Channel.send`` and ``select`` take
+the channel lock with ``acquire`` and release it in a ``finally``, not in a
+``with`` block, whose enter and exit calls cost about as much as the lock
+itself; only the re-checks after a timed-out wait use ``with``.
 """
 
 from __future__ import annotations
@@ -146,14 +148,12 @@ class Channel:
             # served while we were timing out: the send completed
 
     def receive(self, timeout: Optional[float] = None) -> object:
-        _, value = select((self,), timeout)
-        return value
+        return select(self, timeout)
 
 
-def select(channels: Sequence[Channel], timeout: Optional[float] = None) -> tuple[int, object]:
-    """Wait for the next value on the one channel in ``channels``; returns
-    ``(0, value)``.  :meth:`Channel.receive` calls it through this module."""
-    (ch,) = channels
+def select(ch: Channel, timeout: Optional[float] = None) -> object:
+    """Wait for the next value on ``ch`` and return it.
+    :meth:`Channel.receive` calls it through this module."""
     lock = ch._lock
     lock.acquire()
     try:
@@ -166,7 +166,7 @@ def select(channels: Sequence[Channel], timeout: Optional[float] = None) -> tupl
             b.done = True
             b.wake.release()
         if ch._buf:
-            return 0, ch._buf.popleft()
+            return ch._buf.popleft()
         if ch._receiver is not None:
             raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, "a receive is already pending")
         r = ch._receiver = _Parked()
@@ -178,7 +178,7 @@ def select(channels: Sequence[Channel], timeout: Optional[float] = None) -> tupl
                 ch._receiver = None
                 raise _timeout_error("receive timed out with no pending send")
         # served while we were timing out: the value is ours
-    return 0, r.value
+    return r.value
 
 
 # --- framed TCP transport ----------------------------------------------------
@@ -205,9 +205,8 @@ def _fill(sock: socket.socket, buf: bytearray, n: int) -> None:
         buf += chunk
 
 
-def read_frame(sock: socket.socket, buf: Optional[bytearray] = None) -> tuple[object, object]:
+def read_frame(sock: socket.socket, buf: bytearray) -> tuple[object, object]:
     """Read one frame, resuming the partial frame held in ``buf``."""
-    buf = bytearray() if buf is None else buf
     _fill(sock, buf, _LEN.size)
     (length,) = _LEN.unpack_from(buf)
     if length > _MAX_FRAME:

@@ -48,6 +48,9 @@ class LocalType:
     def free_vars(self) -> frozenset[str]:
         return _free_vars(self)
 
+    def guarded(self) -> bool:
+        return _guarded(self)
+
 
 def _hash_once(cls):
     """Keep a compound node's structural hash on it after its first use, as
@@ -151,6 +154,19 @@ def _free_vars(t: LocalType, bound: frozenset[str] = frozenset()) -> frozenset[s
     if isinstance(t, VarT):
         return frozenset() if t.var in bound else frozenset({t.var})
     return frozenset()
+
+
+def _guarded(t: LocalType, pending: frozenset[str] = frozenset()) -> bool:
+    """No loop of ``t`` comes back to its variable before a choice, as
+    ``rec X . X`` and ``rec X . rec Y . X`` do.  ``pending`` holds the
+    binders entered since the last choice above ``t``."""
+    if isinstance(t, DirectedChoice):
+        return all(_guarded(e[-1]) for e in t.branches)
+    if isinstance(t, RecT):
+        return _guarded(t.body, pending | {t.var})
+    if isinstance(t, VarT):
+        return t.var not in pending
+    return True
 
 
 def _subst(t: LocalType, var: str, repl: LocalType) -> LocalType:
@@ -356,17 +372,6 @@ def _merge(a: LocalType, b: LocalType, path: Path, namer: Iterator[int], table,
                             f"cannot be merged: {type(a).__name__} vs {type(b).__name__}", path)
 
 
-def _decider_output(parts: Sequence[LocalType], at: Role, path: Path) -> DirectedChoice:
-    """The deciding role's behaviour at a choice: its opening output in every
-    branch, concatenated into one output choice.  The branches are checked
-    in order, each by :func:`_decider_step`; ``eval_global`` takes the same
-    steps one branch at a time and builds with :func:`_decision`."""
-    first, decided = None, {}
-    for k, t in enumerate(parts):
-        first = _decider_step(t, k, first, decided, at, path)
-    return _decision(first, decided)
-
-
 def _decider_step(t: LocalType, k: int, first: Optional[DirectedChoice], decided: dict,
                   at: Role, path: Path) -> DirectedChoice:
     """Check the deciding role's behaviour ``t`` in branch ``k`` against the
@@ -462,8 +467,11 @@ def project(g: GlobalProtocol, r: Role) -> LocalType:
             return cont
         if isinstance(node, Choice):
             parts = [go(b, path + (step,), closed) for step, b in node.children()]
-            if node.at == r:
-                return _decider_output(parts, node.at, path)
+            if node.at == r:  # its opening outputs, concatenated as eval_global does
+                first, decided = None, {}
+                for k, t in enumerate(parts):
+                    first = _decider_step(t, k, first, decided, node.at, path)
+                return _decision(first, decided)
             if closed is not None:  # below closed_at(r), r is End in every branch
                 for p in parts:
                     discharge(p, closed)
@@ -489,7 +497,7 @@ def project(g: GlobalProtocol, r: Role) -> LocalType:
                         path,
                     )
                 return END_T
-            return RecT(node.var, body) if node.var in _free_vars(body) else body
+            return _fix_unused(node.var, body)
         if isinstance(node, Var):
             return VarT(node.var)
         if isinstance(node, ClosedAt):

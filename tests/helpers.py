@@ -30,10 +30,11 @@ def alloc(table: ChannelTable, from_role: Role, to_role: Role, label: Label) -> 
 
 
 def channel_classes(table: ChannelTable) -> set[tuple[frozenset[str], str, int]]:
-    """Channel-name classes keyed by unordered role pair, label, and index."""
+    """Channel-name classes, each by its representative (the slot that
+    ``table.find`` maps it to), keyed by unordered role pair, label, and index."""
     return {
         (frozenset({c.from_role.name, c.to_role.name}), c.label.name, c.index)
-        for c in table.classes()
+        for c in table.names if table.find(c.key) == c.key
     }
 
 

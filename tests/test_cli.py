@@ -170,6 +170,19 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
     assert "expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sort, where", [
+    ("session(rec X . Y)", "2:17: session payload types must be closed"),
+    ("session(!b{m: end, m: end})", "2:25: duplicate labels in one choice: ['m', 'm']"),
+    ("session(rec X . X)", "2:17: session payload types must be guarded"),
+])
+def test_check_refuses_a_bad_session_sort_at_its_token_with_exit_2(sort, where, tmp_path, capsys):
+    p = tmp_path / "sort.mpst"
+    p.write_text(f"protocol P (roles a, b) {{\n  a -> b : give({sort});\n}}\n")
+    assert main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}") and "Traceback" not in err
+
+
 def test_check_exit_code_matches_typability(tmp_path):
     from corpus import finite_corpus, oauth3
     from helpers import protocol_file_for

@@ -12,7 +12,8 @@ classes and payload sorts (or its and ``type_global``'s exact rejection) by
 a digest taken before the Comm-run loop and the cheap vector nodes; both
 digests are also pinned over the accepted inputs alone, so that a change in
 which fault a rejection reports cannot hide a change in an accepted result.
-On every shape-faulted input, each compile entry must raise ``ShapeError``
+``project``, the oracle, is pinned by its own digest over every role of the
+same inputs.  On every shape-faulted input, each compile entry must raise ``ShapeError``
 with the former walk's findings.  Compiling, typing and the oracle must
 leave no reference cycle but a loop's cached unfolding.
 """
@@ -215,6 +216,27 @@ PINNED_ACCEPTED_TYPING_DIGEST = "0c0e67bdc505173d2d20b5aae5561bcfc4b87d13ff96371
 PINNED_ACCEPTED_COMPILE_DIGEST = "8f684f6a199d8e2ab88df4905e78f228a7ae7f36fb90cca5dee8bc0c8c4a7209"
 
 
+def projection_digest(protocols) -> str:
+    """sha256 over ``project``'s result for every role of each protocol:
+    the local type's ``repr``, or the rejection's kind, detail and path."""
+    h = hashlib.sha256()
+    for g in protocols:
+        for r in roles_of(g):
+            try:
+                out = repr(project(g, r))
+            except MpstError as e:
+                out = f"{e.kind}|{e.detail}|{'/'.join(e.path)}"
+            h.update(out.encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+# projection_digest over the 7,611 shape-valid inputs of hand_written() +
+# generated_candidates(), taken before the oracle's decider fold and its
+# loop binder moved onto the compile route's own rules.
+PINNED_PROJECTION_DIGEST = "40c471395d46088b30852227e33c37d6752fab73ecc8b893bbaba1be3ba55d04"
+
+
 def _accepted(protocols) -> list[GlobalProtocol]:
     accepted = []
     for g in protocols:
@@ -248,6 +270,12 @@ def test_front_end_matches_the_former_walks_and_pinned_typing():
     assert compile_digest(accepted) == PINNED_ACCEPTED_COMPILE_DIGEST
     assert typing_digest(clean) == PINNED_TYPING_DIGEST
     assert compile_digest(clean) == PINNED_COMPILE_DIGEST
+
+
+def test_the_oracle_matches_its_pinned_projection():
+    clean = [g for g in hand_written() + generated_candidates() if validate_shape(g).ok]
+    assert len(clean) == 7611
+    assert projection_digest(clean) == PINNED_PROJECTION_DIGEST
 
 
 def test_every_entry_rejects_a_shape_fault_with_all_its_findings():

@@ -102,6 +102,20 @@ def test_session_sorts_must_be_closed():
         SessionSort(Branch(P, ((Label("m"), VarT("X")),)))  # free X
 
 
+def test_session_sorts_must_be_guarded():
+    from mpst import SessionSort
+    from mpst.types import Branch, RecT, VarT
+
+    SessionSort(RecT("X", Branch(P, ((Label("m"), RecT("Y", VarT("X"))),))))  # X comes back after a choice
+    for unguarded in (RecT("X", VarT("X")), RecT("X", RecT("Y", VarT("X"))), RecT("X", RecT("X", VarT("X"))),
+                      Branch(P, ((Label("m"), RecT("Y", VarT("Y"))),))):
+        with pytest.raises(ValueError, match="must be guarded"):
+            SessionSort(unguarded)
+    open_and_unguarded = Branch(P, ((Label("m"), VarT("Z")), (Label("n"), RecT("Y", VarT("Y")))))
+    with pytest.raises(ValueError, match="session payload types must be closed"):
+        SessionSort(open_and_unguarded)  # the closedness message comes first
+
+
 def test_validate_unguarded():
     report = validate_shape(rec("X", var_("X")))
     assert report.kinds() == {ErrorKind.UNGUARDED_RECURSION}

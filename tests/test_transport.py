@@ -335,7 +335,7 @@ def test_frame_roundtrip_over_socketpair():
     try:
         ch = {"from": "p", "to": "q", "label": "m", "idx": 3}
         left.sendall(encode_frame(ch, "payload"))
-        got_ch, got_payload = read_frame(right)
+        got_ch, got_payload = read_frame(right, bytearray())
         assert got_ch == ch and got_payload == "payload"
     finally:
         left.close()
@@ -379,7 +379,7 @@ def test_frame_rejects_short_stream():
         left.sendall(struct.pack(">I", 100) + b"short")
         left.close()
         with pytest.raises(SessionRuntimeError) as e:
-            read_frame(right)
+            read_frame(right, bytearray())
         assert e.value.kind is ErrorKind.TRANSPORT_ERROR
     finally:
         right.close()
@@ -390,7 +390,7 @@ def test_frame_with_an_oversized_header_is_refused_before_its_body():
     try:
         left.sendall(struct.pack(">I", transport._MAX_FRAME + 1) + b"body")
         with pytest.raises(SessionRuntimeError) as e:
-            read_frame(right)
+            read_frame(right, bytearray())
         assert e.value.kind is ErrorKind.TRANSPORT_ERROR and "oversized frame" in e.value.detail
         right.settimeout(1)
         assert right.recv(16) == b"body"  # the reader stopped at the header
