@@ -270,10 +270,6 @@ def test_front_end_matches_the_former_walks_and_pinned_typing():
     assert compile_digest(accepted) == PINNED_ACCEPTED_COMPILE_DIGEST
     assert typing_digest(clean) == PINNED_TYPING_DIGEST
     assert compile_digest(clean) == PINNED_COMPILE_DIGEST
-
-
-def test_the_oracle_matches_its_pinned_projection():
-    clean = [g for g in hand_written() + generated_candidates() if validate_shape(g).ok]
     assert len(clean) == 7611
     assert projection_digest(clean) == PINNED_PROJECTION_DIGEST
 
