@@ -182,7 +182,7 @@ class _Parser:
             self.expect(")")
             try:
                 return SessionSort(local)
-            except ValueError as e:  # an open or unguarded type
+            except ValueError as e:  # an open type
                 raise ParseError(str(e), t.line, t.col) from None
         self.fail(f"unknown payload sort {t.text!r}", t)
 
@@ -210,7 +210,11 @@ class _Parser:
             if var in ("end", "rec"):  # its body would read the variable as the keyword
                 self.fail(f"a local type's loop variable cannot be named {var!r}", at)
             self.expect(".")
-            return RecT(var, self.parse_local())
+            body = self.parse_local()
+            try:
+                return RecT(var, body)
+            except ValueError as e:  # an unguarded loop
+                raise ParseError(str(e), t.line, t.col) from None
         if t.kind in ("ident", "%"):
             return VarT(self.parse_local_var())
         self.fail("expected a local type")

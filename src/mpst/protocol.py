@@ -82,18 +82,18 @@ BASE_SORTS = {s.sort_name(): s for s in (UNIT, BOOL, INT, STRING)}
 class SessionSort(PayloadSort):
     """Delegation payload: the message carries a live endpoint of this type.
 
-    The carried local type must be closed (no free recursion variables) and
-    guarded (no loop comes back to its variable before a choice).
+    The carried local type must be closed (no free recursion variables).
     """
 
-    local: object  # a types.LocalType; kept loose to avoid an import cycle
+    local: object  # a types.LocalType, which imports this module
 
     def __post_init__(self) -> None:
-        free = getattr(self.local, "free_vars", None)
-        if free is not None and free():
+        from .types import LocalType
+
+        if not isinstance(self.local, LocalType):
+            raise TypeError(f"a session sort carries a local type, not {self.local!r}")
+        if self.local.free_vars():
             raise ValueError("session payload types must be closed")
-        if free is not None and not self.local.guarded():
-            raise ValueError("session payload types must be guarded: a loop comes back before any choice")
 
     def sort_name(self) -> str:
         return "session"
@@ -112,6 +112,8 @@ class Label:
     def __post_init__(self) -> None:
         if not NAME.fullmatch(self.name):
             raise ValueError(f"label name must be a nonempty word: {self.name!r}")
+        if not isinstance(self.payload, PayloadSort):
+            raise TypeError(f"label {self.name}'s payload must be a payload sort, not {self.payload!r}")
 
     def __str__(self) -> str:
         return f"{self.name}({self.payload.sort_name()})"

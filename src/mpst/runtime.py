@@ -106,7 +106,7 @@ from .transport import (
     connect_pairs,
     select,  # not called here; re-exported for callers that look up runtime.select
 )
-from .types import END_T, DirectedChoice, LocalType, subtype, type_global, unfold_type
+from .types import END_T, DirectedChoice, LocalType, VarT, subtype, type_global, unfold_type
 
 DEFAULT_TIMEOUT = 5.0
 
@@ -202,6 +202,8 @@ def _state_table(t: LocalType, role: Role, links: dict[tuple[Role, Role], int]) 
         stage = unfold_type(stage)
         state = states.get(stage)
         if state is None:
+            if isinstance(stage, VarT):  # a loop variable that no binder closes
+                raise ValueError(f"local types must be closed: {role}'s type reaches free variable {stage.var}")
             state = states[stage] = _State(stage, role)
             if isinstance(stage, DirectedChoice):
                 state.kind, state.peer = (_SEND if stage.output else _RECEIVE), stage.peer
@@ -250,7 +252,7 @@ class SessionMonitor:
     long the trace.  ``events`` builds each :class:`TraceEvent` on read.
     A session's monitor is started by its open, on a copy of its compiled
     protocol's start states; one built here compiles the state tables of
-    ``expected``'s closed types.
+    ``expected``'s closed types, and refuses an open one with ``ValueError``.
     """
 
     __slots__ = ("_cursors", "_stops", "_log", "_lock")

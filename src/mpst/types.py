@@ -14,9 +14,10 @@ findings first (:class:`ShapeError`).  :func:`project`, the classical
 per-role endpoint projection, is a separate traversal kept as the
 independent oracle that the test suite checks the route against.
 
-Subtyping is coinductive: :func:`subtype` carries a set of assumed pairs and
-answers positively on revisit, which is sound and complete for the regular
-trees denoted by closed guarded types.
+Every loop is guarded when it is built (:class:`RecT`).  Subtyping is
+coinductive: :func:`subtype` carries a set of assumed pairs and answers
+positively on revisit, which is sound and complete for the regular trees
+denoted by closed types.
 """
 
 from __future__ import annotations
@@ -47,9 +48,6 @@ class LocalType:
 
     def free_vars(self) -> frozenset[str]:
         return _free_vars(self)
-
-    def guarded(self) -> bool:
-        return _guarded(self)
 
 
 def _hash_once(cls):
@@ -126,8 +124,19 @@ class Branch(DirectedChoice):
 @_hash_once
 @dataclass(frozen=True)
 class RecT(LocalType):
+    """The loop ``rec var . body``, refused unless guarded: the binders
+    directly nested in ``body`` may not end at ``var``, as in ``rec X . X``.
+    Inner binders were checked when built, so only this chain is walked."""
+
     var: str
     body: LocalType
+
+    def __post_init__(self):
+        t = self.body
+        while isinstance(t, RecT):
+            t = t.body
+        if isinstance(t, VarT) and t.var == self.var:
+            raise ValueError(f"loops must be guarded: rec {self.var} comes back to {self.var} before any choice")
 
 
 @dataclass(frozen=True)
@@ -154,19 +163,6 @@ def _free_vars(t: LocalType, bound: frozenset[str] = frozenset()) -> frozenset[s
     if isinstance(t, VarT):
         return frozenset() if t.var in bound else frozenset({t.var})
     return frozenset()
-
-
-def _guarded(t: LocalType, pending: frozenset[str] = frozenset()) -> bool:
-    """No loop of ``t`` comes back to its variable before a choice, as
-    ``rec X . X`` and ``rec X . rec Y . X`` do.  ``pending`` holds the
-    binders entered since the last choice above ``t``."""
-    if isinstance(t, DirectedChoice):
-        return all(_guarded(e[-1]) for e in t.branches)
-    if isinstance(t, RecT):
-        return _guarded(t.body, pending | {t.var})
-    if isinstance(t, VarT):
-        return t.var not in pending
-    return True
 
 
 def _subst(t: LocalType, var: str, repl: LocalType) -> LocalType:
@@ -207,9 +203,6 @@ def _subst(t: LocalType, var: str, repl: LocalType) -> LocalType:
         del go  # break the walker's cycle through its own cell, so refcounting frees it
 
 
-_MAX_UNFOLD = 10_000
-
-
 def _unfold_once(t: RecT) -> LocalType:
     """The body of ``t`` with ``t`` substituted for its variable.  The result
     is cached on the node, since the runtime, the monitor and merge unfold
@@ -222,13 +215,10 @@ def _unfold_once(t: RecT) -> LocalType:
 
 
 def unfold_type(t: LocalType) -> LocalType:
-    """Substitute the recursion away until the head is not a Rec."""
-    n = 0
+    """Substitute the recursion away until the head is a choice, End or a
+    free variable: one step per directly nested binder (:class:`RecT`)."""
     while isinstance(t, RecT):
         t = _unfold_once(t)
-        n += 1
-        if n > _MAX_UNFOLD:
-            raise ValueError("recursion is not guarded")
     return t
 
 

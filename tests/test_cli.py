@@ -173,7 +173,7 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("sort, where", [
     ("session(rec X . Y)", "2:17: session payload types must be closed"),
     ("session(!b{m: end, m: end})", "2:25: duplicate labels in one choice: ['m', 'm']"),
-    ("session(rec X . X)", "2:17: session payload types must be guarded"),
+    ("session(rec X . X)", "2:25: loops must be guarded: rec X comes back to X before any choice"),
 ])
 def test_check_refuses_a_bad_session_sort_at_its_token_with_exit_2(sort, where, tmp_path, capsys):
     p = tmp_path / "sort.mpst"

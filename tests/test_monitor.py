@@ -22,7 +22,7 @@ from mpst.protocol import Choice, ClosedAt, Comm, End, Rec, Var, roles_of
 from mpst.runtime import EventKind, SessionMonitor, TraceEvent
 from mpst.scripts import RoleOutcome, _run_role, compliant_scripts, global_trace
 from mpst.transport import AsyncBuffered, SyncRendezvous
-from mpst.types import Branch, EndT, Select, unfold_type
+from mpst.types import Branch, EndT, Select, VarT, unfold_type
 
 SEND, RECEIVE, CLOSE = EventKind.SEND, EventKind.RECEIVE, EventKind.CLOSE
 
@@ -324,6 +324,15 @@ def test_a_role_stopped_by_a_direct_event_stays_stopped_when_its_endpoint_acts()
     assert sess.monitor._cursors[P] is None
     assert sess.monitor.violation == _first_violation(sess.local_types, _logged(sess.monitor)) == (0, "p", why)
     assert sess.monitor.verdict() == tree_verdict(sess.local_types, sess.monitor.events) == (False, why)
+
+
+def test_a_stand_alone_monitor_refuses_a_free_loop_variable():
+    """A free variable is not End: a monitor on ``!q{m: X}`` and ``?p{m: X}``
+    would otherwise call p's send, q's receive and both closes conformant."""
+    m = Label("m", INT)
+    expected = {P: Select(Q, ((m, VarT("X")),)), Q: Branch(P, ((m, VarT("X")),))}
+    with pytest.raises(ValueError, match="local types must be closed: p's type reaches free variable X"):
+        SessionMonitor(expected)
 
 
 def test_a_delegated_endpoint_steps_the_cursor_of_its_own_session(monkeypatch):

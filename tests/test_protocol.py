@@ -103,17 +103,34 @@ def test_session_sorts_must_be_closed():
 
 
 def test_session_sorts_must_be_guarded():
+    """An unguarded loop cannot be built, so no session sort carries one."""
     from mpst import SessionSort
     from mpst.types import Branch, RecT, VarT
 
     SessionSort(RecT("X", Branch(P, ((Label("m"), RecT("Y", VarT("X"))),))))  # X comes back after a choice
-    for unguarded in (RecT("X", VarT("X")), RecT("X", RecT("Y", VarT("X"))), RecT("X", RecT("X", VarT("X"))),
-                      Branch(P, ((Label("m"), RecT("Y", VarT("Y"))),))):
-        with pytest.raises(ValueError, match="must be guarded"):
-            SessionSort(unguarded)
-    open_and_unguarded = Branch(P, ((Label("m"), VarT("Z")), (Label("n"), RecT("Y", VarT("Y")))))
+    for unguarded in (lambda: RecT("X", VarT("X")), lambda: RecT("X", RecT("Y", VarT("X"))),
+                      lambda: RecT("X", RecT("X", VarT("X"))),
+                      lambda: Branch(P, ((Label("m"), RecT("Y", VarT("Y"))),))):
+        with pytest.raises(ValueError, match="loops must be guarded"):
+            unguarded()
+    guarded_loop = RecT("Y", Branch(P, ((Label("m"), VarT("Y")),)))
+    open_and_guarded = Branch(P, ((Label("m"), VarT("Z")), (Label("n"), guarded_loop)))
     with pytest.raises(ValueError, match="session payload types must be closed"):
-        SessionSort(open_and_unguarded)  # the closedness message comes first
+        SessionSort(open_and_guarded)
+
+
+def test_a_session_sort_carries_only_a_local_type():
+    from mpst import SessionSort
+
+    for not_a_type in ("oops", None, Label("m")):
+        with pytest.raises(TypeError, match="a session sort carries a local type"):
+            SessionSort(not_a_type)
+
+
+def test_a_label_carries_only_a_payload_sort():
+    for not_a_sort in (int, "int", None):
+        with pytest.raises(TypeError, match="payload must be a payload sort"):
+            Label("m", not_a_sort)
 
 
 def test_validate_unguarded():

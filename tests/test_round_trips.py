@@ -2,12 +2,17 @@
 
 A session sort's text either parses to a sort that ``format_sort`` prints
 back to an equal sort, or is refused with a ``ParseError`` that points into
-the sort's own text, never with another exception.  The texts cover
+the sort's own text, never with another exception.  A sort that parses
+also comes back equal, with an equal hash, from ``pickle`` and ``copy``.
+The texts cover
 repeated labels, free and unguarded loop variables, the binder spellings
 that compiling and merging print, and sessions nested in payloads.
 """
 
 from __future__ import annotations
+
+import copy
+import pickle
 
 import pytest
 
@@ -52,3 +57,17 @@ def test_a_session_sort_text_prints_back_or_is_refused_at_its_own_token(text):
         assert e.line == 1 and len(PREFIX) < e.col <= len(PREFIX) + len(text), (str(e), text)
         return
     assert _sort_of(format_sort(sort)) == sort
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(SORT_TEXTS)
+def test_a_parsed_sort_survives_pickle_and_copy_equal_and_equally_hashed(text):
+    """A sort the DSL accepts loads and copies back equal and equally
+    hashed: the checks its nodes' constructors make do not stand in the way
+    of ``pickle``, ``copy`` or ``deepcopy``."""
+    try:
+        sort = _sort_of(text)
+    except ParseError:
+        return
+    for again in (pickle.loads(pickle.dumps(sort)), copy.copy(sort), copy.deepcopy(sort)):
+        assert again == sort and hash(again) == hash(sort), text

@@ -210,6 +210,21 @@ class TestUnfold:
         assert all(isinstance(unfold_type(t), Select | Branch) for t in loops)
         assert walked == []
 
+    def test_an_unguarded_loop_cannot_be_built_so_subtype_and_merge_never_meet_one(self):
+        for var in ("X", "Y"):
+            with pytest.raises(ValueError, match=f"loops must be guarded: rec {var} comes back to {var} "):
+                RecT(var, VarT(var))
+
+    def test_a_chain_of_200_nested_binders_unfolds_to_its_choice_with_no_bound(self):
+        """``rec X1 . rec X2 . ... . rec X200 . !q{ok: X1}`` unfolds in 200
+        steps, so a guarded loop needs no cap on its unfoldings."""
+        chain = sel(Q, (OK, VarT("X1")))
+        for i in range(200, 0, -1):
+            chain = RecT(f"X{i}", chain)
+        head = unfold_type(chain)
+        assert isinstance(head, Select) and head.peer == Q and head.labels() == ["ok"]
+        assert subtype(chain, chain)
+
 
 class TestEquiv:
     def test_unfolding_equiv(self):
