@@ -3,10 +3,10 @@
 A session sort's text either parses to a sort that ``format_sort`` prints
 back to an equal sort, or is refused with a ``ParseError`` that points into
 the sort's own text, never with another exception.  A sort that parses
-also comes back equal, with an equal hash, from ``pickle`` and ``copy``.
-The texts cover
-repeated labels, free and unguarded loop variables, the binder spellings
-that compiling and merging print, and sessions nested in payloads.
+also comes back equal, with an equal hash, from ``pickle``, ``copy`` and
+``deepcopy``.  The texts cover repeated labels, free and unguarded loop
+variables, the binder spellings that compiling and merging print, and
+sessions nested in payloads.
 """
 
 from __future__ import annotations
