@@ -79,7 +79,6 @@ from .transport import AsyncBuffered, Channel, FramedSocket, SyncRendezvous, Tra
 from .runtime import (
     Endpoint,
     EventKind,
-    LinearityCell,
     Session,
     SessionMonitor,
     TraceEvent,

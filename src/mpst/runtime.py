@@ -20,14 +20,13 @@ branch by the label name.
 
 An :class:`Endpoint` is one role's live handle into a session at one state:
 the session's seat (its one :class:`SessionChannels`: links, monitor and
-timeout), the state, which names the role, and its own flag, for an endpoint
-is a :class:`LinearityCell`.  The first operation (send, receive, close,
-or being delegated away) consumes the endpoint, and any further use raises
-``InvalidEndpoint``; ``Endpoint.used`` reads the flag.  Consuming the flag
-covers all sibling labels of the stage: choosing one output among
-alternatives uses the stage exactly once.
-An operation makes its checks first and then takes the flag with one
-``use`` call, before it touches the link.  A used endpoint is refused with
+timeout), the state, which names the role, and its own linearity flag.  The
+first operation (send, receive, close, or being delegated away) consumes
+the endpoint, and any further use raises ``InvalidEndpoint``;
+``Endpoint.used`` reads the flag.  Consuming the flag covers all sibling
+labels of the stage: choosing one output among alternatives uses the stage
+exactly once.  An operation makes its checks first and then pops the flag
+inline, before it touches the link.  A used endpoint is refused with
 ``InvalidEndpoint`` before any other error (wrong kind, peer, label or
 payload).  A delegating send from a used sender is refused before it
 touches the endpoint it carries.  Otherwise it takes the carried endpoint's
@@ -46,7 +45,11 @@ guarantee, and the gate in ``tests/`` that forces its race in every run.
 ======================  ====================  ===============================  ====
 shared mutable          written by            guarantee                        gate
 ======================  ====================  ===============================  ====
-an endpoint's flag      every ``use``         one ``list.pop``: one winner     [1]
+an endpoint's flag      each operation's      one ``list.pop``: one winner     [1]
+                        inline pop, a
+                        delegation's pop of
+                        its payload, and the
+                        public ``use()``
 a carried flag          a refused delegation  the item it popped is put back   [2]
 a parked record         the serving peer      the channel lock; a timed-out    [3]
                                               wait re-checks ``done`` under it
@@ -104,7 +107,7 @@ from .transport import (
     SyncRendezvous,
     Transport,
     connect_pairs,
-    select,  # not called here; re-exported for callers that look up runtime.select
+    select,  # looked up here at each receive, so a wrapper set on runtime.select sees it
 )
 from .types import END_T, DirectedChoice, LocalType, VarT, subtype, type_global, unfold_type
 
@@ -133,36 +136,6 @@ class TraceEvent:
 
     def signature(self) -> tuple[str, str, str, str]:
         return self.role, str(self.kind), self.peer or "", self.label.name if self.label else ""
-
-
-class LinearityCell:
-    """A once-settable flag: ``use`` returns True to exactly one caller.
-
-    Every :class:`Endpoint` is one.  The flag is a one-item list, ``[True]``.
-    ``use`` pops it without looking first: ``list.pop`` is one C call, made
-    atomic by the GIL and, on free-threaded builds, by the list's own lock,
-    so of any number of racing callers one gets the item and every other
-    gets ``IndexError``.  The only re-arm is internal: a delegating send
-    whose sender a racer won appends the item it popped from the carried
-    endpoint's flag, so the list never holds more than one.
-    """
-
-    __slots__ = ("_flag",)
-
-    def __init__(self) -> None:
-        self._flag = [True]
-
-    def use(self) -> bool:
-        try:
-            self._flag.pop()
-        except IndexError:
-            return False
-        return True
-
-    @property
-    def used(self) -> bool:
-        """Whether the flag is taken; an endpoint's by an operation or a delegation."""
-        return not self._flag
 
 
 def _payload_class(sort: PayloadSort):
@@ -343,8 +316,8 @@ def _compiled_for(g: GlobalProtocol, roles: Optional[tuple[Role, ...]]) -> Compi
 
 
 class SessionChannels:
-    """One session's seat, which all its endpoints share, built without
-    ``__init__`` by the open: its links (a :class:`Channel` or a
+    """One session's seat, which all its endpoints share, built by the open,
+    which sets its slots: its links (a :class:`Channel` or a
     :class:`FramedLink` per ``pairs`` entry, indexed by ``_State.link``), its
     monitor and its timeout."""
 
@@ -354,13 +327,31 @@ class SessionChannels:
         return self.links[self.pairs.index((sender, receiver))]
 
 
-class Endpoint(LinearityCell):
-    """A role's affine handle at one state of its table, built without
-    ``__init__`` by the operation or open that reaches the state.  It is its own
-    linearity flag: the public ``use()`` only consumes it, which drops the stage
-    unperformed (an affine drop)."""
+class Endpoint:
+    """A role's affine handle at one state of its table, built by the
+    operation or open that reaches the state.  It is its own linearity flag,
+    a one-item list, ``[True]``, that an operation pops without looking
+    first: ``list.pop`` is one C call, atomic under the GIL and, on
+    free-threaded builds, under the list's own lock, so of racing callers one
+    gets the item and every other ``IndexError``.  The only re-arm is a
+    delegating send whose sender a racer won: it puts back the item it
+    popped from the carried endpoint's flag, so a flag never holds two."""
 
-    __slots__ = ("seat", "state")
+    __slots__ = ("seat", "state", "_flag")
+
+    def use(self) -> bool:
+        """Consume the endpoint unperformed, an affine drop of its stage:
+        True to exactly one of any callers that race, False to the rest."""
+        try:
+            self._flag.pop()
+        except IndexError:
+            return False
+        return True
+
+    @property
+    def used(self) -> bool:
+        """Whether the flag is taken: by an operation, a delegation or ``use``."""
+        return not self._flag
 
     @property
     def stage(self) -> LocalType:
@@ -394,7 +385,10 @@ class Endpoint(LinearityCell):
                 ErrorKind.WRONG_PEER, f"{state.role} must talk to {state.peer} here, not {peer}"
             )
         label_name = label.name if label.__class__ is Label or isinstance(label, Label) else label
-        step = state.steps.get(label_name)
+        try:
+            step = state.steps.get(label_name)
+        except TypeError:  # an unhashable label names no branch
+            step = None
         if step is None:
             raise self._refusal(
                 ErrorKind.UNKNOWN_LABEL,
@@ -414,14 +408,16 @@ class Endpoint(LinearityCell):
                 ErrorKind.PAYLOAD_SORT_MISMATCH,
                 f"label {l} expects {l.payload.sort_name()}, got {type(payload).__name__}",
             )
-        if not self.use():
+        try:
+            self._flag.pop()
+        except IndexError:
             if check is None:  # a racer took the sender after the payload: the payload stays whole
                 payload._flag.append(True)
-            raise _already_used(state.role)
-        link.send((l.name, wire), seat.timeout)
+            raise _already_used(state.role) from None
+        link.send((label_name, wire), seat.timeout)
         if seat.monitor:  # only a send that happened is traced
             seat.monitor.record(_SEND, state.role, state.peer, l, state, nxt)
-        ep = _new(Endpoint)  # the next state's handle, with a fresh flag
+        ep = Endpoint()  # the next state's handle, with a fresh flag
         ep.seat, ep.state, ep._flag = seat, nxt, [True]
         return ep
 
@@ -438,9 +434,13 @@ class Endpoint(LinearityCell):
             raise self._refusal(
                 ErrorKind.WRONG_PEER, f"{state.role} must listen to {state.peer} here, not {peer}"
             )
-        if not self.use():
-            raise _already_used(state.role)
-        label_name, value = seat.links[state.link].receive(seat.timeout)
+        try:
+            self._flag.pop()
+        except IndexError:
+            raise _already_used(state.role) from None
+        link = seat.links[state.link]
+        label_name, value = (  # an in-process link is served by ``select`` without a method call
+            select(link, seat.timeout) if link.__class__ is Channel else link.receive(seat.timeout))
         step = state.steps.get(label_name)
         if step is None:
             raise SessionRuntimeError(
@@ -449,7 +449,7 @@ class Endpoint(LinearityCell):
         label, _, nxt = step
         if seat.monitor:
             seat.monitor.record(_RECEIVE, state.role, state.peer, label, state, nxt)
-        ep = _new(Endpoint)
+        ep = Endpoint()
         ep.seat, ep.state, ep._flag = seat, nxt, [True]
         return label, value, ep
 
@@ -459,12 +459,16 @@ class Endpoint(LinearityCell):
             raise self._refusal(
                 ErrorKind.PROTOCOL_NOT_FINISHED, f"{state.role} closed with protocol steps remaining"
             )
-        if not self.use():
-            raise _already_used(state.role)
+        try:
+            self._flag.pop()
+        except IndexError:
+            raise _already_used(state.role) from None
         if self.seat.monitor:
             self.seat.monitor.record(_CLOSE, state.role, None, None, state, _CLOSED)
 
 
+# Kept only while layerbench/tracer.py (the benchmark, changed only on its own) names LinearityCell.use.
+LinearityCell = Endpoint
 _new = object.__new__  # bound once: a global name is cheaper than an attribute lookup
 _Lock = threading.Lock
 
@@ -499,9 +503,11 @@ def _prepare_delegation(sort: SessionSort, payload: object, link) -> Endpoint:
             ErrorKind.PAYLOAD_SORT_MISMATCH,
             "delegated endpoint does not implement the declared session type",
         )
-    if not payload.use():  # the sender's handle dies
-        raise _already_used(state.role)
-    ep = _new(Endpoint)
+    try:
+        payload._flag.pop()  # the sender's handle dies
+    except IndexError:
+        raise _already_used(state.role) from None
+    ep = Endpoint()
     ep.seat, ep.state, ep._flag = payload.seat, state, [True]
     return ep
 
@@ -565,11 +571,11 @@ def open_session(
         monitor = _new(SessionMonitor)
         monitor._cursors, monitor._stops, monitor._log, monitor._lock = (
             compiled.starts.copy(), {}, [], _Lock())
-    seat = _new(SessionChannels)
+    seat = SessionChannels()
     seat.links, seat.pairs, seat.monitor, seat.timeout = links, pairs, monitor, timeout
     endpoints = {}
     for r, start in compiled.starts.items():  # as an operation builds its next endpoint
-        ep = endpoints[r] = _new(Endpoint)
+        ep = endpoints[r] = Endpoint()
         ep.seat, ep.state, ep._flag = seat, start, [True]
     session = _new(Session)  # the dataclass __init__ would only set the five fields
     session.roles, session.endpoints, session.monitor = compiled.roles, endpoints, monitor

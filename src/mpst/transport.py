@@ -25,7 +25,8 @@ A channel has one receiving role, so it has one receiver slot, an operation
 takes no lock but its channel's, and a second concurrent receive raises
 ``TransportError``.  A receive is one call of the module function
 ``select``, which waits on the one channel it is given and returns its next
-value; ``Channel.receive`` calls it.  ``Channel.send`` and ``select`` take
+value.  An endpoint's receive calls it itself; ``Channel.receive`` calls it
+for direct callers and the bare loop.  ``Channel.send`` and ``select`` take
 the channel lock with ``acquire`` and release it in a ``finally``, not in a
 ``with`` block, whose enter and exit calls cost about as much as the lock
 itself; only the re-checks after a timed-out wait use ``with``.

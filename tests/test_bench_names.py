@@ -47,8 +47,9 @@ def test_tracer_target_resolves(layer, module, attr, method):
 
 def test_the_tracer_counts_the_pingpong_hot_path():
     """The tracer still finds every seam of a pingpong round where the
-    endpoint path calls it: an endpoint's ``use`` is ``LinearityCell.use``
-    and a receive goes through ``transport.select``."""
+    endpoint path calls it: a receive goes through ``transport.select``.
+    An operation pops its flag inline, so ``LinearityCell.use``, the public
+    affine drop, is never called."""
     w = WORKLOADS["pingpong"](7)
     w.setup()
     tracer = TRACER.Tracer()
@@ -61,7 +62,7 @@ def test_the_tracer_counts_the_pingpong_hot_path():
         tracer.uninstall()
     assert w.finish() == 0
     calls = {name: row[TRACER.CALLS] / 20 for name, row in tracer.totals().items()}
-    assert calls["runtime.LinearityCell.use"] == 6
+    assert "runtime.LinearityCell.use" not in calls
     assert calls["runtime.Endpoint.send"] == 3
     assert calls["runtime.Endpoint.receive"] == 3
     assert calls["transport.select"] == 3
@@ -87,12 +88,12 @@ def _library_calls(run):
     return result, calls
 
 
-def test_a_pingpong_round_makes_21_python_calls_into_the_library():
+def test_a_pingpong_round_makes_12_python_calls_into_the_library():
     """The call budget of the endpoint path: every Python function call whose
     code lives in ``src/mpst`` during 20 untraced pingpong rounds, by module
-    and function.  Each operation builds its next endpoint inline, a receive
-    takes its value in ``select`` itself, and a payload's class is compared,
-    not passed to a check function."""
+    and function.  Each operation pops its flag and builds its next endpoint
+    inline, a receive calls ``select`` itself, and a payload's class is
+    compared, not passed to a check function."""
     w = WORKLOADS["pingpong"](7)
     w.setup()
     ok, calls = _library_calls(lambda: all(w.item() for _ in range(20)))
@@ -100,15 +101,13 @@ def test_a_pingpong_round_makes_21_python_calls_into_the_library():
     assert {key: n / 20 for key, n in calls.items()} == {
         ("mpst.runtime", "send"): 3,  # Endpoint.send
         ("mpst.runtime", "receive"): 3,  # Endpoint.receive
-        ("mpst.runtime", "use"): 6,  # LinearityCell.use
         ("mpst.transport", "send"): 3,  # Channel.send
-        ("mpst.transport", "receive"): 3,  # Channel.receive
         ("mpst.transport", "select"): 3,
     }
-    assert sum(calls.values()) == 21 * 20
+    assert sum(calls.values()) == 12 * 20
 
 
-def test_a_chameleons_pairing_makes_70_python_calls_into_the_library():
+def test_a_chameleons_pairing_makes_50_python_calls_into_the_library():
     """The call budget of a monitored pairing: three warm opens, two
     delegations and 14 recorded events, over 20 pairings after warm-up.
     An open reads its template off the protocol, builds its links and
@@ -127,17 +126,15 @@ def test_a_chameleons_pairing_makes_70_python_calls_into_the_library():
         ("mpst.runtime", "receive"): 4,  # Endpoint.receive
         ("mpst.runtime", "close"): 6,  # Endpoint.close
         ("mpst.runtime", "_prepare_delegation"): 2,
-        ("mpst.runtime", "use"): 16,  # LinearityCell.use: 14 operations and 2 delegations
         ("mpst.runtime", "record"): 14,  # SessionMonitor.record
         ("mpst.runtime", "verdict"): 3,  # SessionMonitor.verdict
         ("mpst.runtime", "cell"): 2,  # Endpoint.cell, read by the workload
-        ("mpst.runtime", "used"): 2,  # LinearityCell.used
+        ("mpst.runtime", "used"): 2,  # Endpoint.used
         ("mpst.types", "__hash__"): 2,  # a declared type, as a subtype cache key
         ("mpst.transport", "send"): 4,  # Channel.send
-        ("mpst.transport", "receive"): 4,  # Channel.receive
         ("mpst.transport", "select"): 4,
     }
-    assert sum(calls.values()) == 70 * 20
+    assert sum(calls.values()) == 50 * 20
 
 
 @pytest.mark.parametrize("monitored", [False, True])

@@ -387,6 +387,8 @@ def test_a_used_endpoint_is_refused_as_invalid_before_any_other_check():
         (login_receiver, lambda ep: ep.send(S, "login", "x"), ErrorKind.WRONG_PEER),  # send: wrong kind
         (login_sender, lambda ep: ep.send(A, "login", "Hi"), ErrorKind.WRONG_PEER),
         (login_sender, lambda ep: ep.send(C, "nope", "Hi"), ErrorKind.UNKNOWN_LABEL),
+        (login_sender, lambda ep: ep.send(C, ["login"], "Hi"), ErrorKind.UNKNOWN_LABEL),  # unhashable
+        (login_sender, lambda ep: ep.send(C, {"login"}, "Hi"), ErrorKind.UNKNOWN_LABEL),
         (login_sender, lambda ep: ep.send(C, "login", 42), ErrorKind.PAYLOAD_SORT_MISMATCH),
         (delegator, lambda ep: ep.send(taker, "hand", "not an endpoint"), ErrorKind.PAYLOAD_SORT_MISMATCH),
         (login_sender, lambda ep: ep.receive(C), ErrorKind.WRONG_PEER),  # receive: wrong kind
@@ -525,20 +527,10 @@ def test_a_sender_lost_to_a_racer_does_not_consume_the_endpoint_it_delegates():
         live.close()
 
 
-def test_a_linearity_cell_admits_one_use_and_no_public_re_arm():
-    cell = runtime.LinearityCell()
-    assert not cell.used
-    assert cell.use() and cell.used
-    assert not cell.use() and cell.used
-    # only a refused delegating send re-arms a flag; no public name can
-    assert [n for n in dir(cell) if not n.startswith("_")] == ["use", "used"]
-    assert not cell.use() and cell.used
-
-
 def test_a_used_endpoint_has_no_public_re_arm():
     """An endpoint is its own flag.  Once used, none of its public names
     revives it; a public ``use()`` on a live endpoint only consumes it, an
-    affine drop of its stage."""
+    affine drop of its stage, and returns True to that one call only."""
     g = comm(P, Q, Label("m", INT), end_())
     ep = open_session(g, AsyncBuffered(1)).endpoints[P]
     ep.send(Q, "m", 1)
@@ -553,8 +545,47 @@ def test_a_used_endpoint_has_no_public_re_arm():
     assert ep.stage is ep.state.stage and ep.state.role == P
     assert ep.used
     dropped = open_session(g, AsyncBuffered(1)).endpoints[P]
+    assert not dropped.used
     assert dropped.use() and dropped.used
+    assert not dropped.use() and dropped.used
     _raises_kind(lambda: dropped.send(Q, "m", 1), ErrorKind.INVALID_ENDPOINT)
+    assert not dropped.use() and dropped.used
+
+
+def test_every_handle_gets_a_one_item_flag_of_its_own():
+    """Drift gate: an open, a send, a receive and a delegation each build
+    their handle with a plain ``Endpoint()`` call and set its slots, so
+    each must hand out a fresh ``[True]`` that no other handle holds; a
+    shared flag would let one handle's use consume another.  ``Endpoint``
+    defines no ``__init__`` for that call to run, and has no ``__dict__``
+    to catch a misspelt slot."""
+    from mpst.bench import A, B, pingpong_protocol
+    from mpst.runtime import Endpoint
+
+    assert "__init__" not in Endpoint.__dict__
+    handles = []
+
+    def fresh(ep):
+        assert type(ep._flag) is list and ep._flag == [True] and not hasattr(ep, "__dict__")
+        assert all(ep._flag is not other._flag for other in handles)  # all alive, so no id is reused
+        handles.append(ep)
+        return ep
+
+    sess = open_session(pingpong_protocol(), AsyncBuffered(1), timeout=1.0)
+    a, b = fresh(sess.endpoints[A]), fresh(sess.endpoints[B])
+    for k in range(3):
+        a = fresh(a.send(B, "more"))
+        b = fresh(b.receive(A)[2])
+        a = fresh(a.send(B, "ping", k))
+        _, got, b = b.receive(A)
+        b = fresh(fresh(b).send(A, "pong", got))
+        a = fresh(a.receive(B)[2])
+    inner_g = comm(P, Q, Label("bye", UNIT), end_())
+    owner, taker = Role("owner"), Role("taker")
+    handoff = comm(owner, taker, Label("hand", SessionSort(project(inner_g, Q))), end_())
+    outer = open_session(handoff, AsyncBuffered(1))
+    outer.endpoints[owner].send(taker, "hand", open_session(inner_g, AsyncBuffered(1)).endpoints[Q])
+    fresh(outer.endpoints[taker].receive(owner)[1])  # the delegated handle
 
 
 def test_peers_and_labels_may_be_given_as_names_or_equal_objects():
