@@ -31,7 +31,7 @@ from mpst.errors import (
     SelfSendError, SessionRuntimeError, ShapeError,
 )
 from mpst.gen import ProtocolGenerator
-from mpst.protocol import BASE_SORTS, Choice, ClosedAt, Comm, Finding, Label, Rec, Role
+from mpst.protocol import Choice, ClosedAt, Comm, Finding, Label, Rec, Role, Var
 from mpst.runtime import EventKind, TraceEvent
 from mpst.types import format_sort, type_global, unfold_type
 
@@ -116,7 +116,8 @@ def _assert_error_round_trips(e: Exception) -> None:
         assert vars(again) == vars(e), repr(e)
 
 
-NAMES = st.sampled_from(["protocol", "roles", "choice", "end", "rec", "session", "int", "Ω", "é_1", "名", "_", "_x_"])
+NAMES = st.sampled_from(
+    ["protocol", "roles", "choice", "end", "rec", "session", "int", "Ω", "é_1", "名", "_", "_x_"])
 LOOP_VARS = st.sampled_from(["X", "Y", "end", "rec", "X@1", "end@1", "%2", "Ω"])
 ERROR_TEXTS = st.text("aZé名 _/:@%\n\"'\\", max_size=12)  # an alphabet: no Unicode table to build
 PATHS = st.lists(ERROR_TEXTS, max_size=3).map(tuple)
@@ -136,9 +137,9 @@ def _renamed(g, roles: dict, labels: dict, loop_vars: dict):
             return Rec(loop_vars.get(node.var, node.var), go(node.body))
         if isinstance(node, ClosedAt):
             return ClosedAt(Role(roles.get(node.role, node.role)), go(node.cont))
-        if hasattr(node, "var"):  # a Var
-            return type(node)(loop_vars.get(node.var, node.var))
-        return node  # End, or a mutant's empty choice
+        if isinstance(node, Var):
+            return Var(loop_vars.get(node.var, node.var))
+        return node  # End
     return go(g)
 
 
@@ -152,8 +153,9 @@ def protocols(draw):
     g = gen.candidate()
     if draw(st.integers(0, 2)) == 0:
         g = shape_mutant(g, random.Random(seed))
-    roles = dict(zip("pqrst", draw(st.lists(NAMES, min_size=5, max_size=5, unique=True))))
-    labels = dict(zip(("m0", "m1", "m2", "m3", "self"), draw(st.lists(NAMES, min_size=5, max_size=5, unique=True))))
+    five_names = st.lists(NAMES, min_size=5, max_size=5, unique=True)
+    roles = dict(zip("pqrst", draw(five_names)))  # the generator's roles and shape_mutant's s
+    labels = dict(zip(("m0", "m1", "m2", "m3", "self"), draw(five_names)))
     loop_vars = dict(zip("XY", draw(st.lists(LOOP_VARS, min_size=2, max_size=2, unique=True))))
     return _renamed(g, roles, labels, loop_vars)
 
@@ -174,8 +176,7 @@ def test_a_protocol_its_local_types_and_its_typing_error_survive_pickle_and_copy
         _assert_round_trips(unfold_type(t))
 
 
-SORTS = st.one_of(st.sampled_from(list(BASE_SORTS.values())),
-                  LOCAL_TEXTS.map("session({})".format).map(_sort_of_or_none).filter(lambda sort: sort is not None))
+SORTS = SORT_TEXTS.map(_sort_of_or_none).filter(lambda sort: sort is not None)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
