@@ -530,7 +530,7 @@ def test_a_sender_lost_to_a_racer_does_not_consume_the_endpoint_it_delegates():
 def test_a_used_endpoint_has_no_public_re_arm():
     """An endpoint is its own flag.  Once used, none of its public names
     revives it; a public ``use()`` on a live endpoint only consumes it, an
-    affine drop of its stage, and returns True to that one call only."""
+    affine drop of its stage."""
     g = comm(P, Q, Label("m", INT), end_())
     ep = open_session(g, AsyncBuffered(1)).endpoints[P]
     ep.send(Q, "m", 1)
@@ -545,11 +545,21 @@ def test_a_used_endpoint_has_no_public_re_arm():
     assert ep.stage is ep.state.stage and ep.state.role == P
     assert ep.used
     dropped = open_session(g, AsyncBuffered(1)).endpoints[P]
-    assert not dropped.used
     assert dropped.use() and dropped.used
-    assert not dropped.use() and dropped.used
     _raises_kind(lambda: dropped.send(Q, "m", 1), ErrorKind.INVALID_ENDPOINT)
-    assert not dropped.use() and dropped.used
+
+
+def test_a_linearity_cell_admits_one_use_and_no_public_re_arm():
+    """The linearity flag lives in the endpoint: a fresh endpoint is not
+    used, its first ``use()`` returns True, every later one False, and a
+    refused operation does not re-arm it."""
+    g = comm(P, Q, Label("m", INT), end_())
+    cell = open_session(g, AsyncBuffered(1)).endpoints[P].cell
+    assert not cell.used
+    assert cell.use() and cell.used
+    assert not cell.use() and cell.used
+    _raises_kind(lambda: cell.send(Q, "m", 1), ErrorKind.INVALID_ENDPOINT)
+    assert not cell.use() and cell.used
 
 
 def test_every_handle_gets_a_one_item_flag_of_its_own():
