@@ -37,7 +37,12 @@ refused sender never destroys the endpoint it carries.
 A monitored session's :class:`SessionMonitor` checks each event as it is
 recorded: it keeps one cursor per role on the same state tables, which an
 endpoint's own step moves by identity, so a violation is found at the event
-that made it and the verdict costs O(roles).
+that made it and the verdict costs O(roles).  Any other step is decided by
+``_advance``, the one rule an endpoint's refusals come from too: a refused
+operation raises the rule's ``(kind, message)``, such as ``UnknownLabel``
+with ``p used unknown label m(string)``, and a monitor records the message.
+A string label names its branch; a ``Label`` must equal the branch's label,
+name and payload sort.
 
 Thread-safety ledger: each mutable that threads share, who writes it, its
 guarantee, and the gate in ``tests/`` that forces its race in every run.
@@ -135,7 +140,8 @@ class TraceEvent:
     label: Optional[Label]
 
     def signature(self) -> tuple[str, str, str, str]:
-        return self.role, str(self.kind), self.peer or "", self.label.name if self.label else ""
+        label = self.label.name if isinstance(self.label, Label) else str(self.label or "")  # a recorded name
+        return self.role, str(self.kind), self.peer or "", label
 
 
 def _payload_class(sort: PayloadSort):
@@ -194,23 +200,31 @@ def _state_table(t: LocalType, role: Role, links: dict[tuple[Role, Role], int]) 
 _CLOSED = _State(END_T, kind=None)  # a role's cursor after its close; admits no event
 
 
-def _advance(role: Role, state: _State, kind: EventKind, peer, label) -> _State | str:
-    """The state after ``role`` at ``state`` performs the event, or the
-    reason it may not: the checks of a walk of its local type, in order.
-    Kind, peer and label name compare by equality, so an event given as
-    plain strings, as a ``--trace`` line holds it, is checked alike."""
+def _advance(role: Role, state: _State, kind: EventKind, peer, label) -> _State | tuple[ErrorKind, str]:
+    """The one rule: the state after ``role`` at ``state`` performs the
+    event, or the ``(ErrorKind, message)`` refusing it, checked in the order
+    of a walk of the local type.  Kind and peer compare by equality, so an
+    event given as plain strings, as a ``--trace`` line holds it, is checked
+    alike; a string label names its branch, and any other label must equal
+    the branch's ``Label``, name and payload sort."""
     if state is _CLOSED:
-        return f"{role} acted after close"
+        return ErrorKind.INVALID_ENDPOINT, f"{role} acted after close"
     if kind == _CLOSE:
-        return _CLOSED if state.kind is _CLOSE else f"{role} closed before finishing its protocol"
+        if state.kind is _CLOSE:
+            return _CLOSED
+        return ErrorKind.PROTOCOL_NOT_FINISHED, f"{role} closed before finishing its protocol"
     if state.kind != kind:
-        return f"{role} performed {kind} at a {type(state.stage).__name__} stage"
+        return ErrorKind.WRONG_PEER, f"{role} performed {kind} at a {type(state.stage).__name__} stage"
     if peer is None or peer != state.peer:
-        return f"{role} talked to {peer} instead of {state.peer}"
-    step = state.steps.get(label.name if label is not None else None)
-    if step is None:
-        return f"{role} used unknown label {label}"
-    return step[2]
+        return ErrorKind.WRONG_PEER, f"{role} talked to {peer} instead of {state.peer}"
+    name = label.name if isinstance(label, Label) else label
+    try:
+        l, _, nxt = state.steps[name]
+    except (KeyError, TypeError):  # an unhashable label names no branch
+        l = None
+    if l is None or label is not name and label != l:
+        return ErrorKind.UNKNOWN_LABEL, f"{role} used unknown label {label}"
+    return nxt
 
 
 class SessionMonitor:
@@ -245,8 +259,8 @@ class SessionMonitor:
                 return
             if state is not at:  # a direct record, or an endpoint whose cursor one moved
                 to = _advance(role, state, kind, peer, label)
-                if to.__class__ is str:
-                    self._stops[role] = (len(self._log) - 1, role, to)
+                if to.__class__ is tuple:
+                    self._stops[role] = (len(self._log) - 1, role, to[1])
                     to = None
             cursors[role] = to
         finally:
@@ -364,37 +378,26 @@ class Endpoint:
         benchmark, changed only on its own) reads ``cell.used``; read ``used``."""
         return self
 
-    def _refusal(self, kind: ErrorKind, detail: str) -> SessionRuntimeError:
-        """The error for a refused operation: ``InvalidEndpoint`` when this
-        handle is used already, whatever else is wrong with the call."""
+    def _refusal(self, kind: EventKind, peer, label) -> SessionRuntimeError:
+        """The error for a refused event: ``InvalidEndpoint`` when this handle
+        is used already, whatever else is wrong with the call, else the
+        refusal of ``_advance``, the monitor's rule."""
         if not self._flag:
             return _already_used(self.state.role)
-        return SessionRuntimeError(kind, detail)
+        return SessionRuntimeError(*_advance(self.state.role, self.state, kind, peer, label))
 
     def send(self, peer: Role | str, label: Label | str, payload: object = None) -> "Endpoint":
         seat = self.seat
         state = self.state
-        if state.kind is not _SEND:
-            raise self._refusal(
-                ErrorKind.WRONG_PEER,
-                f"{state.role} tried to send but the protocol expects "
-                f"{'a receive' if state.kind is _RECEIVE else 'close'} here",
-            )
-        if peer is not state.peer and peer != state.peer:
-            raise self._refusal(
-                ErrorKind.WRONG_PEER, f"{state.role} must talk to {state.peer} here, not {peer}"
-            )
+        if state.kind is not _SEND or peer is not state.peer and peer != state.peer:
+            raise self._refusal(_SEND, peer, label)
         label_name = label.name if label.__class__ is Label or isinstance(label, Label) else label
         try:
-            step = state.steps.get(label_name)
-        except TypeError:  # an unhashable label names no branch
-            step = None
-        if step is None:
-            raise self._refusal(
-                ErrorKind.UNKNOWN_LABEL,
-                f"label {label_name} is not offered here (have {list(state.steps)})",
-            )
-        l, check, nxt = step
+            l, check, nxt = state.steps[label_name]
+        except (KeyError, TypeError):  # an unhashable label names no branch
+            raise self._refusal(_SEND, peer, label) from None
+        if label is not l and label is not label_name and label != l:  # a Label is compared whole
+            raise self._refusal(_SEND, peer, label)
         link = seat.links[state.link]
         wire = payload
         if check is None:
@@ -404,7 +407,9 @@ class Endpoint:
         elif payload.__class__ is not check and (  # the exact class first, the general rule on a miss
             not isinstance(payload, check) or check is int and payload.__class__ is bool
         ):
-            raise self._refusal(
+            if not self._flag:
+                raise _already_used(state.role)
+            raise SessionRuntimeError(
                 ErrorKind.PAYLOAD_SORT_MISMATCH,
                 f"label {l} expects {l.payload.sort_name()}, got {type(payload).__name__}",
             )
@@ -424,16 +429,8 @@ class Endpoint:
     def receive(self, peer: Role | str) -> tuple[Label, object, "Endpoint"]:
         seat = self.seat
         state = self.state
-        if state.kind is not _RECEIVE:
-            raise self._refusal(
-                ErrorKind.WRONG_PEER,
-                f"{state.role} tried to receive but the protocol expects "
-                f"{'a send' if state.kind is _SEND else 'close'} here",
-            )
-        if peer is not state.peer and peer != state.peer:
-            raise self._refusal(
-                ErrorKind.WRONG_PEER, f"{state.role} must listen to {state.peer} here, not {peer}"
-            )
+        if state.kind is not _RECEIVE or peer is not state.peer and peer != state.peer:
+            raise self._refusal(_RECEIVE, peer, None)
         try:
             self._flag.pop()
         except IndexError:
@@ -456,9 +453,7 @@ class Endpoint:
     def close(self) -> None:
         state = self.state
         if state.kind is not _CLOSE:
-            raise self._refusal(
-                ErrorKind.PROTOCOL_NOT_FINISHED, f"{state.role} closed with protocol steps remaining"
-            )
+            raise self._refusal(_CLOSE, None, None)
         try:
             self._flag.pop()
         except IndexError:

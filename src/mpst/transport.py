@@ -6,7 +6,9 @@ carry ``(label name, payload)`` messages in FIFO order through ``send`` and
 both the synchronous rendezvous discipline (capacity 0: a send completes only
 when a matching receive is pending) and bounded FIFO buffering.  Over TCP it
 is a :class:`FramedLink`, one direction of the pair's connection, whose
-frames are headed by the label name.
+frames are headed by the label name.  A frame that is not a UTF-8 JSON
+object of a header and a payload, or whose header is not a string, is
+refused with ``TransportError``.
 
 A channel keeps the values it has accepted as plain values in one deque, at
 most ``capacity`` of them.  Only a thread that must wait gets a record: its
@@ -207,7 +209,9 @@ def _fill(sock: socket.socket, buf: bytearray, n: int) -> None:
 
 
 def read_frame(sock: socket.socket, buf: bytearray) -> tuple[object, object]:
-    """Read one frame, resuming the partial frame held in ``buf``."""
+    """Read one frame, resuming the partial frame held in ``buf``.  A body
+    that is not a UTF-8 JSON object of exactly ``ch`` and ``payload`` is
+    refused with ``TransportError``; the frame is consumed either way."""
     _fill(sock, buf, _LEN.size)
     (length,) = _LEN.unpack_from(buf)
     if length > _MAX_FRAME:
@@ -215,7 +219,12 @@ def read_frame(sock: socket.socket, buf: bytearray) -> tuple[object, object]:
     _fill(sock, buf, _LEN.size + length)
     raw = buf[_LEN.size:]
     del buf[:]
-    body = json.loads(raw.decode("utf-8"))
+    try:
+        body = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"undecodable frame: {e}") from None
+    if body.__class__ is not dict or body.keys() != {"ch", "payload"}:
+        raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, "frame is not an object of ch and payload")
     return body["ch"], body["payload"]
 
 
@@ -254,9 +263,12 @@ class FramedLink:
         with self.read_lock:
             self.in_sock.settimeout(timeout)
             try:
-                return read_frame(self.in_sock, self.partial)
+                ch, payload = read_frame(self.in_sock, self.partial)
             except socket.timeout:
                 raise _timeout_error("receive timed out on socket") from None
+        if ch.__class__ is not str:  # a session's frames are headed by the label name
+            raise SessionRuntimeError(ErrorKind.TRANSPORT_ERROR, f"frame header is not a label name: {ch!r}")
+        return ch, payload
 
     def close(self) -> None:
         for s in (self.out_sock, self.in_sock):

@@ -283,18 +283,19 @@ def test_simulate_conformant(oauth_file, tmp_path, capsys):
 
 def test_a_standalone_monitor_replays_the_trace_simulate_writes(oauth_file, tmp_path, capsys):
     """A ``--trace`` line holds the kind, role and peer as plain strings."""
-    from mpst import Label, SessionMonitor, parse_protocol, type_global
+    from mpst import BOOL, STRING, Label, SessionMonitor, parse_protocol, type_global
 
     sc = tmp_path / "ok.scn"
     sc.write_text(SCENARIO)
     trace = tmp_path / "trace.jsonl"
     assert main(["simulate", str(oauth_file), str(sc), "--trace", str(trace)]) == 0
     lines = [json.loads(line) for line in trace.read_text().splitlines()]
+    sorts = {"login": STRING, "pwd": STRING, "auth": BOOL}  # the protocol's payload sorts
 
     def replay(lines):
         monitor = SessionMonitor(type_global(parse_protocol(OAUTH).body))
         for ev in lines:
-            monitor.record(ev["kind"], ev["role"], ev["peer"], ev["label"] and Label(ev["label"]))
+            monitor.record(ev["kind"], ev["role"], ev["peer"], ev["label"] and Label(ev["label"], sorts[ev["label"]]))
         return monitor
 
     monitor = replay(lines)

@@ -326,6 +326,30 @@ def test_a_role_stopped_by_a_direct_event_stays_stopped_when_its_endpoint_acts()
     assert sess.monitor.verdict() == tree_verdict(sess.local_types, sess.monitor.events) == (False, why)
 
 
+def _monitor_of_m() -> SessionMonitor:
+    """A stand-alone monitor of ``p -> q : m(int)``."""
+    return SessionMonitor(open_session(comm(P, Q, Label("m", INT), end_()), AsyncBuffered(1)).local_types)
+
+
+def test_a_direct_record_with_a_plain_label_name_steps_by_name():
+    """A label given as a string names its branch, as an endpoint's does."""
+    monitor = _monitor_of_m()
+    for event in [(SEND, P, Q, "m"), (RECEIVE, Q, P, "m"), (CLOSE, P, None, None), (CLOSE, Q, None, None)]:
+        monitor.record(*event)
+    assert monitor.verdict() == (True, "conformant") and monitor.violation is None
+    assert [e.signature() for e in monitor.events] == [
+        ("p", "send", "q", "m"), ("q", "receive", "p", "m"), ("p", "close", "", ""), ("q", "close", "", "")]
+
+
+@pytest.mark.parametrize("label", [["m"], {"m"}, {"m": 1}], ids=["list", "set", "dict"])
+def test_a_direct_record_with_an_unhashable_label_is_refused(label):
+    monitor = _monitor_of_m()
+    monitor.record(SEND, P, Q, label)
+    why = f"p used unknown label {label}"
+    assert monitor.violation == (0, "p", why)
+    assert monitor.verdict() == (False, why)
+
+
 def test_a_stand_alone_monitor_refuses_a_free_loop_variable():
     """A free variable is not End: a monitor on ``!q{m: X}`` and ``?p{m: X}``
     would otherwise call p's send, q's receive and both closes conformant."""

@@ -38,7 +38,7 @@ from mpst import (
     roles_of,
     var_,
 )
-from mpst.errors import ErrorKind, ProtocolTypeError
+from mpst.errors import ErrorKind, MpstError, ProtocolTypeError
 from mpst.protocol import Choice
 from mpst.types import (
     Branch,
@@ -50,6 +50,7 @@ from mpst.types import (
     type_equiv,
     type_global,
 )
+from universe import SMALL_ROLES, small_protocols
 
 AUTH = Label("auth", STRING)
 OK = Label("ok", STRING)
@@ -346,3 +347,32 @@ def test_branch_reorder_invariance():
         ts, ts2 = type_global(g), type_global(flipped)
         for r in roles_of(g):
             assert type_equiv(ts[r], ts2[r]), name
+
+
+def test_type_global_and_project_agree_on_every_protocol_of_at_most_4_nodes():
+    """Every protocol of the small scope is typed both ways over all three
+    roles: both accept it or both refuse it, and an accepted one gets equal
+    local types.  The counts are pinned, so a change that moves a protocol
+    between accepted and refused, or between refusal kinds, shows here."""
+    protocols = small_protocols(4)
+    accepted, refused = 0, {}
+    for g in protocols:
+        try:
+            typed = type_global(g, SMALL_ROLES)
+        except MpstError as e:
+            typed = None
+            refused[e.kind] = refused.get(e.kind, 0) + 1
+        try:
+            projected = {r: project(g, r) for r in SMALL_ROLES}
+        except MpstError:
+            projected = None
+        assert (typed is None) == (projected is None), g
+        if typed is not None:
+            accepted += 1
+            assert all(type_equiv(typed[r], projected[r]) for r in SMALL_ROLES), g
+    assert (len(protocols), accepted) == (5328, 3696)
+    assert refused == {
+        ErrorKind.UNCLOSED_ROLE: 1116,
+        ErrorKind.UNGUARDED_RECURSION: 369,
+        ErrorKind.ACTIVE_ROLE_MISMATCH: 147,
+    }

@@ -211,6 +211,17 @@ def test_a_message_with_an_unexpected_label_is_a_transport_error():
     assert e.value.kind is ErrorKind.INVALID_ENDPOINT
 
 
+def test_a_framed_message_headed_by_an_unhashable_value_is_a_transport_error():
+    sess = open_session(comm(P, Q, Label("m", INT), end_()), FramedSocket(), timeout=1.0)
+    try:
+        sess.channels.links[0].send((["m"], 1))  # raw, past the sender's endpoint
+        with pytest.raises(SessionRuntimeError) as e:
+            sess.endpoints[Q].receive(P)
+        assert e.value.kind is ErrorKind.TRANSPORT_ERROR
+    finally:
+        sess.close_transport()
+
+
 def test_concurrent_sends_on_one_stage_have_one_winner():
     # A buffer of 8 has room for every racer, so only the linearity cell's
     # flag stands between them and the link.  Real threads under a 1 us
@@ -620,6 +631,99 @@ def test_peers_and_labels_may_be_given_as_names_or_equal_objects():
         _raises_kind(lambda: sess.endpoints[Q].receive(other), ErrorKind.WRONG_PEER)
 
 
+def test_a_label_of_another_sort_is_refused_by_the_send_and_the_monitor_alike():
+    """A ``Label`` names its branch only if it equals the offered one, name
+    and payload sort.  A send of ``m(string)`` on an ``m(int)`` branch is
+    refused, and a direct ``record`` of the same event stops p's cursor with
+    the same message."""
+    g = comm(P, Q, Label("m", INT), end_())
+    sess = open_session(g, AsyncBuffered(1), monitored=True)
+    ep = sess.endpoints[P]
+    with pytest.raises(SessionRuntimeError) as e:
+        ep.send(Q, Label("m", STRING), 5)
+    assert (e.value.kind, e.value.detail) == (ErrorKind.UNKNOWN_LABEL, "p used unknown label m(string)")
+    assert not ep.used and sess.monitor.events == []
+    sess.monitor.record(EventKind.SEND, P, Q, Label("m", STRING))
+    assert sess.monitor.violation == (0, P, "p used unknown label m(string)")
+    assert sess.monitor.verdict() == (False, "p used unknown label m(string)")
+    assert sess.monitor._cursors[P] is None
+
+
+def _refused_with(call) -> tuple[ErrorKind, str] | None:
+    """The kind and detail ``call`` is refused with, or None if it is not."""
+    try:
+        call()
+    except SessionRuntimeError as e:
+        return e.kind, e.detail
+    return None
+
+
+def test_an_endpoint_refuses_and_steps_by_the_monitors_rule_at_every_small_state():
+    """At every state of every accepted protocol of at most 4 nodes, an
+    endpoint refuses exactly the events ``_advance`` refuses, with its kind
+    and message, and steps to the state it returns.  The events are each
+    kind at each peer (and none), with each label name (and one unknown) as
+    a string, as a ``Label`` of the offered sort and of another, and
+    unhashable.  States are checked once per role and stage: the rule reads
+    nothing else of a state."""
+    from universe import SMALL_ROLES, small_protocols
+
+    from mpst.errors import MpstError
+
+    send, receive, close = EventKind.SEND, EventKind.RECEIVE, EventKind.CLOSE
+    peers = (None, *SMALL_ROLES)
+    labels = [Label(name, sort) for name in ("a", "b", "c") for sort in (UNIT, INT)]
+    labels += ["a", "b", "c", ["a"]]
+    seen, refused, stepped = set(), 0, 0
+    for g in small_protocols(4):
+        try:
+            seat = open_session(g, AsyncBuffered(1 << 20)).channels
+        except MpstError:  # refused by the typing
+            continue
+        for role, table in g._compiled[None].tables.items():
+            for state in table:
+                if (role, state.stage) in seen:
+                    continue
+                seen.add((role, state.stage))
+
+                def at():  # a fresh handle at this state
+                    ep = runtime.Endpoint()
+                    ep.seat, ep.state, ep._flag = seat, state, [True]
+                    return ep
+
+                for peer in peers:
+                    for label in labels:
+                        rule = runtime._advance(role, state, send, peer, label)
+                        if rule.__class__ is tuple:
+                            assert _refused_with(lambda: at().send(peer, label, None)) == rule
+                            refused += 1
+                        else:
+                            assert at().send(peer, label, None).state is rule
+                            name = label if label.__class__ is str else label.name
+                            assert seat.links[state.link].receive(0) == (name, None)
+                            stepped += 1
+                    if state.kind is not receive or peer != state.peer:
+                        rule = runtime._advance(role, state, receive, peer, None)
+                        assert _refused_with(lambda: at().receive(peer)) == rule
+                        refused += 1
+                if state.kind is receive:
+                    for name, (label, _, nxt) in state.steps.items():
+                        seat.links[state.link].send((name, None))
+                        got, _, ep = at().receive(state.peer)
+                        assert got is label and ep.state is nxt
+                        assert runtime._advance(role, state, receive, state.peer, label) is nxt
+                        stepped += 1
+                rule = runtime._advance(role, state, close, None, None)
+                if rule is runtime._CLOSED:
+                    ep = at()
+                    assert ep.close() is None and ep.used
+                    stepped += 1
+                else:
+                    assert _refused_with(lambda: at().close()) == rule
+                    refused += 1
+    assert (len(seen), refused, stepped) == (2307, 100356, 3459)
+
+
 def test_sibling_stage_exclusivity():
     sess = open_session(g_auth(), AsyncBuffered(2))
 
@@ -797,7 +901,7 @@ def test_a_delegated_endpoint_keeps_its_own_role_and_monitor():
     with pytest.raises(SessionRuntimeError) as e:
         carried.receive(R)
     assert (e.value.kind, e.value.detail) == (
-        ErrorKind.WRONG_PEER, "left tried to receive but the protocol expects a send here")
+        ErrorKind.WRONG_PEER, "left performed receive at a Select stage")
     left = carried.send(R, CHAT, 7)
     with pytest.raises(SessionRuntimeError) as e:
         carried.send(R, CHAT, 8)

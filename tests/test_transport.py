@@ -399,6 +399,28 @@ def test_frame_with_an_oversized_header_is_refused_before_its_body():
         right.close()
 
 
+@pytest.mark.parametrize("body", [
+    b"\xff\xfe",  # not UTF-8
+    b"not json",
+    b"[" * 100_000 + b"]" * 100_000,  # JSON nested past the decoder's recursion limit
+    b'["m", 1]',  # JSON, not an object
+    b'{"ch": "m"}',  # a missing key
+    b'{"ch": "m", "payload": 1, "more": 2}',  # an extra key
+    b'{"ch": ["m"], "payload": 1}',  # a header that is not a label name
+], ids=["utf8", "json", "deep", "list", "missing", "extra", "header"])
+def test_a_frame_that_does_not_decode_is_refused_and_consumed(body):
+    left, right = socket.socketpair()
+    link = transport.FramedLink(left, right)
+    try:
+        left.sendall(struct.pack(">I", len(body)) + body + encode_frame("m", 1))
+        with pytest.raises(SessionRuntimeError) as e:
+            link.receive(timeout=1)
+        assert e.value.kind is ErrorKind.TRANSPORT_ERROR
+        assert link.receive(timeout=1) == ("m", 1)  # the stream is still in step
+    finally:
+        link.close()
+
+
 def test_framed_send_that_times_out_breaks_its_direction_only():
     left, right = socket.socketpair()
     link, back = transport.FramedLink(left, right), transport.FramedLink(right, left)

@@ -4,6 +4,11 @@ The bounded subtyping oracle checks the simulation conditions on trees
 unrolled to a fixed depth, treating the cut as success.  It is conclusive
 for a pair whenever the product of the two types' state counts stays below
 the unroll depth; the helpers expose that gate.
+
+``small_protocols`` enumerates every global protocol up to a node count over
+a fixed alphabet (SmallCheck's exhaustive small scope, Runciman, Naylor &
+Lindblad 2008): roles p, q and r, unit labels a and b, at most two nested
+binders, binary choices and ``closed_at`` at any role.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import itertools
 import random
 
 from mpst import INT, Label, Role, UNIT
+from mpst.protocol import END, Choice, ClosedAt, Comm, GlobalProtocol, Rec, Var
 from mpst.types import (
     Branch,
     EndT,
@@ -166,3 +172,37 @@ def trees_equal_bounded(s: LocalType, t: LocalType, depth: int) -> bool:
     if [(l.name, l.payload) for l, _ in s.branches] != [(l.name, l.payload) for l, _ in t.branches]:
         return False
     return all(trees_equal_bounded(c, c2, depth - 1) for (_, c), (_, c2) in zip(s.branches, t.branches))
+
+
+SMALL_ROLES = (P, Q, Role("r"))
+SMALL_LABELS = (Label("a", UNIT), Label("b", UNIT))
+SMALL_BINDERS = ("X", "Y")
+
+
+def _protocols(nodes: int, depth: int):
+    """Every protocol of exactly ``nodes`` nodes inside ``depth`` binders,
+    whose loop variables are those binders'.  Each Comm, Choice, Rec, Var,
+    End and ClosedAt is one node."""
+    if nodes == 1:
+        yield END
+        yield from map(Var, SMALL_BINDERS[:depth])
+        return
+    for cont in _protocols(nodes - 1, depth):
+        for frm, to in itertools.permutations(SMALL_ROLES, 2):
+            for label in SMALL_LABELS:
+                yield Comm(frm, to, label, cont)
+        for role in SMALL_ROLES:
+            yield ClosedAt(role, cont)
+    if depth < len(SMALL_BINDERS):
+        for body in _protocols(nodes - 1, depth + 1):
+            yield Rec(SMALL_BINDERS[depth], body)
+    for left in range(1, nodes - 1):
+        pairs = list(itertools.product(_protocols(left, depth), _protocols(nodes - 1 - left, depth)))
+        for at in SMALL_ROLES:
+            for pair in pairs:
+                yield Choice(at, pair)
+
+
+def small_protocols(nodes: int) -> list[GlobalProtocol]:
+    """Every closed protocol of at most ``nodes`` nodes, smallest first."""
+    return [g for n in range(1, nodes + 1) for g in _protocols(n, 0)]
