@@ -24,10 +24,11 @@ from mpst import (
     roles_of,
 )
 from mpst import runtime
-from mpst.errors import SessionRuntimeError, ShapeError
+from mpst.errors import MpstError, SessionRuntimeError, ShapeError
 from mpst.protocol import BOOL, INT, STRING, UNIT, PayloadSort
 from mpst.runtime import EventKind
 from mpst.transport import AsyncBuffered, FramedSocket, SyncRendezvous
+from universe import SMALL_ROLES, small_protocols
 
 
 def run_threads(*fns):
@@ -666,10 +667,6 @@ def test_an_endpoint_refuses_and_steps_by_the_monitors_rule_at_every_small_state
     a string, as a ``Label`` of the offered sort and of another, and
     unhashable.  States are checked once per role and stage: the rule reads
     nothing else of a state."""
-    from universe import SMALL_ROLES, small_protocols
-
-    from mpst.errors import MpstError
-
     send, receive, close = EventKind.SEND, EventKind.RECEIVE, EventKind.CLOSE
     peers = (None, *SMALL_ROLES)
     labels = [Label(name, sort) for name in ("a", "b", "c") for sort in (UNIT, INT)]
